@@ -48,31 +48,50 @@ def _parse_number(value, where: str) -> float:
     raise ConfigError(f"{where} must be a number or \"inf\"")
 
 
+def _parse_int(value, where: str, minimum=None) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise ConfigError(f"{where} must be at least {minimum}, got {n}")
+    return n
+
+
 def parse_factor(obj: dict, idx: int):
     where = f"factors[{idx}]"
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigError(f"{where} must be an object with a 'type' field")
+    try:
+        return _build_factor(obj, where)
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: malformed {obj['type']} factor ({exc})") from None
+
+
+def _build_factor(obj: dict, where: str):
     kind = obj["type"]
     if kind == "lattice":
         _reject_unknown(obj, {"type", "dim", "beta", "p"}, where)
         if "dim" in obj:
             if "beta" in obj or "p" in obj:
                 raise ConfigError(f"{where}: give either dim or beta/p, not both")
-            return LatticeNN.simple(int(obj["dim"]))
+            return LatticeNN.simple(_parse_int(obj["dim"], f"{where}.dim", 1))
         return LatticeNN(beta=tuple(obj["beta"]), p=tuple(obj["p"]))
     if kind == "cyclic":
         _reject_unknown(obj, {"type", "n", "mu"}, where)
-        return cyclic_group(int(obj["n"]), tuple(obj["mu"]))
+        return cyclic_group(_parse_int(obj["n"], f"{where}.n", 1), tuple(obj["mu"]))
     if kind == "finite":
         _reject_unknown(obj, {"type", "P", "id", "table"}, where)
         return FiniteGroup(
             P=tuple(tuple(r) for r in obj["P"]),
-            id=int(obj["id"]),
+            id=_parse_int(obj["id"], f"{where}.id"),
             table=tuple(tuple(r) for r in obj["table"]),
         )
     if kind == "tree":
         _reject_unknown(obj, {"type", "q"}, where)
-        return HomTree(q=int(obj["q"]))
+        return HomTree(q=_parse_int(obj["q"], f"{where}.q"))
     if kind == "explicit":
         _reject_unknown(
             obj,
@@ -86,7 +105,7 @@ def parse_factor(obj: dict, idx: int):
             g_at_r=_parse_number(obj["g_at_r"], f"{where}.g_at_r"),
             gprime_at_r=_parse_number(obj["gprime_at_r"], f"{where}.gprime_at_r"),
             sing=None if sing is None else (float(sing[0]), int(sing[1])),
-            period=int(obj["period"]),
+            period=_parse_int(obj["period"], f"{where}.period"),
         )
     raise ConfigError(f"{where}: unknown factor type {kind!r}")
 
@@ -107,16 +126,23 @@ def load_config(path: str):
     if not isinstance(factors, list) or not isinstance(weights, list):
         raise ConfigError("config needs 'factors' and 'weights' lists")
     specs = tuple(parse_factor(f, i) for i, f in enumerate(factors))
-    wsum = sum(float(w) for w in weights)
+    try:
+        weights = tuple(float(w) for w in weights)
+    except (TypeError, ValueError):
+        raise ConfigError(f"weights must be numbers, got {weights!r}") from None
+    wsum = sum(weights)
     if not (wsum > 0 and math.isfinite(wsum)):
         raise ConfigError("weights must have a positive finite sum")
     if abs(wsum - 1.0) > 1e-9:
         print(f"warning: weights sum to {wsum:g}; normalizing", file=sys.stderr)
     options = dict(_DEFAULTS)
     user_opts = raw.get("options", {})
+    if not isinstance(user_opts, dict):
+        raise ConfigError("options must be a JSON object")
     _reject_unknown(user_opts, set(_DEFAULTS), "options")
-    options.update({k: int(v) for k, v in user_opts.items()})
-    return FreeProductSpec(specs, tuple(float(w) for w in weights)), options
+    for k, v in user_opts.items():
+        options[k] = _parse_int(v, f"options.{k}", None if k == "seed" else 0)
+    return FreeProductSpec(specs, weights), options
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +248,12 @@ def cmd_series(spec: FreeProductSpec, options, args) -> str:
         }
         return json.dumps(_present(payload), indent=2) + "\n"
     lines = [f"# radius={_fmt(radius)} period={delta}", "n,mu_n,mu_n_radius_n"]
+    log_radius = math.log(radius)
     for n in range(order + 1):
-        scaled = g[n] * radius**n
-        lines.append(f"{n},{_fmt(g[n])},{_fmt(scaled)}")
+        # radius**n alone overflows long before mu_n radius^n does
+        mu = g[n]
+        scaled = math.exp(math.log(mu) + n * log_radius) if mu > 0.0 else 0.0
+        lines.append(f"{n},{_fmt(mu)},{_fmt(scaled)}")
     return "\n".join(lines) + "\n"
 
 
@@ -312,6 +341,13 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fprw",
@@ -329,15 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("series", help="exact return-probability series")
     common(p)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_count, default=None)
     p.set_defaults(format="csv")
     p = sub.add_parser("phase", help="phase diagram in the first weight")
     common(p)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=_count, default=None)
     p = sub.add_parser("simulate", help="seeded Monte Carlo return profile")
     common(p)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--walks", type=int, default=None)
+    p.add_argument("--steps", type=_count, default=None)
+    p.add_argument("--walks", type=_count, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(format="csv")
     p = sub.add_parser("selftest", help="run the acceptance criteria")

@@ -6,15 +6,15 @@ group-invariant walks on a finite group, the uniform walk on the free product
 of q copies of Z/2Z (whose Cayley graph is the q-regular tree), and a
 user-supplied explicit return series with asserted radius metadata.
 
-All evaluations are pure; a GreenAnalytics object is immutable after
-construction and safe to share across threads.
+All evaluations are pure; a GreenAnalytics object builds its return series
+on first access and is otherwise immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -30,6 +30,9 @@ DEFAULT_ORDER = 512
 # continuous limit replaces near-divergent quadrature inside the band)
 _ROOT_RTOL = 1e-13
 _EDGE_RTOL = 1e-8
+
+# Green values kept per factor evaluator, keyed on (z, deriv)
+_GREEN_CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +317,14 @@ class GreenAnalytics:
     theta: float
     period: int
     sing: Optional[SingularityDescriptor]
-    series: PowerSeries
+    order: int
     psi_at_radius: float
     _green: Callable = field(repr=False)
+
+    @cached_property
+    def series(self) -> PowerSeries:
+        """Return-probability series to the analysis order, built on first use."""
+        return factor_series(self.spec, self.order)
 
     def green(self, z: float, deriv: int = 0) -> float:
         """G^(deriv)(z) on [0, radius]; +inf where divergent."""
@@ -425,7 +433,7 @@ def _make_green_eval(spec: FactorSpec, radius: float) -> Callable:
     if isinstance(spec, LatticeNN):
         beta, p = spec.beta, spec.p
 
-        @lru_cache(maxsize=None)
+        @lru_cache(maxsize=_GREEN_CACHE_SIZE)
         def ev(z, deriv):
             return lattice.green(beta, p, z, deriv)
 
@@ -439,7 +447,7 @@ def _make_green_eval(spec: FactorSpec, radius: float) -> Callable:
         e = np.zeros(n)
         e[idx] = 1.0
 
-        @lru_cache(maxsize=None)
+        @lru_cache(maxsize=_GREEN_CACHE_SIZE)
         def ev(z, deriv):
             if z >= radius * (1.0 - 1e-13):
                 return math.inf
@@ -458,7 +466,7 @@ def _make_green_eval(spec: FactorSpec, radius: float) -> Callable:
     if isinstance(spec, HomTree):
         q = spec.q
 
-        @lru_cache(maxsize=None)
+        @lru_cache(maxsize=_GREEN_CACHE_SIZE)
         def ev(z, deriv):
             return _tree_green_closed(q, z, deriv)
 
@@ -469,7 +477,7 @@ def _make_green_eval(spec: FactorSpec, radius: float) -> Callable:
         nn = np.arange(coeffs.size)
         g_r, gp_r = spec.g_at_r, spec.gprime_at_r
 
-        @lru_cache(maxsize=None)
+        @lru_cache(maxsize=_GREEN_CACHE_SIZE)
         def ev(z, deriv):
             if z >= radius * (1.0 - 1e-13):
                 if deriv == 0:
@@ -495,7 +503,7 @@ def _psi_from_values(z: float, g: float, gp: float) -> float:
     return g * g / (z * gp + g)
 
 
-def _psi_limit_at_radius(spec, radius, g_r, gp_r, series) -> float:
+def _psi_limit_at_radius(spec, radius, g_r, gp_r, order) -> float:
     """lim_{z->radius} Psi(z G(z)), finite-or-zero in every case.
 
     For transient factors with finite G' this is an honest evaluation; with
@@ -512,6 +520,7 @@ def _psi_limit_at_radius(spec, radius, g_r, gp_r, series) -> float:
     if isinstance(spec, (LatticeNN, HomTree)):
         return 0.0
     # explicit recurrent factor: approximate the limit from truncated sums
+    series = factor_series(spec, order)
     z = radius * (1.0 - 10.0 / max(series.order, 20))
     coeffs = series.coeffs
     nn = np.arange(coeffs.size)
@@ -522,8 +531,6 @@ def _psi_limit_at_radius(spec, radius, g_r, gp_r, series) -> float:
 
 def analyze_factor(spec: FactorSpec, order: int = DEFAULT_ORDER) -> GreenAnalytics:
     """Compute all invariants of one factor's walk."""
-    series = factor_series(spec, order)
-
     if isinstance(spec, LatticeNN):
         radius = lattice.convergence_radius(spec.beta, spec.p)
         period = 2
@@ -554,7 +561,7 @@ def analyze_factor(spec: FactorSpec, order: int = DEFAULT_ORDER) -> GreenAnalyti
     g_r = ev(radius, 0)
     gp_r = ev(radius, 1)
     theta = radius * g_r if math.isfinite(g_r) else math.inf
-    psi_r = _psi_limit_at_radius(spec, radius, g_r, gp_r, series)
+    psi_r = _psi_limit_at_radius(spec, radius, g_r, gp_r, order)
     return GreenAnalytics(
         spec=spec,
         radius=radius,
@@ -563,7 +570,7 @@ def analyze_factor(spec: FactorSpec, order: int = DEFAULT_ORDER) -> GreenAnalyti
         theta=theta,
         period=period,
         sing=sing,
-        series=series,
+        order=order,
         psi_at_radius=psi_r,
         _green=ev,
     )

@@ -22,6 +22,7 @@ from scipy.optimize import brentq
 from .errors import (
     ConfigError,
     DegenerateProduct,
+    FprwError,
     NoConvergence,
     NotAtCriticality,
     RootNotBracketed,
@@ -419,7 +420,7 @@ def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
         try:
             coeff = sqrt_coefficient(spec)
             phi2 = phi_second_of_t(spec, tbar)
-        except Exception:
+        except FprwError:
             coeff = None
     return ProductAnalytics(
         theta_bar=tbar,

@@ -1,0 +1,100 @@
+import json
+import math
+
+import pytest
+
+from fprw import cli, phase, product
+from fprw.errors import NoConvergence
+from fprw.product import FreeProductSpec, factor_analytics
+
+Z3 = {"type": "lattice", "dim": 3}
+Z5 = {"type": "lattice", "dim": 5}
+Z6 = {"type": "lattice", "dim": 6}
+
+
+def run(tmp_path, capsys, config, *argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = cli.main([*argv, "--config", str(path)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"factors": [Z3, Z5], "weights": [0.5, 0.5], "options": {"order": "abc"}},
+        {"factors": [{"type": "cyclic", "n": 3}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [{"type": "lattice", "dim": 0}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [Z3, Z5], "weights": ["x", 0.5]},
+        {"factors": [Z3, Z5], "weights": [0.5, 0.5], "options": {"order": -5}},
+        {"factors": [{"type": "lattice", "beta": [0.5, "x"], "p": [0.5, 0.5]}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [{"type": "tree", "q": [3]}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [Z3, Z5], "weights": [0.5, 0.5], "options": []},
+    ],
+    ids=[
+        "order-not-a-number",
+        "cyclic-without-mu",
+        "lattice-dim-0",
+        "weight-not-a-number",
+        "negative-order",
+        "axis-weight-not-a-number",
+        "tree-degree-a-list",
+        "options-not-an-object",
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, config):
+    code, out = run(tmp_path, capsys, config, "series")
+    assert code == 2
+    assert out.err.startswith("config error:")
+    assert "Traceback" not in out.err
+    assert out.out == ""
+
+
+def test_series_csv_beyond_float_range_of_radius_power(tmp_path, capsys):
+    # radius 1.7735: radius**n overflows from n = 1239
+    config = {"factors": [Z5, Z6], "weights": [0.5, 0.5]}
+    code, csv_out = run(tmp_path, capsys, config, "series", "--order", "1500")
+    assert code == 0
+    rows = [line.split(",") for line in csv_out.out.splitlines()[2:]]
+    assert len(rows) == 1501
+    code, json_out = run(tmp_path, capsys, config, "series", "--order", "1500", "--format", "json")
+    assert code == 0
+    coeffs = json.loads(json_out.out)["coefficients"]
+    assert [float(r[1]) for r in rows] == coeffs
+    scaled = [float(r[2]) for r in rows]
+    assert all(math.isfinite(v) and v >= 0.0 for v in scaled)
+    assert all(v == 0.0 for v, c in zip(scaled, coeffs) if c == 0.0)
+
+
+@pytest.fixture(scope="module")
+def critical_config():
+    """Tuned Z^7 * Z^8 at its critical weight, where Psi(theta-bar) = 0."""
+    f7 = phase.tune_axis_weights(7, 0.5)
+    f8 = phase.tune_axis_weights(8, 0.5)
+    t7, t8 = (an.theta for an in factor_analytics(FreeProductSpec((f7, f8), (0.5, 0.5))))
+    ac = t7 / (t7 + t8)
+    factors = [{"type": "lattice", "beta": list(f.beta), "p": list(f.p)} for f in (f7, f8)]
+    return {"factors": factors, "weights": [ac, 1.0 - ac]}
+
+
+def test_sqrt_coefficient_numeric_failure_reports_null(tmp_path, capsys, monkeypatch, critical_config):
+    code, out = run(tmp_path, capsys, critical_config, "analyze")
+    assert code == 0
+    assert json.loads(out.out)["sqrt_coefficient"] is not None
+
+    def fails(spec):
+        raise NoConvergence("planted")
+
+    monkeypatch.setattr(product, "sqrt_coefficient", fails)
+    code, out = run(tmp_path, capsys, critical_config, "analyze")
+    assert code == 0
+    assert json.loads(out.out)["sqrt_coefficient"] is None
+
+
+def test_sqrt_coefficient_programming_error_propagates(tmp_path, capsys, monkeypatch, critical_config):
+    def broken(spec):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(product, "sqrt_coefficient", broken)
+    with pytest.raises(TypeError, match="planted"):
+        run(tmp_path, capsys, critical_config, "analyze")

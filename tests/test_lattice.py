@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fprw import lattice
 from fprw.errors import OutOfDomain
+from fprw.phase import tuned_lattice
 
 
 def simple(d):
@@ -148,3 +151,117 @@ class TestGreen:
             lattice.green(*simple(3), 1.2)
         with pytest.raises(OutOfDomain):
             lattice.green(*simple(3), -0.1)
+
+
+# ---------------------------------------------------------------------------
+# high-precision oracles near and at the radius
+
+NEAR_RADIUS = (2, 6, 10, 12)  # z = rho (1 - 10^-k)
+
+
+def mp_laplace_green(c, gap, deriv):
+    """mpmath quadrature of G^(deriv) in x = log s, at z = rho (1 - gap).
+
+    G(z) = int e^x e^{-gap s} prod_j e^{-a_j s} I0(a_j s) dx with s = e^x and
+    a_j = c_j z, sum_j c_j rho = 1 held exactly; deriv 1 brings in the factor
+    s sum_j c_j I1/I0.  The quadrature is tanh-sinh on finite pieces, a rule
+    and truncation of its own.
+    """
+    with mp.workdps(17):
+        groups = Counter(float(x) for x in c)
+        cs = [mp.mpf(x) for x in groups]
+        mult = list(groups.values())
+        total = mp.fsum(x * m for x, m in zip(cs, mult))
+        z = (1 - mp.mpf(gap)) / total
+        a = [x * z for x in cs]
+
+        def f(x):
+            s = mp.exp(x)
+            i0 = [mp.besseli(0, aj * s) * mp.exp(-aj * s) for aj in a]
+            val = s * mp.exp(-mp.mpf(gap) * s) * mp.fprod(v**m for v, m in zip(i0, mult))
+            if deriv:
+                i1 = [mp.besseli(1, aj * s) * mp.exp(-aj * s) for aj in a]
+                val *= s * mp.fsum(m * cj * v1 / v0 for cj, m, v0, v1 in zip(cs, mult, i0, i1))
+            return val
+
+        cuts = [-45, -8, 0, 6, 20, 45, 100]
+        if gap:
+            knee = float(-mp.log(gap))
+            cuts = sorted(set(cuts) | {knee - 3, knee + 3})
+        return float(mp.quad(f, cuts))
+
+
+def rel_err(got, want):
+    return abs(got / float(want) - 1.0)
+
+
+class TestNearRadius:
+    @pytest.mark.parametrize("k", NEAR_RADIUS)
+    def test_z1_closed_form(self, k):
+        z = 1.0 - 10.0**-k
+        with mp.workdps(30):
+            zm = mp.mpf(z)
+            g = 1 / mp.sqrt((1 - zm) * (1 + zm))
+            gp = zm * g**3
+        got = lattice.green([1.0], [0.5], z)
+        got_p = lattice.green([1.0], [0.5], z, 1)
+        assert rel_err(got, g) <= 1e-13
+        assert got_p > 0.0
+        assert rel_err(got_p, gp) <= 1e-13
+
+    @pytest.mark.parametrize("k", NEAR_RADIUS)
+    def test_z2_elliptic_k(self, k):
+        # G(z) = (2/pi) K(m = z^2) for the simple walk on Z^2
+        z = 1.0 - 10.0**-k
+        with mp.workdps(30):
+            g = 2 / mp.pi * mp.ellipk(mp.mpf(z) ** 2)
+            gp = mp.diff(lambda t: 2 / mp.pi * mp.ellipk(t**2), mp.mpf(z))
+        got = lattice.green(*simple(2), z)
+        got_p = lattice.green(*simple(2), z, 1)
+        assert rel_err(got, g) <= 1e-13
+        assert got_p > 0.0
+        assert rel_err(got_p, gp) <= 1e-13
+
+    def test_z3_close_to_the_radius(self):
+        beta, p = simple(3)
+        c = lattice.axis_coupling(beta, p)
+        z = lattice.convergence_radius(beta, p) * (1.0 - 1e-10)
+        gap = 1.0 - z / lattice.convergence_radius(beta, p)
+        for deriv in (0, 1):
+            got = lattice.green(beta, p, z, deriv)
+            assert got > 0.0
+            assert rel_err(got, mp_laplace_green(c, gap, deriv)) <= 1e-13
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("tuned", [False, True], ids=["simple", "tuned"])
+    def test_at_radius_against_mpmath(self, d, tuned):
+        if tuned:
+            spec = tuned_lattice(d, 0.3)
+            beta, p = spec.beta, spec.p
+        else:
+            beta, p = simple(d)
+        c = lattice.axis_coupling(beta, p)
+        rho = lattice.convergence_radius(beta, p)
+        for deriv in (0, 1):
+            got = lattice.green(beta, p, rho, deriv)
+            if d - 2 * deriv <= 2:
+                assert got == math.inf
+                continue
+            assert got > 0.0
+            assert rel_err(got, mp_laplace_green(c, 0.0, deriv)) <= 1e-13
+
+    def test_array_argument_matches_scalar_calls(self):
+        # the same terms summed as a matrix product: equal up to summation order
+        rtol = 1e-14
+        beta, p = np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.4, 0.7])
+        rho = lattice.convergence_radius(beta, p)
+        z = rho * np.array([[0.0, 0.3, 0.9], [0.999, 1.0 - 1e-12, 1.0]])
+        for deriv in (0, 1, 2):
+            got = lattice.green(beta, p, z, deriv)
+            assert got.shape == z.shape
+            want = [lattice.green(beta, p, float(v), deriv) for v in z.ravel()]
+            np.testing.assert_allclose(got.ravel(), want, rtol=rtol)
+        # more points than one evaluation pass holds
+        many = np.linspace(0.0, rho, 150)
+        want = [lattice.green(beta, p, float(v)) for v in many]
+        np.testing.assert_allclose(lattice.green(beta, p, many), want, rtol=rtol)
