@@ -5,6 +5,12 @@ outputs are JSON or CSV with floats printed to 12 significant digits and
 infinities rendered as the string "inf".  Exit codes: 2 for configuration
 errors, 3 for numeric failures, 4 when phase analysis is asked for a product
 with more than two factors.
+
+`simulate` prints an exact column from word convolution up to n = 14.  The
+number of words it enumerates grows geometrically with n (about 16-fold per
+two steps on Z5*Z6), so the column stops at the largest n whose words fit
+mc.EXACT_COLUMN_BYTES; a shorter column is reported on stderr, and the exit
+code stays 0.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .product import (
 )
 
 _DEFAULTS = {"order": 512, "grid": 512, "steps": 100, "walks": 10_000, "seed": 0}
+_EXACT_COLUMN_ORDER = 14
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +310,14 @@ def cmd_simulate(spec: FreeProductSpec, options, args) -> str:
     walks = args.walks if args.walks is not None else options["walks"]
     seed = args.seed if args.seed is not None else options["seed"]
     result = mc.simulate(spec, steps=steps, walks=walks, seed=seed)
-    exact_order = min(steps, 14)
+    wanted = min(steps, _EXACT_COLUMN_ORDER)
+    exact_order = mc.exact_column_order(spec, wanted)
+    if exact_order < wanted:
+        print(
+            f"warning: exact column stops at n = {exact_order}, not {wanted}: the words "
+            f"of longer orders need more than {mc.EXACT_COLUMN_BYTES >> 20} MiB",
+            file=sys.stderr,
+        )
     exact = mc.bfs_convolution(spec, exact_order) if steps > 0 else None
     freq = result.frequencies()
     rows = []
@@ -370,7 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="phase diagram in the first weight")
     common(p)
     p.add_argument("--grid", type=_count, default=None)
-    p = sub.add_parser("simulate", help="seeded Monte Carlo return profile")
+    p = sub.add_parser(
+        "simulate",
+        help="seeded Monte Carlo return profile",
+        description="Seeded Monte Carlo return profile beside the exact return "
+        f"probabilities from word convolution for n <= {_EXACT_COLUMN_ORDER}.  The exact column stops "
+        "earlier, with a warning on stderr, where the words to enumerate would not "
+        f"fit {mc.EXACT_COLUMN_BYTES >> 20} MiB: their number grows geometrically "
+        "with n, fastest on high-dimensional lattices.",
+    )
     common(p)
     p.add_argument("--steps", type=_count, default=None)
     p.add_argument("--walks", type=_count, default=None)

@@ -175,10 +175,12 @@ class FiniteGroup:
         return self.table[a][b]
 
     def dist_to_identity(self, e) -> int:
-        return self._dists()[e]
+        return self.dist_table[e]
 
-    def _dists(self):
-        # graph distance to the identity under right-multiplication steps
+    @cached_property
+    def dist_table(self) -> tuple:
+        """Graph distance of each element to the identity under right-multiplication
+        steps, computed once per group."""
         n = self.order
         supp = [g for g, _ in self.step_support()]
         dist = {self.id: 0}
@@ -192,7 +194,7 @@ class FiniteGroup:
                         dist[x] = dist[y] + 1
                         nxt.append(x)
             frontier = nxt
-        return [dist[x] for x in range(n)]
+        return tuple(dist[x] for x in range(n))
 
 
 def cyclic_group(n: int, mu) -> FiniteGroup:

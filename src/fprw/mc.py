@@ -1,32 +1,76 @@
 """Ground-truth oracles for the functional-equation machinery.
 
-Words of the free product are tuples of (factor_index, element) letters in
-normal form.  bfs_convolution propagates exact probability mass over words;
-states whose minimal erase cost already exceeds the remaining step budget can
-never contribute a return, so the reachable state space is only the radius
-N/2 ball (mass crossing that boundary is accumulated in an escape bucket to
-keep the per-step totals at exactly 1).  simulate runs seeded Monte Carlo
-trajectories with counter-based per-block streams, so results are independent
-of how walks are partitioned across workers.
+Words of the free product are in normal form: no identity letters and no two
+adjacent letters from the same factor.  Both oracles run on integer-coded
+letters, compiled once per product (`_Letters`):
+
+- a finite group's element is its index in the Cayley table, offset so that
+  the finite factors' codes do not overlap; a letter merges with a step by a
+  lookup in the table of (element, step) products;
+- a Z^d element x is the exact integer sum_j x_j R^j with R = 2 reach + 1,
+  where reach bounds every coordinate, so merging is addition; where R^d would
+  overflow int64 the codes are Python integers;
+- the q-regular tree is the free product of q copies of Z/2Z, so HomTree(q)
+  becomes q C2 factors, one per tree step.  The support order is kept, and so
+  are the draws.
+
+simulate advances all walks of a block together.  The state is a walks x steps
+stack of (factor, code) letters plus a depth vector, and each step is a
+vectorised push, merge or pop.  Walks are grouped in fixed-size blocks, each
+drawn from the Philox stream keyed (seed, block), so results do not depend on
+how the blocks are spread over workers.
+
+bfs_convolution propagates exact probability mass over words.  A word whose
+erase cost (the steps needed to walk it back to the identity) exceeds
+order // 2 can never contribute a return, so only that ball of words is
+enumerated; mass crossing its boundary goes to an escape bucket, which keeps
+the per-step totals at exactly 1.  The words form a trie: each is keyed by the
+state id of its prefix and its last letter, the ball's letters numbered
+densely, and the levels are enumerated with np.unique/searchsorted.  Mass moves
+by one CSR mat-vec per step, each row listing a word's predecessors in support
+order, so every sum is taken in the order of the tuple-word propagation.
+word_count_bound counts the ball's words from the factors' sphere sizes, so an
+order that does not fit is refused before anything is enumerated.
+
+word_multiply, word_is_normal and word_erase_cost work on words as tuples of
+(factor_index, element) letters.  They are kept as the oracle that the coded
+algebra is tested against.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ConfigError, StateExplosion
+from .factors import HomTree, LatticeNN, flip_group
+from .parallel import parallel_map
 from .product import FreeProductSpec
 from .series import PowerSeries
 
 DEFAULT_STATE_CAP = 50_000_000
 _SIM_BLOCK = 4096  # walks per RNG stream; fixed so seeding is partition-proof
 
+# Memory that `fprw simulate` gives its exact column.  At its peak
+# bfs_convolution holds up to _STATE_BYTES per word plus _PAIR_BYTES per (word,
+# support step) pair: trie arrays, a level's candidate arrays, the target table
+# and the CSR matrix.  Measured peaks (tracemalloc) were 15-25 bytes per word
+# plus 51 per pair on Z5*Z6, Z2*C3, Z1*Z1 and Z3*T4; the constants leave room.
+EXACT_COLUMN_BYTES = 64 << 20
+_STATE_BYTES = 128
+_PAIR_BYTES = 64
+
+_ESCAPE = -1  # the step leaves the ball
+_IDENTITY = -2  # the step cancels the letter
+
 Word = tuple
+
+
+# ---------------------------------------------------------------------------
+# tuple words (oracle)
 
 
 def word_multiply(factors, word: Word, factor: int, g) -> Word:
@@ -65,38 +109,261 @@ def _support(spec: FreeProductSpec):
     return out
 
 
+# ---------------------------------------------------------------------------
+# coded letters
+
+
+_C2 = flip_group()
+
+
+def _free_factors(spec: FreeProductSpec):
+    """[(group, step elements)] of the word algebra, steps in _support order.
+
+    A tree step g is the flip of its own C2 factor.
+    """
+    out = []
+    for f in spec.factors:
+        if isinstance(f, HomTree):
+            out.extend((_C2, [1]) for _ in range(f.q))
+        else:
+            out.append((f, [g for g, _ in f.step_support()]))
+    return out
+
+
+def _sphere_sizes(group, budget: int) -> list:
+    """s[k], the number of elements at erase cost k, for k = 0..budget.
+
+    On Z^d the cost is the L1 norm: a point of norm k has j nonzero axes, j
+    signs and a composition of k into j positive parts.
+    """
+    if isinstance(group, LatticeNN):
+        d = group.dim
+        return [1] + [
+            sum(2**j * math.comb(d, j) * math.comb(k - 1, j - 1) for j in range(1, min(d, k) + 1))
+            for k in range(1, budget + 1)
+        ]
+    hist = np.bincount(group.dist_table, minlength=budget + 1)
+    return [int(c) for c in hist[: budget + 1]]
+
+
+def _locate(ordered: np.ndarray, values: np.ndarray):
+    """(position, found) of each value in a sorted array."""
+    pos = np.searchsorted(ordered, values)
+    found = pos < ordered.size
+    found[found] = ordered[pos[found]] == values[found]
+    return pos, found
+
+
+class _Letters:
+    """A product's word algebra on integer codes, for coordinates within +-reach.
+
+    Per support step k: its free factor `factor[k]`, the code `code[k]` it
+    pushes, whether it moves at all (`live[k]`; a finite group's identity step
+    does not), and its column in the merge table.  `identity[i]` is the code
+    of factor i's identity and `base[i]` the code of a finite factor's
+    element 0.
+    """
+
+    def __init__(self, spec: FreeProductSpec, reach: int):
+        self.probs = np.array([p for _, _, p in _support(spec)])
+        radix = 2 * max(reach, 1) + 1
+        self.groups, self.base = [], []
+        factor, code, live, column, identity, table = [], [], [], [], [], []
+        wide = False
+        for i, (group, steps) in enumerate(_free_factors(spec)):
+            self.groups.append(group)
+            factor += [i] * len(steps)
+            column += range(len(steps))
+            if isinstance(group, LatticeNN):
+                place = [radix**j for j in range(group.dim)]
+                wide = wide or radix**group.dim > 2**62
+                self.base.append(0)
+                identity.append(0)
+                code += [sum(x * r for x, r in zip(g, place)) for g in steps]
+                live += [True] * len(steps)
+            else:
+                base = len(table)  # one table row per finite element
+                self.base.append(base)
+                identity.append(base + group.id)
+                code += [base + g for g in steps]
+                live += [g != group.id for g in steps]
+                table += [[base + row[g] for g in steps] for row in group.table]
+        self.dtype = object if wide else np.int64
+        self.factor = np.array(factor, dtype=np.int32)
+        self.code = np.array(code, dtype=self.dtype)
+        self.live = np.array(live, dtype=bool)
+        self.column = np.array(column, dtype=np.int64)
+        self.identity = np.array(identity, dtype=self.dtype)
+        width = max((len(row) for row in table), default=0)
+        self.table = np.array([row + [-1] * (width - len(row)) for row in table], dtype=np.int64)
+        # merging: finite steps look up the table, lattice steps add their code
+        self.looked_up = np.array([not isinstance(g, LatticeNN) for g in self.groups])[self.factor]
+        self.added = np.where(self.looked_up, 0, self.code)
+
+    def advance(self, codes: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """codes[j] times step k[j], each code a letter of k[j]'s factor."""
+        if not self.looked_up.any():
+            return codes + self.added[k]
+        if self.looked_up.all():
+            return self.table[codes, self.column[k]]
+        out = codes + self.added[k]
+        look = self.looked_up[k]
+        out[look] = self.table[codes[look].astype(np.int64), self.column[k[look]]]
+        return out
+
+    def ball(self, budget: int):
+        """Letters of erase cost 1..budget, numbered densely by factor, then code.
+
+        Returns (factor, cost, merge, push): letter l belongs to factor[l] and
+        costs cost[l]; merge[l, column[k]] is the letter that l becomes after
+        step k of its own factor; push[k] is the letter step k starts after a
+        letter of another factor.  Both hold _IDENTITY where the product is
+        the identity and _ESCAPE where it costs more than the budget.  A last
+        row, letter -1, stands for the empty word: factor -1, cost 0.
+        """
+        ks = [np.flatnonzero(self.factor == i) for i in range(len(self.groups))]
+        codes, costs = [], []
+        for i, group in enumerate(self.groups):
+            if isinstance(group, LatticeNN):
+                # the L1 spheres: neighbours of sphere r - 1 lie on spheres r - 2 and r
+                spheres = [np.zeros(1, dtype=self.dtype), np.unique(self.code[ks[i]])]
+                for _ in range(budget - 1):
+                    near = (spheres[-1][:, None] + self.code[ks[i]][None, :]).ravel()
+                    spheres.append(np.setdiff1d(near, spheres[-2]))
+                spheres = spheres[1 : budget + 1]
+                codes.append(np.concatenate(spheres) if spheres else np.zeros(0, self.dtype))
+                costs.append(np.repeat(np.arange(1, len(spheres) + 1), [s.size for s in spheres]))
+                order = np.argsort(codes[-1])
+                codes[-1], costs[-1] = codes[-1][order], costs[-1][order]
+            else:
+                dist = np.array(group.dist_table)
+                inside = np.flatnonzero((dist > 0) & (dist <= budget))
+                codes.append((self.base[i] + inside).astype(self.dtype))
+                costs.append(dist[inside])
+        first = np.cumsum([0] + [c.size for c in codes])
+
+        def lookup(i, products):
+            """Letter ids of factor-i codes: _IDENTITY, or _ESCAPE outside the ball."""
+            pos, hit = _locate(codes[i], products)
+            out = np.where(hit, first[i] + pos, _ESCAPE)
+            return np.where(products == self.identity[i], _IDENTITY, out)
+
+        width = int(self.column.max(initial=-1)) + 1
+        merge = np.full((int(first[-1]) + 1, width), _ESCAPE, dtype=np.int64)
+        push = np.full(self.code.size, _ESCAPE, dtype=np.int64)
+        for i, k in enumerate(ks):
+            push[k] = lookup(i, self.code[k])
+            n = codes[i].size
+            if n:
+                products = self.advance(np.repeat(codes[i], k.size), np.tile(k, n))
+                merge[first[i] : first[i + 1], : k.size] = lookup(i, products).reshape(n, k.size)
+        factor = np.append(np.repeat(np.arange(len(codes)), np.diff(first)), -1)
+        cost = np.append(np.concatenate(costs), 0).astype(np.int64)
+        return factor, cost, merge, push
+
+
+def word_count_bound(spec: FreeProductSpec, budget: int) -> int:
+    """Normal-form words of erase cost <= budget, the empty word included.
+
+    W_i(c), the words of cost c that start with a letter of factor i, is
+    s_i(c) + sum_k s_i(k) sum_{j != i} W_j(c - k), with s_i(k) the factor's
+    sphere sizes.  This is bfs_convolution's state count at orders 2 budget and
+    2 budget + 1 when every support is symmetric, and an upper bound otherwise.
+    """
+    spheres = [_sphere_sizes(g, budget) for g, _ in _free_factors(spec)]
+    words = [[0] * (budget + 1) for _ in spheres]
+    total = [0] * (budget + 1)
+    for c in range(1, budget + 1):
+        for i, s in enumerate(spheres):
+            words[i][c] = s[c] + sum(s[k] * (total[c - k] - words[i][c - k]) for k in range(1, c))
+        total[c] = sum(w[c] for w in words)
+    return 1 + sum(total)
+
+
+def exact_column_order(spec: FreeProductSpec, order: int) -> int:
+    """The largest order <= `order` whose words fit EXACT_COLUMN_BYTES."""
+    per_state = _STATE_BYTES + _PAIR_BYTES * len(_support(spec))
+    states = EXACT_COLUMN_BYTES // per_state
+    while order > 1 and word_count_bound(spec, order // 2) > states:
+        order = 2 * (order // 2) - 1
+    return order
+
+
+# ---------------------------------------------------------------------------
+# exact convolution
+
+
 def bfs_convolution(
     spec: FreeProductSpec, order: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> PowerSeries:
     """Exact return probabilities mu^(n)(e) for n <= order by mass propagation."""
-    factors = spec.factors
-    support = _support(spec)
     budget = order // 2
+    bound = word_count_bound(spec, budget)
+    if bound > state_cap:
+        raise StateExplosion(
+            f"up to {bound} words within reach, more than {state_cap}; lower the order"
+        )
+    letters = _Letters(spec, reach=budget + 1)
+    lfactor, lcost, merge, push = letters.ball(budget)
+    nletters = lfactor.size
+    probs = letters.probs
+    nsteps = probs.size
+    moves = letters.live
 
-    states = [()]
-    index = {(): 0}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, g, _ in support:
-                t = word_multiply(factors, w, i, g)
-                if t not in index and word_erase_cost(factors, t) <= budget:
-                    index[t] = len(states)
-                    states.append(t)
-                    nxt.append(t)
-                    if len(states) > state_cap:
-                        raise StateExplosion(
-                            f"more than {state_cap} words within reach; lower the order"
-                        )
-        frontier = nxt
+    # trie of words: prefix state and last letter; the root is the empty word.
+    # keys prefix * nletters + letter stay below bound**2, far inside int64.
+    parent = np.full(bound, -1, dtype=np.int64)
+    last = np.full(bound, -1, dtype=np.int64)
+    cost = np.zeros(bound, dtype=np.int64)
+    keys = np.zeros(0, dtype=np.int64)
+    key_ids = np.zeros(0, dtype=np.int64)
+    nstates = 1
+    levels = []  # target of (state, step), one block per level
+    lo = 0
+    while lo < nstates:
+        s = np.arange(lo, nstates)
+        lo = nstates
+        tail = last[s]
+        same = lfactor[tail][:, None] == letters.factor[None, :]
+        letter = np.where(same, merge[tail][:, letters.column], push[None, :])
+        prefix = np.where(same, parent[s][:, None], s[:, None])
+        target = np.where(moves, _ESCAPE, s[:, None])
+        target = np.where(moves & (letter == _IDENTITY), prefix, target)
+        grow = moves & (letter >= 0)
+        grow[grow] = cost[prefix[grow]] + lcost[letter[grow]] <= budget
+        found, inverse = np.unique(prefix[grow] * nletters + letter[grow], return_inverse=True)
+        pos, known = _locate(keys, found)
+        fresh = found[~known]
+        new_ids = np.arange(nstates, nstates + fresh.size)
+        ids = np.empty(found.size, dtype=np.int64)
+        ids[known] = key_ids[pos[known]]
+        ids[~known] = new_ids
+        nstates += fresh.size
+        parent[new_ids] = fresh // nletters
+        last[new_ids] = fresh % nletters
+        cost[new_ids] = cost[parent[new_ids]] + lcost[last[new_ids]]
+        at = np.searchsorted(keys, fresh)
+        keys = np.insert(keys, at, fresh)
+        key_ids = np.insert(key_ids, at, new_ids)
+        target[grow] = ids[inverse]
+        levels.append(target)
+    del parent, last, cost, keys, key_ids
+    target = np.concatenate(levels)
+    del levels
 
-    nstates = len(states)
-    targets = np.empty((len(support), nstates), dtype=np.int64)
-    for k, (i, g, _) in enumerate(support):
-        for s, w in enumerate(states):
-            targets[k, s] = index.get(word_multiply(factors, w, i, g), -1)
-    probs = np.array([p for _, _, p in support])
+    # rows of the transition matrix: each word's predecessors in support order
+    source = np.full((nstates, nsteps), -1, dtype=np.int64)
+    for k in range(nsteps):
+        stays = np.flatnonzero(target[:, k] >= 0)
+        source[target[stays, k], k] = stays
+    escape = np.where(target < 0, probs, 0.0).sum(axis=1)
+    del target
+    has = source >= 0
+    transition = csr_array(
+        (np.broadcast_to(probs, has.shape)[has], source[has], np.concatenate(([0], np.cumsum(has.sum(axis=1))))),
+        shape=(nstates, nstates),
+    )
+    del source, has
 
     mass = np.zeros(nstates)
     mass[0] = 1.0
@@ -104,18 +371,17 @@ def bfs_convolution(
     out = np.zeros(order + 1)
     out[0] = 1.0
     for n in range(1, order + 1):
-        nxt = np.zeros(nstates)
-        for k in range(len(support)):
-            tgt = targets[k]
-            keep = tgt >= 0
-            np.add.at(nxt, tgt[keep], probs[k] * mass[keep])
-            escaped += probs[k] * float(np.sum(mass[~keep]))
-        mass = nxt
+        escaped += float(escape @ mass)
+        mass = transition @ mass
         total = float(np.sum(mass)) + escaped
         if abs(total - 1.0) > 1e-12:
             raise StateExplosion(f"probability mass drifted to {total}")
         out[n] = mass[0]
     return PowerSeries(out)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo
 
 
 @dataclass(frozen=True)
@@ -132,19 +398,35 @@ class SimulationResult:
 
 
 def _simulate_block(args):
-    factors, support, seed, block, nwalks, steps = args
+    letters, seed, block, nwalks, steps = args
     rng = np.random.Generator(np.random.Philox(key=[seed, block]))
-    probs = np.array([p for _, _, p in support])
     counts = np.zeros(steps + 1, dtype=np.int64)
     counts[0] = nwalks
-    draws = rng.choice(len(support), size=(nwalks, steps), p=probs)
-    for row in draws:
-        word = ()
-        for n, k in enumerate(row, start=1):
-            i, g, _ = support[k]
-            word = word_multiply(factors, word, i, g)
-            if not word:
-                counts[n] += 1
+    draws = rng.choice(len(letters.probs), size=(nwalks, steps), p=letters.probs)
+    draws = draws.T.astype(np.int32)
+    # letter stacks, flat with stride nwalks per depth; depth 0 is a bottom
+    # letter that matches no factor
+    factor = np.full((steps + 1) * nwalks, -1, dtype=np.int32)
+    code = np.zeros((steps + 1) * nwalks, dtype=letters.dtype)
+    depth = np.zeros(nwalks, dtype=np.int64)
+    walk = np.arange(nwalks)
+    for n in range(steps):
+        k = draws[n]
+        f = letters.factor[k]
+        moves = letters.live[k]
+        same = factor[depth * nwalks + walk] == f
+        w = np.flatnonzero(moves & ~same)
+        depth[w] += 1
+        at = depth[w] * nwalks + w
+        factor[at] = f[w]
+        code[at] = letters.code[k[w]]
+        w = np.flatnonzero(moves & same)
+        at = depth[w] * nwalks + w
+        merged = letters.advance(code[at], k[w])
+        gone = np.asarray(merged == letters.identity[f[w]], dtype=bool)
+        depth[w[gone]] -= 1
+        code[at[~gone]] = merged[~gone]
+        counts[n + 1] = nwalks - np.count_nonzero(depth)
     return counts
 
 
@@ -157,21 +439,14 @@ def simulate(spec: FreeProductSpec, steps: int, walks: int, seed: int) -> Simula
     """
     if steps < 0 or walks < 1:
         raise ConfigError("need steps >= 0 and walks >= 1")
-    factors = spec.factors
-    support = _support(spec)
+    letters = _Letters(spec, reach=steps)
     blocks = []
     lo = 0
     b = 0
     while lo < walks:
         n = min(_SIM_BLOCK, walks - lo)
-        blocks.append((factors, support, seed, b, n, steps))
+        blocks.append((letters, seed, b, n, steps))
         lo += n
         b += 1
-    threads = int(os.environ.get("FPRW_THREADS", "1"))
-    if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_simulate_block, blocks))
-    else:
-        parts = [_simulate_block(a) for a in blocks]
-    counts = np.sum(parts, axis=0)
+    counts = np.sum(parallel_map(_simulate_block, blocks), axis=0)
     return SimulationResult(steps=steps, walks=walks, seed=seed, returns=tuple(int(c) for c in counts))

@@ -12,8 +12,6 @@ the regime A-F.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +29,7 @@ from .errors import (
 )
 from .factors import GreenAnalytics, LatticeNN, psi_at_argument
 from .lattice import convergence_radius, green
+from .parallel import parallel_map, requested_threads
 from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two
 
 _SIGN_TOL = 1e-9  # Upsilon values closer to 0 than this are treated as zero
@@ -242,14 +241,11 @@ def sweep(spec: FreeProductSpec, grid_size: int = 512) -> PhaseDiagram:
         raise ConfigError("grid needs at least 3 points")
     an1, an2 = _two_analytics(spec)
     alphas = logistic_grid(grid_size)
-    threads = int(os.environ.get("FPRW_THREADS", "1"))
-    if threads > 1:
-        chunks = [list(c) for c in np.array_split(alphas, 4 * threads) if c.size]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_sweep_chunk, [(spec, c) for c in chunks]))
-        rows = [r for part in parts for r in part]
-    else:
-        rows = _sweep_chunk((spec, list(alphas)))
+    threads = requested_threads()
+    nchunks = 4 * threads if threads > 1 else 1
+    chunks = [list(c) for c in np.array_split(alphas, nchunks) if c.size]
+    parts = parallel_map(_sweep_chunk, [(spec, c) for c in chunks])
+    rows = [r for part in parts for r in part]
     low, high = phase_roots(spec)
     return PhaseDiagram(
         grid=tuple(rows),

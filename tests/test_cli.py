@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -98,3 +99,30 @@ def test_sqrt_coefficient_programming_error_propagates(tmp_path, capsys, monkeyp
     monkeypatch.setattr(product, "sqrt_coefficient", broken)
     with pytest.raises(TypeError, match="planted"):
         run(tmp_path, capsys, critical_config, "analyze")
+
+
+@pytest.mark.parametrize("command", ["simulate", "phase"])
+def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("FPRW_THREADS", "abc")
+    config = {"factors": [Z3, {"type": "cyclic", "n": 3, "mu": [0.0, 0.5, 0.5]}], "weights": [0.5, 0.5]}
+    code, out = run(tmp_path, capsys, config, command, "--steps" if command == "simulate" else "--grid", "4")
+    assert code == 2
+    assert out.err.startswith("config error: FPRW_THREADS")
+    assert "Traceback" not in out.err
+
+
+def test_simulate_cuts_exact_column_to_budget(tmp_path, capsys):
+    # order 14 on Z5*Z6 would enumerate about 3.9e8 words
+    config = {"factors": [Z5, Z6], "weights": [0.5, 0.5]}
+    start = time.perf_counter()
+    code, out = run(tmp_path, capsys, config, "simulate")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 10.0
+    assert out.err.startswith("warning: exact column stops at n = ")
+    rows = [line.split(",") for line in out.out.splitlines()[2:]]
+    assert len(rows) == cli._DEFAULTS["steps"]
+    cut = sum(1 for r in rows if r[2] != "")
+    assert 1 <= cut < 14
+    assert all(r[2] != "" for r in rows[:cut]) and all(r[2] == r[3] == "" for r in rows[cut:])
+    assert f"n = {cut}," in out.err

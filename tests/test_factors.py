@@ -113,6 +113,13 @@ class TestFiniteGroup:
             got = psi_at(an3, z)
             assert abs(got - 1.0 / 3.0) < 3.0 * (1.0 - z)
 
+    def test_distance_table_computed_once(self):
+        # rotation by 1 only: erasing 1 takes two steps, erasing 2 one
+        spec = cyclic_group(3, (0.0, 1.0, 0.0))
+        assert spec.dist_table == (0, 2, 1)
+        assert spec.dist_table is spec.dist_table
+        assert [spec.dist_to_identity(e) for e in range(3)] == [0, 2, 1]
+
 
 class TestHomTree:
     def test_green_value_at_zero(self):

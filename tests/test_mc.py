@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fprw import mc
 from fprw.errors import StateExplosion
-from fprw.factors import HomTree, LatticeNN, cyclic_group, flip_group
+from fprw.factors import FiniteGroup, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import FreeProductSpec
 
 C2 = flip_group()
@@ -16,6 +17,157 @@ Z1 = LatticeNN.simple(1)
 def spec_of(*pairs):
     factors, weights = zip(*pairs)
     return FreeProductSpec(factors, weights)
+
+
+def symmetric_three(mu) -> FiniteGroup:
+    """S_3 with step law mu over its permutations in lexicographic order."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
+    inv = [table[x].index(0) for x in range(6)]
+    P = [[mu[table[inv[x]][y]] for y in range(6)] for x in range(6)]
+    return FiniteGroup(P=P, id=0, table=table)
+
+
+# ---------------------------------------------------------------------------
+# tuple-word oracle: the propagation and the walks on tuple words that the
+# coded algebra replaced, kept here to test it against
+
+
+def tuple_bfs(spec, order):
+    """(mu^(n)(e) for n <= order, number of words) by tuple-word propagation."""
+    factors = spec.factors
+    support = mc._support(spec)
+    budget = order // 2
+    states = [()]
+    index = {(): 0}
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i, g, _ in support:
+                t = mc.word_multiply(factors, w, i, g)
+                if t not in index and mc.word_erase_cost(factors, t) <= budget:
+                    index[t] = len(states)
+                    states.append(t)
+                    nxt.append(t)
+        frontier = nxt
+    targets = np.array(
+        [[index.get(mc.word_multiply(factors, w, i, g), -1) for w in states] for i, g, _ in support]
+    )
+    mass = np.zeros(len(states))
+    mass[0] = 1.0
+    out = np.zeros(order + 1)
+    out[0] = 1.0
+    for n in range(1, order + 1):
+        nxt = np.zeros(len(states))
+        for k, (_, _, p) in enumerate(support):
+            keep = targets[k] >= 0
+            np.add.at(nxt, targets[k][keep], p * mass[keep])
+        mass = nxt
+        out[n] = mass[0]
+    return out, len(states)
+
+
+def tuple_block(spec, seed, block, nwalks, steps):
+    """Return counts of one block of walks, multiplied out on tuple words."""
+    support = mc._support(spec)
+    rng = np.random.Generator(np.random.Philox(key=[seed, block]))
+    probs = np.array([p for _, _, p in support])
+    counts = np.zeros(steps + 1, dtype=np.int64)
+    counts[0] = nwalks
+    for row in rng.choice(len(support), size=(nwalks, steps), p=probs):
+        word = ()
+        for n, k in enumerate(row, start=1):
+            i, g, _ = support[k]
+            word = mc.word_multiply(spec.factors, word, i, g)
+            counts[n] += not word
+    return counts
+
+
+def tuple_simulate(spec, steps, walks, seed):
+    sizes = [min(mc._SIM_BLOCK, walks - lo) for lo in range(0, walks, mc._SIM_BLOCK)]
+    parts = [tuple_block(spec, seed, b, n, steps) for b, n in enumerate(sizes)]
+    return tuple(int(c) for c in np.sum(parts, axis=0))
+
+
+TUNED_Z3 = LatticeNN(beta=(0.5, 0.3, 0.2), p=(0.3, 0.5, 0.7))
+ORACLE_SPECS = {
+    "C2*C3": spec_of((C2, 0.45), (cyclic_group(3, (0.0, 0.3, 0.7)), 0.55)),
+    "C4-identity-steps*C3": spec_of((cyclic_group(4, (0.2, 0.3, 0.1, 0.4)), 0.6), (C3, 0.4)),
+    "S3*Z1": spec_of((symmetric_three((0.1, 0.25, 0.15, 0.2, 0.2, 0.1)), 0.5), (Z1, 0.5)),
+    "tunedZ3*T3": spec_of((TUNED_Z3, 0.55), (HomTree(3), 0.45)),
+    "C2*C2*C2": spec_of((C2, 1 / 3), (C2, 1 / 3), (C2, 1 / 3)),
+    "Z1*C3*T4": spec_of((Z1, 0.3), (C3, 0.3), (HomTree(4), 0.4)),
+}
+
+
+class TestCodedAgainstTuples:
+    @pytest.mark.parametrize("name", list(ORACLE_SPECS))
+    def test_simulate_returns_identical(self, monkeypatch, name):
+        monkeypatch.setattr(mc, "_SIM_BLOCK", 1024)
+        spec = ORACLE_SPECS[name]
+        got = mc.simulate(spec, steps=12, walks=2500, seed=31)
+        assert got.returns == tuple_simulate(spec, 12, 2500, 31)
+
+    def test_simulate_wide_lattice_codes(self, monkeypatch):
+        # radix 201 at 100 steps: 201**9 overflows int64, so codes are Python ints
+        monkeypatch.setattr(mc, "_SIM_BLOCK", 128)
+        z9 = LatticeNN.simple(9)
+        spec = spec_of((z9, 0.5), (z9, 0.5))
+        assert mc._Letters(spec, reach=100).dtype is object
+        got = mc.simulate(spec, steps=100, walks=300, seed=5)
+        assert got.returns == tuple_simulate(spec, 100, 300, 5)
+
+    @pytest.mark.parametrize("name", list(ORACLE_SPECS))
+    def test_bfs_matches_tuple_propagation(self, name):
+        spec = ORACLE_SPECS[name]
+        order = 6 if any(isinstance(f, LatticeNN) for f in spec.factors) else 14
+        got = mc.bfs_convolution(spec, order).coeffs
+        want, _ = tuple_bfs(spec, order)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+class TestWordCountBound:
+    @pytest.mark.parametrize("name", list(ORACLE_SPECS))
+    def test_equals_state_count_on_symmetric_supports(self, name):
+        spec = ORACLE_SPECS[name]
+        for budget in range(4):
+            assert mc.word_count_bound(spec, budget) == tuple_bfs(spec, 2 * budget)[1]
+
+    def test_bounds_asymmetric_support(self):
+        rotation = cyclic_group(3, (0.0, 1.0, 0.0))  # support {1}: 1 costs 2 to erase
+        spec = spec_of((rotation, 0.5), (C2, 0.5))
+        for budget in range(6):
+            assert mc.word_count_bound(spec, budget) >= tuple_bfs(spec, 2 * budget)[1]
+        assert mc.word_count_bound(spec, 3) > tuple_bfs(spec, 6)[1]
+
+    def test_enumerated_counts(self):
+        z2c3 = spec_of((LatticeNN.simple(2), 0.5), (C3, 0.5))
+        z5z6 = spec_of((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5))
+        assert mc.word_count_bound(z2c3, 7) == 26_739
+        assert [mc.word_count_bound(z5z6, b) for b in (3, 4, 5)] == [6_127, 97_089, 1_538_375]
+
+    def test_state_cap_checked_before_enumerating(self, monkeypatch):
+        def no_letters(*args):
+            raise AssertionError("enumerated despite the bound")
+
+        monkeypatch.setattr(mc, "_Letters", no_letters)
+        s = spec_of((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5))
+        with pytest.raises(StateExplosion):
+            mc.bfs_convolution(s, 10, state_cap=1_000_000)
+
+    def test_exact_column_order(self):
+        z5z6 = spec_of((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5))
+        z2c3 = spec_of((LatticeNN.simple(2), 0.5), (C3, 0.5))
+        order = mc.exact_column_order(z5z6, 14)
+        assert 1 <= order < 14
+        per_state = mc._STATE_BYTES + mc._PAIR_BYTES * 22
+        assert mc.word_count_bound(z5z6, order // 2) * per_state <= mc.EXACT_COLUMN_BYTES
+        assert mc.word_count_bound(z5z6, order // 2 + 1) * per_state > mc.EXACT_COLUMN_BYTES
+        assert mc.exact_column_order(z2c3, 14) == 14
+        assert mc.exact_column_order(z5z6, 3) == 3
 
 
 class TestWordAlgebra:
@@ -119,7 +271,8 @@ class TestSimulate:
 
     def test_block_partition_stability(self):
         # more walks than one block: counts must extend, not reshuffle
-        s = spec_of((C2, 0.5), (C2, 0.5))
-        small = mc.simulate(s, steps=4, walks=4096, seed=9)
-        big = mc.simulate(s, steps=4, walks=8192, seed=9)
-        assert sum(big.returns) >= sum(small.returns)
+        s = spec_of((C2, 0.5), (C3, 0.5))
+        small = mc.simulate(s, steps=6, walks=4096, seed=9)
+        big = mc.simulate(s, steps=6, walks=8192, seed=9)
+        second = tuple_block(s, seed=9, block=1, nwalks=4096, steps=6)
+        assert np.array_equal(np.subtract(big.returns, small.returns), second)
