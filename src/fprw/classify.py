@@ -70,11 +70,6 @@ def _inverse_darboux(lam: float, kappa: int):
     return q, kappa
 
 
-def period(spec: FreeProductSpec) -> int:
-    """gcd of the factor periods = period of the product walk."""
-    return product_period(spec)
-
-
 @dataclass(frozen=True)
 class AsymptoticLaw:
     """Classified non-exponential return law of a product walk."""
@@ -103,10 +98,9 @@ def _fmt_exponent(lam: float) -> str:
     return f"{lam:.6g}"
 
 
-def _inherited_choice(spec: FreeProductSpec, argmin):
-    """Pick the argmin factor whose leading term dominates (smaller lambda,
-    then larger kappa, then smaller index)."""
-    ans = factor_analytics(spec)
+def inherited_choice(ans, argmin):
+    """(index, descriptor) of the argmin factor whose leading term dominates:
+    smaller lambda, then larger kappa, then smaller index."""
     best = None
     for i in argmin:
         an = ans[i]
@@ -148,7 +142,7 @@ def _classify_flat(spec: FreeProductSpec) -> AsymptoticLaw:
     delta = product_period(spec)
     conf = NEAR_CRITICAL if abs(pb) <= _WARN_TOL else EXACT
     if pb > _CRIT_TOL:
-        idx, sing = _inherited_choice(spec, argmin)
+        idx, sing = inherited_choice(factor_analytics(spec), argmin)
         return AsymptoticLaw(
             radius=radius,
             period=delta,
@@ -169,14 +163,16 @@ def _classify_flat(spec: FreeProductSpec) -> AsymptoticLaw:
 
 
 def classify_multi(
-    spec: FreeProductSpec, method: str = "fold", fold_order: int = DEFAULT_ORDER
+    spec: FreeProductSpec, method: str = "direct", fold_order: int = DEFAULT_ORDER
 ) -> AsymptoticLaw:
     """Classify an m-factor product.
 
-    method="fold" reduces by induction: classify the first m-1 factors, wrap
-    the sub-product as a synthetic explicit-series factor, and classify the
-    resulting two-factor product.  method="direct" applies the m-factor Psi
-    formula in one shot; both must agree and the tests cross-check them.
+    method="direct", the product path, applies the m-factor formula: the sign
+    of Psi(theta-bar) = 1 + sum_i (Psi_i(alpha_i theta-bar) - 1).
+    method="fold" is the reference that tests compare it with.  It follows
+    the paper's induction: classify the first m-1 factors, wrap them as an
+    explicit-series factor truncated at fold_order, and classify the
+    resulting two-factor product.
     """
     if spec.m == 2 or method == "direct":
         return _classify_flat(spec)

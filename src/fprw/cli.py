@@ -30,6 +30,7 @@ from .product import (
     analyze_product,
     factor_analytics,
     product_green_series,
+    product_period,
     product_radius,
 )
 
@@ -206,17 +207,15 @@ def _factor_report(spec, an):
 def cmd_analyze(spec: FreeProductSpec, options, args) -> str:
     ans = factor_analytics(spec)
     pa = analyze_product(spec)
+    law = classify.classify_multi(spec)
     warnings = []
     if pa.degenerate:
-        law = classify.classify_multi(spec)
         warnings.append("degenerate recurrent product (Z/2Z)*(Z/2Z)")
-    else:
-        law = classify.classify_multi(spec)
-        if law.confidence == classify.NEAR_CRITICAL:
-            warnings.append(
-                "Psi(theta-bar) inside the near-critical band; the law is "
-                "discontinuous nearby and float noise may flip the branch"
-            )
+    elif law.confidence == classify.NEAR_CRITICAL:
+        warnings.append(
+            "Psi(theta-bar) inside the near-critical band; the law is "
+            "discontinuous nearby and float noise may flip the branch"
+        )
     report = {
         "factors": [_factor_report(f, an) for f, an in zip(spec.factors, ans)],
         "weights": list(spec.weights),
@@ -246,7 +245,7 @@ def cmd_series(spec: FreeProductSpec, options, args) -> str:
     order = args.order or options["order"]
     g = product_green_series(spec, order)
     radius, _ = product_radius(spec)
-    delta = classify.period(spec)
+    delta = product_period(spec)
     if args.format == "json":
         payload = {
             "radius": radius,

@@ -6,6 +6,12 @@ group-invariant walks on a finite group, the uniform walk on the free product
 of q copies of Z/2Z (whose Cayley graph is the q-regular tree), and a
 user-supplied explicit return series with asserted radius metadata.
 
+Each factor kind answers the same four questions as methods: its radius,
+period and singularity descriptor (`invariants`), its return series
+(`series`), its Green function and derivatives (`green`), and the limit of
+Psi at the radius where G diverges there (`recurrent_psi_limit`).
+analyze_factor asks them once per (factor, order) and caches the result.
+
 All evaluations are pure; a GreenAnalytics object builds its return series
 on first access and is otherwise immutable after construction.
 """
@@ -31,8 +37,10 @@ DEFAULT_ORDER = 512
 _ROOT_RTOL = 1e-13
 _EDGE_RTOL = 1e-8
 
-# Green values kept per factor evaluator, keyed on (z, deriv)
+# Green values kept per factor evaluator, keyed on (z, deriv), and analysed
+# factors kept per (factor, order)
 _GREEN_CACHE_SIZE = 4096
+_ANALYTICS_CACHE_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +93,22 @@ class LatticeNN:
     def dist_to_identity(self, e) -> int:
         return sum(abs(x) for x in e)
 
+    def invariants(self):
+        d = self.dim
+        sing = None
+        if d >= 5:
+            sing = SingularityDescriptor.from_qk((d - 2) / 2.0, 0 if d % 2 == 1 else 1)
+        return lattice.convergence_radius(self.beta, self.p), 2, sing
+
+    def series(self, order: int) -> PowerSeries:
+        return lattice.return_series(self.beta, self.p, order)
+
+    def green(self, z: float, deriv: int) -> float:
+        return lattice.green(self.beta, self.p, z, deriv)
+
+    def recurrent_psi_limit(self, order: int) -> float:
+        return 0.0  # null-recurrent (Z^1, Z^2): w -> inf with Psi -> 0
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -115,7 +139,7 @@ class FiniteGroup:
                 raise ConfigError("P must be row-stochastic")
         self._validate_group(n)
         self._validate_invariance(n)
-        if len(self._reachable(n)) != n:
+        if len(self.forward_dist) != n:
             raise ConfigError("support of the walk must generate the group")
 
     def _validate_group(self, n):
@@ -144,19 +168,6 @@ class FiniteGroup:
                 if abs(self.P[x][y] - mu[self.table[inv[x]][y]]) > 1e-12:
                     raise ConfigError("P is not group-invariant for the given table")
 
-    def _reachable(self, n):
-        seen = {self.id}
-        frontier = [self.id]
-        supp = [g for g in range(n) if self.P[self.id][g] > 0.0]
-        while frontier:
-            x = frontier.pop()
-            for s in supp:
-                y = self.table[x][s]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
     @property
     def order(self) -> int:
         return len(self.P)
@@ -178,23 +189,72 @@ class FiniteGroup:
         return self.dist_table[e]
 
     @cached_property
-    def dist_table(self) -> tuple:
-        """Graph distance of each element to the identity under right-multiplication
-        steps, computed once per group."""
-        n = self.order
+    def forward_dist(self) -> dict:
+        """Steps from the identity to each element it reaches, by forward BFS."""
         supp = [g for g, _ in self.step_support()]
         dist = {self.id: 0}
         frontier = [self.id]
-        # backward BFS: x at distance k+1 if x*s is at distance k for some s
         while frontier:
             nxt = []
-            for y in frontier:
-                for x in range(n):
-                    if x not in dist and any(self.table[x][s] == y for s in supp):
-                        dist[x] = dist[y] + 1
-                        nxt.append(x)
+            for x in frontier:
+                for s in supp:
+                    y = self.table[x][s]
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
             frontier = nxt
-        return tuple(dist[x] for x in range(n))
+        return dist
+
+    @cached_property
+    def dist_table(self) -> tuple:
+        """Steps from each element back to the identity: x s_1 ... s_k = e
+        exactly when s_1 ... s_k = x^-1, so it is the forward distance of x^-1."""
+        return tuple(self.forward_dist[row.index(self.id)] for row in self.table)
+
+    @cached_property
+    def _radius(self) -> float:
+        return 1.0 / float(np.max(np.abs(np.linalg.eigvals(self.matrix()))))
+
+    def invariants(self):
+        # gcd of (dist[x] + 1 - dist[y]) over support edges x -> y, the standard
+        # period of a strongly connected digraph
+        dist = self.forward_dist
+        supp = [g for g, _ in self.step_support()]
+        period = 0
+        for x in dist:
+            for s in supp:
+                period = math.gcd(period, dist[x] + 1 - dist[self.table[x][s]])
+        return self._radius, period, None
+
+    def series(self, order: int) -> PowerSeries:
+        P = self.matrix()
+        row = np.zeros(self.order)
+        row[self.id] = 1.0
+        out = np.zeros(order + 1)
+        out[0] = 1.0
+        for n in range(1, order + 1):
+            row = row @ P
+            out[n] = row[self.id]
+        return PowerSeries(out)
+
+    def green(self, z: float, deriv: int) -> float:
+        if z >= self._radius * (1.0 - 1e-13):
+            return math.inf
+        P = self.matrix()
+        e = np.zeros(self.order)
+        e[self.id] = 1.0
+        M = np.eye(self.order) - z * P
+        u = np.linalg.solve(M, e)
+        if deriv == 0:
+            return float(u[self.id])
+        v = np.linalg.solve(M.T, e)
+        pu = P @ u
+        if deriv == 1:
+            return float(v @ pu)
+        return float(2.0 * (v @ (P @ np.linalg.solve(M, pu))))
+
+    def recurrent_psi_limit(self, order: int) -> float:
+        return 1.0 / self.order  # positive recurrent: the stationary mass pi(e)
 
 
 def cyclic_group(n: int, mu) -> FiniteGroup:
@@ -240,6 +300,29 @@ class HomTree:
     def dist_to_identity(self, e) -> int:
         return len(e)
 
+    def invariants(self):
+        _validate_tree_closed_form(self.q)
+        sing = SingularityDescriptor.from_qk(0.5, 0) if self.q >= 3 else None
+        return _tree_radius(self.q), 2, sing
+
+    def series(self, order: int) -> PowerSeries:
+        # F = z/q + ((q-1)/q) z F^2: first passage from a neighbour to the root
+        q = self.q
+        f = np.zeros(order + 1)
+        if order >= 1:
+            f[1] = 1.0 / q
+        for n in range(3, order + 1, 2):
+            f[n] = (q - 1.0) / q * np.dot(f[1 : n - 1], f[n - 2 : 0 : -1])
+        u = np.zeros(order + 1)
+        u[1:] = f[:-1]  # U = z F
+        return series_reciprocal(PowerSeries(np.concatenate([[1.0], np.zeros(order)])) - PowerSeries(u))
+
+    def green(self, z: float, deriv: int) -> float:
+        return _tree_green_closed(self.q, z, deriv)
+
+    def recurrent_psi_limit(self, order: int) -> float:
+        return 0.0  # null-recurrent (q = 2 is Z^1)
+
 
 @dataclass(frozen=True)
 class ExplicitSeries:
@@ -278,6 +361,36 @@ class ExplicitSeries:
     step_support = identity_elem
     combine = identity_elem
     dist_to_identity = identity_elem
+
+    def invariants(self):
+        sing = None
+        if self.sing is not None:
+            sing = SingularityDescriptor.from_qk(float(self.sing[0]), int(self.sing[1]))
+        return self.radius, self.period, sing
+
+    def series(self, order: int) -> PowerSeries:
+        return PowerSeries(np.array(self.coeffs)).pad(order).truncate(order)
+
+    def green(self, z: float, deriv: int) -> float:
+        if z >= self.radius * (1.0 - 1e-13):
+            return (self.g_at_r, self.gprime_at_r, math.inf)[deriv]
+        return _poly_value(np.array(self.coeffs), z, deriv)
+
+    def recurrent_psi_limit(self, order: int) -> float:
+        # approximate the limit from the truncated sums
+        coeffs = self.series(order).coeffs
+        z = self.radius * (1.0 - 10.0 / max(order, 20))
+        return _psi_from_values(z, _poly_value(coeffs, z, 0), _poly_value(coeffs, z, 1))
+
+
+def _poly_value(coeffs: np.ndarray, z: float, deriv: int) -> float:
+    """d^deriv/dz^deriv of sum_n coeffs[n] z^n."""
+    nn = np.arange(coeffs.size)
+    if deriv == 0:
+        return float(np.polynomial.polynomial.polyval(z, coeffs))
+    if deriv == 1:
+        return float(np.sum(nn[1:] * coeffs[1:] * z ** (nn[1:] - 1)))
+    return float(np.sum(nn[2:] * (nn[2:] - 1) * coeffs[2:] * z ** (nn[2:] - 2)))
 
 
 FactorSpec = Union[LatticeNN, FiniteGroup, HomTree, ExplicitSeries]
@@ -326,7 +439,7 @@ class GreenAnalytics:
     @cached_property
     def series(self) -> PowerSeries:
         """Return-probability series to the analysis order, built on first use."""
-        return factor_series(self.spec, self.order)
+        return self.spec.series(self.order)
 
     def green(self, z: float, deriv: int = 0) -> float:
         """G^(deriv)(z) on [0, radius]; +inf where divergent."""
@@ -365,139 +478,6 @@ def _tree_green_closed(q: int, z: float, deriv: int) -> float:
     )
 
 
-def _tree_first_passage(q: int, order: int) -> np.ndarray:
-    # F = z/q + ((q-1)/q) z F^2: first passage from a neighbour to the root
-    f = np.zeros(order + 1)
-    if order >= 1:
-        f[1] = 1.0 / q
-    for n in range(3, order + 1, 2):
-        f[n] = (q - 1.0) / q * np.dot(f[1 : n - 1], f[n - 2 : 0 : -1])
-    return f
-
-
-def _tree_series(q: int, order: int) -> PowerSeries:
-    f = _tree_first_passage(q, order)
-    u = np.zeros(order + 1)
-    u[1:] = f[:-1]  # U = z F
-    g = series_reciprocal(PowerSeries(np.concatenate([[1.0], np.zeros(order)])) - PowerSeries(u))
-    return g
-
-
-def _finite_series(spec: FiniteGroup, order: int) -> PowerSeries:
-    P = spec.matrix()
-    row = np.zeros(spec.order)
-    row[spec.id] = 1.0
-    out = np.zeros(order + 1)
-    out[0] = 1.0
-    for n in range(1, order + 1):
-        row = row @ P
-        out[n] = row[spec.id]
-    return PowerSeries(out)
-
-
-def _finite_period(spec: FiniteGroup) -> int:
-    # gcd of (dist[x] + 1 - dist[y]) over support edges x -> y, the standard
-    # period of a strongly connected digraph
-    supp = [g for g, _ in spec.step_support()]
-    dist = {spec.id: 0}
-    frontier = [spec.id]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in supp:
-                y = spec.table[x][s]
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    g = 0
-    for x in dist:
-        for s in supp:
-            y = spec.table[x][s]
-            g = math.gcd(g, dist[x] + 1 - dist[y])
-    return g
-
-
-def factor_series(spec: FactorSpec, order: int) -> PowerSeries:
-    """Return-probability series of one factor to the requested order."""
-    if isinstance(spec, LatticeNN):
-        return lattice.return_series(spec.beta, spec.p, order)
-    if isinstance(spec, FiniteGroup):
-        return _finite_series(spec, order)
-    if isinstance(spec, HomTree):
-        return _tree_series(spec.q, order)
-    if isinstance(spec, ExplicitSeries):
-        return PowerSeries(np.array(spec.coeffs)).pad(order).truncate(order)
-    raise ConfigError(f"unknown factor spec {type(spec).__name__}")
-
-
-def _make_green_eval(spec: FactorSpec, radius: float) -> Callable:
-    if isinstance(spec, LatticeNN):
-        beta, p = spec.beta, spec.p
-
-        @lru_cache(maxsize=_GREEN_CACHE_SIZE)
-        def ev(z, deriv):
-            return lattice.green(beta, p, z, deriv)
-
-        return ev
-
-    if isinstance(spec, FiniteGroup):
-        P = spec.matrix()
-        idx = spec.id
-        n = spec.order
-        eye = np.eye(n)
-        e = np.zeros(n)
-        e[idx] = 1.0
-
-        @lru_cache(maxsize=_GREEN_CACHE_SIZE)
-        def ev(z, deriv):
-            if z >= radius * (1.0 - 1e-13):
-                return math.inf
-            M = eye - z * P
-            u = np.linalg.solve(M, e)
-            if deriv == 0:
-                return float(u[idx])
-            v = np.linalg.solve(M.T, e)
-            pu = P @ u
-            if deriv == 1:
-                return float(v @ pu)
-            return float(2.0 * (v @ (P @ np.linalg.solve(M, pu))))
-
-        return ev
-
-    if isinstance(spec, HomTree):
-        q = spec.q
-
-        @lru_cache(maxsize=_GREEN_CACHE_SIZE)
-        def ev(z, deriv):
-            return _tree_green_closed(q, z, deriv)
-
-        return ev
-
-    if isinstance(spec, ExplicitSeries):
-        coeffs = np.array(spec.coeffs)
-        nn = np.arange(coeffs.size)
-        g_r, gp_r = spec.g_at_r, spec.gprime_at_r
-
-        @lru_cache(maxsize=_GREEN_CACHE_SIZE)
-        def ev(z, deriv):
-            if z >= radius * (1.0 - 1e-13):
-                if deriv == 0:
-                    return g_r
-                if deriv == 1:
-                    return gp_r
-                return math.inf
-            if deriv == 0:
-                return float(np.polynomial.polynomial.polyval(z, coeffs))
-            if deriv == 1:
-                return float(np.sum(nn[1:] * coeffs[1:] * z ** (nn[1:] - 1)))
-            return float(np.sum(nn[2:] * (nn[2:] - 1) * coeffs[2:] * z ** (nn[2:] - 2)))
-
-        return ev
-
-    raise ConfigError(f"unknown factor spec {type(spec).__name__}")
-
-
 def _psi_from_values(z: float, g: float, gp: float) -> float:
     # Psi(z G(z)) = G^2 / (z G' + G) = 1 / (z U' + 1 - U)
     if math.isinf(gp):
@@ -505,65 +485,24 @@ def _psi_from_values(z: float, g: float, gp: float) -> float:
     return g * g / (z * gp + g)
 
 
-def _psi_limit_at_radius(spec, radius, g_r, gp_r, order) -> float:
-    """lim_{z->radius} Psi(z G(z)), finite-or-zero in every case.
-
-    For transient factors with finite G' this is an honest evaluation; with
-    infinite G' it is 0.  A positive-recurrent factor (finite group) has
-    w(z) -> inf with Psi -> stationary mass pi(e) = 1/|Gamma|; null-recurrent
-    walks (Z^1, Z^2, the degree-2 tree) drive Psi to 0.
-    """
-    if isinstance(spec, FiniteGroup):
-        return 1.0 / spec.order
-    if math.isfinite(g_r):
-        if math.isfinite(gp_r):
-            return _psi_from_values(radius, g_r, gp_r)
-        return 0.0
-    if isinstance(spec, (LatticeNN, HomTree)):
-        return 0.0
-    # explicit recurrent factor: approximate the limit from truncated sums
-    series = factor_series(spec, order)
-    z = radius * (1.0 - 10.0 / max(series.order, 20))
-    coeffs = series.coeffs
-    nn = np.arange(coeffs.size)
-    g = float(np.polynomial.polynomial.polyval(z, coeffs))
-    gp = float(np.sum(nn[1:] * coeffs[1:] * z ** (nn[1:] - 1)))
-    return _psi_from_values(z, g, gp)
-
-
+@lru_cache(maxsize=_ANALYTICS_CACHE_SIZE)
 def analyze_factor(spec: FactorSpec, order: int = DEFAULT_ORDER) -> GreenAnalytics:
-    """Compute all invariants of one factor's walk."""
-    if isinstance(spec, LatticeNN):
-        radius = lattice.convergence_radius(spec.beta, spec.p)
-        period = 2
-        d = spec.dim
-        sing = None
-        if d >= 5:
-            sing = SingularityDescriptor.from_qk((d - 2) / 2.0, 0 if d % 2 == 1 else 1)
-    elif isinstance(spec, FiniteGroup):
-        P = spec.matrix()
-        radius = 1.0 / float(np.max(np.abs(np.linalg.eigvals(P))))
-        period = _finite_period(spec)
-        sing = None
-    elif isinstance(spec, HomTree):
-        radius = _tree_radius(spec.q)
-        period = 2
-        sing = SingularityDescriptor.from_qk(0.5, 0) if spec.q >= 3 else None
-        _validate_tree_closed_form(spec.q)
-    elif isinstance(spec, ExplicitSeries):
-        radius = spec.radius
-        period = spec.period
-        sing = None
-        if spec.sing is not None:
-            sing = SingularityDescriptor.from_qk(float(spec.sing[0]), int(spec.sing[1]))
-    else:
-        raise ConfigError(f"unknown factor spec {type(spec).__name__}")
+    """Compute all invariants of one factor's walk, cached per (factor, order).
 
-    ev = _make_green_eval(spec, radius)
+    Psi's limit at the radius is finite or zero in every case: an honest
+    evaluation with finite G and G', 0 where G' diverges, and the kind's
+    recurrent limit where G does.
+    """
+    radius, period, sing = spec.invariants()
+    ev = lru_cache(maxsize=_GREEN_CACHE_SIZE)(spec.green)
     g_r = ev(radius, 0)
     gp_r = ev(radius, 1)
-    theta = radius * g_r if math.isfinite(g_r) else math.inf
-    psi_r = _psi_limit_at_radius(spec, radius, g_r, gp_r, order)
+    if math.isfinite(g_r):
+        theta = radius * g_r
+        psi_r = _psi_from_values(radius, g_r, gp_r)
+    else:
+        theta = math.inf
+        psi_r = spec.recurrent_psi_limit(order)
     return GreenAnalytics(
         spec=spec,
         radius=radius,
@@ -582,7 +521,7 @@ def analyze_factor(spec: FactorSpec, order: int = DEFAULT_ORDER) -> GreenAnalyti
 def _validate_tree_closed_form(q: int) -> None:
     # the closed form is implementation-derived: cross-check it against the
     # first-passage recurrence before first use
-    s = _tree_series(q, 48)
+    s = HomTree(q).series(48)
     z = 0.4 * _tree_radius(q)
     direct = float(np.polynomial.polynomial.polyval(z, s.coeffs))
     if abs(_tree_green_closed(q, z, 0) - direct) > 1e-10:

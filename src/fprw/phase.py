@@ -18,19 +18,11 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .classify import INHERITED, THREE_HALVES
-from .errors import (
-    AmbiguousRegime,
-    ConfigError,
-    DegenerateProduct,
-    MissingSingularity,
-    OutOfDomain,
-    TargetOutOfRange,
-)
-from .factors import GreenAnalytics, LatticeNN, psi_at_argument
-from .lattice import convergence_radius, green
+from .classify import INHERITED, THREE_HALVES, inherited_choice
+from .errors import AmbiguousRegime, ConfigError, DegenerateProduct, OutOfDomain, TargetOutOfRange
+from .factors import GreenAnalytics, LatticeNN, analyze_factor, psi_at_argument
 from .parallel import parallel_map, requested_threads
-from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two
+from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two, theta_bar_of
 
 _SIGN_TOL = 1e-9  # Upsilon values closer to 0 than this are treated as zero
 _CASE_F_TOL = 1e-6
@@ -167,18 +159,8 @@ def _law_at(an1, an2, alpha1: float):
     ups = upsilon_of(an1, an2, alpha1)
     warn = abs(ups) <= _WARN_TOL
     if ups > _SIGN_TOL:
-        r1 = an1.theta / alpha1
-        r2 = an2.theta / (1.0 - alpha1)
-        cands = []
-        for ratio, other, idx, an in ((r1, r2, 0, an1), (r2, r1, 1, an2)):
-            if ratio <= other * (1.0 + 1e-9):
-                if an.sing is None:
-                    raise MissingSingularity(
-                        f"factor {idx} lacks a singularity descriptor at a "
-                        f"Psi-positive grid point"
-                    )
-                cands.append((an.sing.lam, -an.sing.kappa, idx, an.sing))
-        lam, _, idx, sing = min(cands)
+        _, argmin = theta_bar_of((an1, an2), (alpha1, 1.0 - alpha1))
+        idx, sing = inherited_choice((an1, an2), argmin)
         return ups, INHERITED, idx, sing.lam, sing.kappa, warn
     return ups, THREE_HALVES, None, 1.5, 0, warn
 
@@ -265,11 +247,7 @@ def tuned_lattice(d: int, delta: float) -> LatticeNN:
 
 
 def _psi_at_theta(d: int, delta: float) -> float:
-    spec = tuned_lattice(d, delta)
-    r = convergence_radius(spec.beta, spec.p)
-    g = green(spec.beta, spec.p, r, 0)
-    gp = green(spec.beta, spec.p, r, 1)
-    return g * g / (r * gp + g)
+    return analyze_factor(tuned_lattice(d, delta)).psi_at_radius
 
 
 def tune_axis_weights(d: int, target: float, delta_min: float = 0.02) -> LatticeNN:

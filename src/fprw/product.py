@@ -1,7 +1,6 @@
 """Free-product layer: theta-bar, Psi/Phi at the candidate singular argument,
-spectral radius of the product walk, the exact product Green series via the
-implicit equation G = Phi(zG), the zeta system, and the square-root
-coefficient at criticality.
+spectral radius of the product walk, the exact product Green series from the
+first-visit (zeta) system, and the square-root coefficient at criticality.
 
 Conventions for infinite values follow the ratio rules c/(c+inf) = 0 and
 inf/(inf+c) = 1; Psi_i at an infinite argument uses the factor's stored limit
@@ -19,33 +18,17 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    ConfigError,
-    DegenerateProduct,
-    FprwError,
-    NoConvergence,
-    NotAtCriticality,
-    RootNotBracketed,
-)
+from .errors import ConfigError, FprwError, NoConvergence, NotAtCriticality, RootNotBracketed
 from .factors import (
-    DEFAULT_ORDER,
     FactorSpec,
     FiniteGroup,
     GreenAnalytics,
     analyze_factor,
-    factor_series,
     invert_w,
     phi_derivs_at,
     psi_at_argument,
 )
-from .series import (
-    PowerSeries,
-    series_compose,
-    series_derivative,
-    series_mul,
-    series_reciprocal,
-    series_reversion,
-)
+from .series import PowerSeries, series_compose, series_derivative, series_mul, series_reciprocal
 
 _CRIT_TOL = 1e-8  # |Psi(theta-bar)| below this counts as exactly critical
 _WARN_TOL = 1e-4  # near-critical warning band
@@ -84,14 +67,9 @@ def is_two_by_two(spec: FreeProductSpec) -> bool:
     )
 
 
-@lru_cache(maxsize=256)
-def _analytics(spec: FreeProductSpec, order: int):
-    return tuple(analyze_factor(f, order=order) for f in spec.factors)
-
-
-def factor_analytics(spec: FreeProductSpec, order: int = DEFAULT_ORDER):
-    """Analyzed factors of the product, cached per (spec, order)."""
-    return _analytics(spec, order)
+def factor_analytics(spec: FreeProductSpec):
+    """Analyzed factors of the product; analyze_factor caches each factor."""
+    return tuple(analyze_factor(f) for f in spec.factors)
 
 
 def product_period(spec: FreeProductSpec) -> int:
@@ -99,12 +77,16 @@ def product_period(spec: FreeProductSpec) -> int:
 
 
 def theta_bar(spec: FreeProductSpec):
+    """(theta-bar, argmin set) of the product."""
+    return theta_bar_of(factor_analytics(spec), spec.weights)
+
+
+def theta_bar_of(ans, weights):
     """(theta-bar, argmin set) for theta-bar = min_i theta_i / alpha_i."""
-    ans = factor_analytics(spec)
-    ratios = [an.theta / a for an, a in zip(ans, spec.weights)]
+    ratios = [an.theta / a for an, a in zip(ans, weights)]
     tbar = min(ratios)
     if math.isinf(tbar):
-        return math.inf, tuple(range(spec.m))
+        return math.inf, tuple(range(len(ratios)))
     argmin = tuple(i for i, r in enumerate(ratios) if r <= tbar * (1.0 + _TIE_RTOL))
     return tbar, argmin
 
@@ -124,29 +106,23 @@ def psi_bar(spec: FreeProductSpec) -> float:
     return psi_of_t(spec, theta_bar(spec)[0])
 
 
+def _inverted(spec: FreeProductSpec, t: float):
+    """(analytics, alpha_i, z_i) per factor, with z_i G_i(z_i) = alpha_i t."""
+    return [(an, a, invert_w(an, a * t)) for an, a in zip(factor_analytics(spec), spec.weights)]
+
+
 def phi_of_t(spec: FreeProductSpec, t: float) -> float:
-    """Phi(t) = sum_i Phi_i(alpha_i t) - (m - 1) via per-factor w-inversion."""
-    ans = factor_analytics(spec)
+    """Phi(t) = sum_i Phi_i(alpha_i t) - (m - 1), with Phi_i(w(z)) = G_i(z)."""
     total = 1.0 - spec.m
-    for an, a in zip(ans, spec.weights):
-        ti = a * t
-        if math.isfinite(an.theta) and ti >= an.theta * (1.0 - 1e-12):
-            total += an.g_at_r
-        else:
-            total += an.green(invert_w(an, ti))
+    for an, _, z in _inverted(spec, t):
+        total += an.green(z)
     return total
 
 
 def phi_prime_of_t(spec: FreeProductSpec, t: float) -> float:
     """Phi'(t) = sum_i alpha_i Phi_i'(alpha_i t)."""
-    ans = factor_analytics(spec)
     total = 0.0
-    for an, a in zip(ans, spec.weights):
-        ti = a * t
-        if math.isfinite(an.theta) and ti >= an.theta * (1.0 - 1e-12):
-            z = an.radius
-        else:
-            z = invert_w(an, ti)
+    for an, a, z in _inverted(spec, t):
         g, gp = an.green(z), an.green(z, 1)
         total += a / z if math.isinf(gp) else a * gp / (z * gp + g)
     return total
@@ -154,14 +130,8 @@ def phi_prime_of_t(spec: FreeProductSpec, t: float) -> float:
 
 def phi_second_of_t(spec: FreeProductSpec, t: float) -> float:
     """Phi''(t) = sum_i alpha_i^2 Phi_i''(alpha_i t); NeedsDerivative propagates."""
-    ans = factor_analytics(spec)
     total = 0.0
-    for an, a in zip(ans, spec.weights):
-        ti = a * t
-        if math.isfinite(an.theta) and ti >= an.theta * (1.0 - 1e-12):
-            z = an.radius
-        else:
-            z = invert_w(an, ti)
+    for an, a, z in _inverted(spec, t):
         total += a * a * phi_derivs_at(an, z)[2]
     return total
 
@@ -204,24 +174,6 @@ def product_radius(spec: FreeProductSpec):
     return theta / g, g
 
 
-def implicit_kernel(spec: FreeProductSpec, order: int) -> PowerSeries:
-    """The kernel Phi(t) = sum_i Phi_i(alpha_i t) - (m-1) with G = Phi(zG).
-
-    Built per factor as Phi_i = G_i o reversion(z G_i).  Note that Phi's
-    Taylor coefficients can grow geometrically (its complex radius of
-    convergence may sit inside the product radius), so solving the implicit
-    equation through this kernel is only numerically trustworthy at modest
-    orders; product_green_series uses the cancellation-free first-visit
-    system instead and the tests reconcile the two routes at low order.
-    """
-    phi = PowerSeries(np.zeros(order + 1)) + (1.0 - spec.m)
-    for f, a in zip(spec.factors, spec.weights):
-        gi = factor_series(f, order)
-        phi_i = series_compose(gi, series_reversion(gi.shift()))
-        phi = phi + phi_i.scale_arg(a)
-    return phi
-
-
 def first_return_series(g: PowerSeries) -> PowerSeries:
     """First-return series U from a return series G via G = 1/(1-U)."""
     n = g.order
@@ -234,8 +186,7 @@ def first_return_series(g: PowerSeries) -> PowerSeries:
 
 def _visit_kernel(f: FactorSpec, order: int) -> PowerSeries:
     """T(w) = U(w)/w of one factor: nonnegative first-return coefficients."""
-    g = factor_series(f, order + 1)
-    u = first_return_series(g)
+    u = first_return_series(f.series(order + 1))
     return PowerSeries(np.maximum(u.coeffs[1:], 0.0))
 
 
@@ -327,7 +278,11 @@ def _pair_green(t1: PowerSeries, t2: PowerSeries, a1: float, a2: float, order: i
 
 
 def zeta_at(spec: FreeProductSpec, z: float, tol: float = 1e-13, max_iter: int = 20000):
-    """(zeta_1(z), zeta_2(z)) by damped monotone fixed-point iteration (m = 2)."""
+    """(zeta_1(z), zeta_2(z)) by damped monotone fixed-point iteration (m = 2).
+
+    Kept as an oracle: the second route to the zeta system, against which
+    test_product.py::TestZeta checks the series solve and the radius.
+    """
     if spec.m != 2:
         raise ConfigError("the zeta system is formulated for two factors")
     if z == 0.0:
@@ -387,7 +342,6 @@ class ProductAnalytics:
     argmin_set: tuple
     psi_bar: float
     phi_bar: float
-    phi2_bar: Optional[float]
     radius: float
     g_at_radius: float
     period: int
@@ -403,7 +357,6 @@ def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
             argmin_set=(0, 1),
             psi_bar=0.0,
             phi_bar=math.inf,
-            phi2_bar=None,
             radius=1.0,
             g_at_radius=math.inf,
             period=product_period(spec),
@@ -414,12 +367,10 @@ def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
     pb = psi_of_t(spec, tbar)
     radius, g_rho = product_radius(spec)
     phi_bar = phi_of_t(spec, tbar) if math.isfinite(tbar) else math.inf
-    phi2 = None
     coeff = None
     if abs(pb) <= _CRIT_TOL:
         try:
             coeff = sqrt_coefficient(spec)
-            phi2 = phi_second_of_t(spec, tbar)
         except FprwError:
             coeff = None
     return ProductAnalytics(
@@ -427,17 +378,9 @@ def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
         argmin_set=argmin,
         psi_bar=pb,
         phi_bar=phi_bar,
-        phi2_bar=phi2,
         radius=radius,
         g_at_radius=g_rho,
         period=product_period(spec),
         sqrt_coeff=coeff,
         degenerate=False,
     )
-
-
-def require_transient(spec: FreeProductSpec) -> None:
-    if is_two_by_two(spec):
-        raise DegenerateProduct(
-            "(Z/2Z)*(Z/2Z) is recurrent; the transient classification does not apply"
-        )

@@ -145,7 +145,7 @@ def criterion_4():
     for spec in specs:
         radius, _ = product_radius(spec)
         series = product_green_series(spec, 400)
-        est = classify.estimate_radius(series, classify.period(spec))
+        est = classify.estimate_radius(series, product_period(spec))
         err = abs(est / radius - 1.0)
         worst = max(worst, err)
         if err > 0.01:

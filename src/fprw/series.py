@@ -170,7 +170,11 @@ def series_derivative(a: PowerSeries) -> PowerSeries:
 
 
 def series_reversion(w: PowerSeries) -> PowerSeries:
-    """Compositional inverse: v with w(v(z)) = z + O(z^{N+1})."""
+    """Compositional inverse: v with w(v(z)) = z + O(z^{N+1}).
+
+    Kept as an oracle: it builds Phi_i = G_i o reversion(z G_i) for the
+    implicit-equation route in test_series.py::test_z2_star_z2_matches_word_convolution.
+    """
     if w.coeffs[0] != 0.0:
         raise NotInvertible("reversion needs w(0) = 0")
     if w.order < 1 or w.coeffs[1] == 0.0:
@@ -195,6 +199,10 @@ def series_reversion(w: PowerSeries) -> PowerSeries:
 
 def solve_implicit_green(phi: PowerSeries, order: int) -> PowerSeries:
     """The unique series g with g = phi(z*g) through the given order.
+
+    Kept as an oracle: the implicit-equation route G = Phi(zG) to a product
+    series, checked against word convolution in
+    test_series.py::test_z2_star_z2_matches_word_convolution.
 
     Newton iteration with order doubling; each pass fixes the already-correct
     coefficients exactly and extends the correct range, so the result agrees

@@ -20,6 +20,7 @@ from fprw.product import (
     FreeProductSpec,
     factor_analytics,
     product_green_series,
+    product_period,
     product_radius,
 )
 from fprw.series import PowerSeries
@@ -59,15 +60,15 @@ class TestDarbouxMap:
 
 class TestPeriod:
     def test_lattice_pair(self):
-        assert classify.period(spec_of((Z5, 0.5), (Z6, 0.5))) == 2
+        assert product_period(spec_of((Z5, 0.5), (Z6, 0.5))) == 2
 
     def test_mixed_periods(self):
-        assert classify.period(spec_of((Z1, 0.5), (C3, 0.5))) == 1
+        assert product_period(spec_of((Z1, 0.5), (C3, 0.5))) == 1
 
     def test_series_support(self):
         s = spec_of((Z1, 0.5), (C3, 0.5))
         g = product_green_series(s, 50)
-        delta = classify.period(s)
+        delta = product_period(s)
         for n in range(1, 51):
             if g[n] > 1e-15:
                 assert n % delta == 0

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from fprw import cli, phase, product
+from fprw import cli, factors, phase, product
 from fprw.errors import NoConvergence
 from fprw.product import FreeProductSpec, factor_analytics
 
@@ -65,6 +65,14 @@ def test_series_csv_beyond_float_range_of_radius_power(tmp_path, capsys):
     scaled = [float(r[2]) for r in rows]
     assert all(math.isfinite(v) and v >= 0.0 for v in scaled)
     assert all(v == 0.0 for v, c in zip(scaled, coeffs) if c == 0.0)
+
+
+def test_analyze_reuses_factor_analytics_across_weights(tmp_path, capsys):
+    factors.analyze_factor.cache_clear()
+    for a in (0.5, 0.4, 0.3):
+        code, _ = run(tmp_path, capsys, {"factors": [Z5, Z6], "weights": [a, 1.0 - a]}, "analyze")
+        assert code == 0
+    assert factors.analyze_factor.cache_info().misses == 2
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from fprw.factors import (
     LatticeNN,
     analyze_factor,
     cyclic_group,
-    factor_series,
     flip_group,
     invert_w,
     phi_derivs_at,
