@@ -107,6 +107,8 @@ def _build_factor(obj: dict, where: str):
             where,
         )
         sing = obj.get("sing")
+        if sing is not None and len(sing) != 2:
+            raise ConfigError(f"{where}.sing must be [q, k]")
         return ExplicitSeries(
             coeffs=tuple(obj["coeffs"]),
             radius=float(obj["radius"]),

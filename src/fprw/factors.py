@@ -384,13 +384,10 @@ class ExplicitSeries:
 
 
 def _poly_value(coeffs: np.ndarray, z: float, deriv: int) -> float:
-    """d^deriv/dz^deriv of sum_n coeffs[n] z^n."""
-    nn = np.arange(coeffs.size)
-    if deriv == 0:
-        return float(np.polynomial.polynomial.polyval(z, coeffs))
-    if deriv == 1:
-        return float(np.sum(nn[1:] * coeffs[1:] * z ** (nn[1:] - 1)))
-    return float(np.sum(nn[2:] * (nn[2:] - 1) * coeffs[2:] * z ** (nn[2:] - 2)))
+    """d^deriv/dz^deriv of sum_n coeffs[n] z^n, in Horner form: the partial
+    sums stay bounded where z^n alone overflows."""
+    poly = np.polynomial.polynomial
+    return float(poly.polyval(z, poly.polyder(coeffs, deriv)))
 
 
 FactorSpec = Union[LatticeNN, FiniteGroup, HomTree, ExplicitSeries]

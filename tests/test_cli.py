@@ -11,6 +11,10 @@ from fprw.product import FreeProductSpec, factor_analytics
 Z3 = {"type": "lattice", "dim": 3}
 Z5 = {"type": "lattice", "dim": 5}
 Z6 = {"type": "lattice", "dim": 6}
+EXPLICIT_Z1 = {  # Z^1: 1/sqrt(1 - z^2), recurrent
+    "type": "explicit", "coeffs": [1.0, 0.0, 0.5, 0.0, 0.375], "radius": 1.0,
+    "g_at_r": "inf", "gprime_at_r": "inf", "sing": None, "period": 2,
+}
 
 
 def run(tmp_path, capsys, config, *argv):
@@ -31,6 +35,8 @@ def run(tmp_path, capsys, config, *argv):
         {"factors": [{"type": "lattice", "beta": [0.5, "x"], "p": [0.5, 0.5]}, Z5], "weights": [0.5, 0.5]},
         {"factors": [{"type": "tree", "q": [3]}, Z5], "weights": [0.5, 0.5]},
         {"factors": [Z3, Z5], "weights": [0.5, 0.5], "options": []},
+        {"factors": [{**EXPLICIT_Z1, "sing": []}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [{**EXPLICIT_Z1, "sing": [0.5]}, Z5], "weights": [0.5, 0.5]},
     ],
     ids=[
         "order-not-a-number",
@@ -41,6 +47,8 @@ def run(tmp_path, capsys, config, *argv):
         "axis-weight-not-a-number",
         "tree-degree-a-list",
         "options-not-an-object",
+        "explicit-sing-empty",
+        "explicit-sing-one-number",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, config):
@@ -73,6 +81,29 @@ def test_analyze_reuses_factor_analytics_across_weights(tmp_path, capsys):
         code, _ = run(tmp_path, capsys, {"factors": [Z5, Z6], "weights": [a, 1.0 - a]}, "analyze")
         assert code == 0
     assert factors.analyze_factor.cache_info().misses == 2
+
+
+def test_series_output_round_trips_as_explicit_factor(tmp_path, capsys):
+    # z**n overflows past n ~ 1239 at radius 1.77: the explicit factor's
+    # derivatives must not come out NaN
+    config = {"factors": [Z5, Z6], "weights": [0.5, 0.5]}
+    code, out = run(tmp_path, capsys, config, "series", "--order", "1500", "--format", "json")
+    assert code == 0
+    series = json.loads(out.out)
+    code, out = run(tmp_path, capsys, config, "analyze")
+    assert code == 0
+    explicit = {
+        "type": "explicit",
+        "coeffs": series["coefficients"],
+        "radius": series["radius"],
+        "g_at_r": json.loads(out.out)["g_at_radius"],
+        "gprime_at_r": "inf",
+        "sing": [0.5, 0],
+        "period": series["period"],
+    }
+    code, out = run(tmp_path, capsys, {"factors": [explicit, Z5], "weights": [0.5, 0.5]}, "phase", "--grid", "16")
+    assert code == 0, out.err
+    assert "Traceback" not in out.err
 
 
 @pytest.fixture(scope="module")
