@@ -15,7 +15,7 @@ from fprw.classify import (
     fit_exponent,
 )
 from fprw.errors import InsufficientData, InvalidSingularity
-from fprw.factors import HomTree, LatticeNN, cyclic_group, flip_group
+from fprw.factors import DEFAULT_ORDER, ExplicitSeries, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import (
     FreeProductSpec,
     factor_analytics,
@@ -33,6 +33,19 @@ Z4 = LatticeNN.simple(4)
 Z5 = LatticeNN.simple(5)
 Z6 = LatticeNN.simple(6)
 T3 = HomTree(3)
+T4 = HomTree(4)
+# the 3-regular tree walk as an explicit series of 256 coefficients
+X3 = ExplicitSeries(
+    coeffs=tuple(T3.series(256).coeffs), radius=3.0 / (2.0 * math.sqrt(2.0)),
+    g_at_r=4.0, gprime_at_r=math.inf, sing=(0.5, 0), period=2,
+)
+# three-factor products of the benchmark's law catalog, at its seed-101
+# weights; fold truncates its synthetic head factor, so these fold at 1024
+BENCHMARK_TRIPLES = {
+    "Z5*Z6*T3@0": ((Z5, 0.2308), (Z6, 0.2169), (T3, 0.5523)),
+    "Z5*Z6*T3@1": ((Z5, 0.1419), (Z6, 0.1363), (T3, 0.7218)),
+    "T4*C2*Z7": ((T4, 0.3297), (C2, 0.3368), (LatticeNN.simple(7), 0.3335)),
+}
 
 
 def spec_of(*pairs):
@@ -167,16 +180,29 @@ class TestClassifyMulti:
             ((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.3), (LatticeNN.simple(7), 0.2)),
             ((C2, 1.0), (C2, 1.0), (C2, 1.0)),
             ((C2, 0.25), (C3, 0.5), (Z5, 0.25)),
+            *(pytest.param(pairs, id=name) for name, pairs in BENCHMARK_TRIPLES.items()),
         ],
     )
     def test_fold_matches_direct(self, pairs):
         s = spec_of(*pairs)
-        fold = classify_multi(s, method="fold")
+        fold_order = 1024 if pairs in BENCHMARK_TRIPLES.values() else DEFAULT_ORDER
+        fold = classify_multi(s, method="fold", fold_order=fold_order)
         direct = classify_multi(s, method="direct")
         assert (fold.kind, fold.lam, fold.kappa) == (direct.kind, direct.lam, direct.kappa)
         if fold.kind == INHERITED:
             assert fold.factor_index == direct.factor_index
         assert fold.radius == pytest.approx(direct.radius, rel=1e-6)
+
+    def test_fold_law_matches_direct_on_explicit_tree(self):
+        # the benchmark's X3*T4*Z8 at seed 101.  Here both routes give n^-3/2,
+        # but fold's radius misses direct's by 3.2e-4 at order 1024 (5.8e-4 at
+        # 512): the truncated synthetic head is evaluated near its radius
+        s = spec_of((X3, 0.4476), (T4, 0.3658), (LatticeNN.simple(8), 0.1866))
+        fold = classify_multi(s, method="fold", fold_order=1024)
+        direct = classify_multi(s, method="direct")
+        want = (THREE_HALVES, 1.5, 0, None)
+        assert (fold.kind, fold.lam, fold.kappa, fold.factor_index) == want
+        assert (direct.kind, direct.lam, direct.kappa, direct.factor_index) == want
 
     def test_pi3_three_halves(self):
         law = classify_multi(spec_of((C2, 1.0), (C2, 1.0), (C2, 1.0)))
