@@ -20,17 +20,21 @@ vectorised push, merge or pop.  Walks are grouped in fixed-size blocks, each
 drawn from the Philox stream keyed (seed, block), so results do not depend on
 how the blocks are spread over workers.
 
-bfs_convolution propagates exact probability mass over words.  A word whose
-erase cost (the steps needed to walk it back to the identity) exceeds
-order // 2 can never contribute a return, so only that ball of words is
-enumerated; mass crossing its boundary goes to an escape bucket, which keeps
-the per-step totals at exactly 1.  The words form a trie: each is keyed by the
+bfs_convolution propagates exact probability mass over words.  A walk that
+is back at the identity by step `order` only visits words w with
+fwd(w) + bwd(w) <= order, where fwd(w) counts the steps needed to reach w and
+bwd(w) the steps needed to walk it back; both add up over the word's letters.
+Only that ball of words is enumerated (for a support closed under inverses
+fwd = bwd, and the ball is erase cost <= order // 2); mass crossing its
+boundary goes to an escape bucket, which keeps the per-step totals at
+exactly 1.  The words form a trie: each is keyed by the
 state id of its prefix and its last letter, the ball's letters numbered
 densely, and the levels are enumerated with np.unique/searchsorted.  Mass moves
 by one CSR mat-vec per step, each row listing a word's predecessors in support
 order, so every sum is taken in the order of the tuple-word propagation.
-word_count_bound counts the ball's words from the factors' sphere sizes, so an
-order that does not fit is refused before anything is enumerated.
+word_count_bound counts the ball's words exactly from the factors' sphere
+sizes in fwd + bwd, so an order that does not fit is refused before anything
+is enumerated.
 
 word_multiply, word_is_normal and word_erase_cost work on words as tuples of
 (factor_index, element) letters.  They are kept as the oracle that the coded
@@ -130,20 +134,27 @@ def _free_factors(spec: FreeProductSpec):
     return out
 
 
-def _sphere_sizes(group, budget: int) -> list:
-    """s[k], the number of elements at erase cost k, for k = 0..budget.
+def _round_trip(group) -> np.ndarray:
+    """fwd + bwd of each element of a finite group."""
+    fwd = [group.forward_dist[x] for x in range(group.order)]
+    return np.array(group.dist_table) + np.array(fwd)
 
-    On Z^d the cost is the L1 norm: a point of norm k has j nonzero axes, j
+
+def _sphere_sizes(group, order: int) -> list:
+    """s[c], the number of elements with fwd + bwd = c, for c = 0..order.
+
+    On Z^d both are the L1 norm: a point of norm k has j nonzero axes, j
     signs and a composition of k into j positive parts.
     """
     if isinstance(group, LatticeNN):
         d = group.dim
-        return [1] + [
+        l1 = [
             sum(2**j * math.comb(d, j) * math.comb(k - 1, j - 1) for j in range(1, min(d, k) + 1))
-            for k in range(1, budget + 1)
+            for k in range(1, order // 2 + 1)
         ]
-    hist = np.bincount(group.dist_table, minlength=budget + 1)
-    return [int(c) for c in hist[: budget + 1]]
+        return [1] + [0 if c % 2 else l1[c // 2 - 1] for c in range(1, order + 1)]
+    hist = np.bincount(_round_trip(group), minlength=order + 1)
+    return [int(c) for c in hist[: order + 1]]
 
 
 def _locate(ordered: np.ndarray, values: np.ndarray):
@@ -211,15 +222,16 @@ class _Letters:
         out[look] = self.table[codes[look].astype(np.int64), self.column[k[look]]]
         return out
 
-    def ball(self, budget: int):
-        """Letters of erase cost 1..budget, numbered densely by factor, then code.
+    def ball(self, order: int):
+        """Letters with fwd + bwd <= order, numbered densely by factor, then code.
 
         Returns (factor, cost, merge, push): letter l belongs to factor[l] and
-        costs cost[l]; merge[l, column[k]] is the letter that l becomes after
-        step k of its own factor; push[k] is the letter step k starts after a
-        letter of another factor.  Both hold _IDENTITY where the product is
-        the identity and _ESCAPE where it costs more than the budget.  A last
-        row, letter -1, stands for the empty word: factor -1, cost 0.
+        costs cost[l] = fwd + bwd; merge[l, column[k]] is the letter that l
+        becomes after step k of its own factor; push[k] is the letter step k
+        starts after a letter of another factor.  Both hold _IDENTITY where
+        the product is the identity and _ESCAPE where it costs more than
+        `order`.  A last row, letter -1, stands for the empty word: factor -1,
+        cost 0.
         """
         ks = [np.flatnonzero(self.factor == i) for i in range(len(self.groups))]
         codes, costs = [], []
@@ -227,19 +239,19 @@ class _Letters:
             if isinstance(group, LatticeNN):
                 # the L1 spheres: neighbours of sphere r - 1 lie on spheres r - 2 and r
                 spheres = [np.zeros(1, dtype=self.dtype), np.unique(self.code[ks[i]])]
-                for _ in range(budget - 1):
+                for _ in range(order // 2 - 1):
                     near = (spheres[-1][:, None] + self.code[ks[i]][None, :]).ravel()
                     spheres.append(np.setdiff1d(near, spheres[-2]))
-                spheres = spheres[1 : budget + 1]
+                spheres = spheres[1 : order // 2 + 1]
                 codes.append(np.concatenate(spheres) if spheres else np.zeros(0, self.dtype))
-                costs.append(np.repeat(np.arange(1, len(spheres) + 1), [s.size for s in spheres]))
-                order = np.argsort(codes[-1])
-                codes[-1], costs[-1] = codes[-1][order], costs[-1][order]
+                costs.append(np.repeat(np.arange(2, 2 * len(spheres) + 1, 2), [s.size for s in spheres]))
+                by_code = np.argsort(codes[-1])
+                codes[-1], costs[-1] = codes[-1][by_code], costs[-1][by_code]
             else:
-                dist = np.array(group.dist_table)
-                inside = np.flatnonzero((dist > 0) & (dist <= budget))
+                cost = _round_trip(group)
+                inside = np.flatnonzero((cost > 0) & (cost <= order))
                 codes.append((self.base[i] + inside).astype(self.dtype))
-                costs.append(dist[inside])
+                costs.append(cost[inside])
         first = np.cumsum([0] + [c.size for c in codes])
 
         def lookup(i, products):
@@ -262,18 +274,17 @@ class _Letters:
         return factor, cost, merge, push
 
 
-def word_count_bound(spec: FreeProductSpec, budget: int) -> int:
-    """Normal-form words of erase cost <= budget, the empty word included.
+def word_count_bound(spec: FreeProductSpec, order: int) -> int:
+    """Normal-form words with fwd + bwd <= order, the empty word included.
 
     W_i(c), the words of cost c that start with a letter of factor i, is
     s_i(c) + sum_k s_i(k) sum_{j != i} W_j(c - k), with s_i(k) the factor's
-    sphere sizes.  This is bfs_convolution's state count at orders 2 budget and
-    2 budget + 1 when every support is symmetric, and an upper bound otherwise.
+    sphere sizes.  This is bfs_convolution's state count at `order`.
     """
-    spheres = [_sphere_sizes(g, budget) for g, _ in _free_factors(spec)]
-    words = [[0] * (budget + 1) for _ in spheres]
-    total = [0] * (budget + 1)
-    for c in range(1, budget + 1):
+    spheres = [_sphere_sizes(g, order) for g, _ in _free_factors(spec)]
+    words = [[0] * (order + 1) for _ in spheres]
+    total = [0] * (order + 1)
+    for c in range(1, order + 1):
         for i, s in enumerate(spheres):
             words[i][c] = s[c] + sum(s[k] * (total[c - k] - words[i][c - k]) for k in range(1, c))
         total[c] = sum(w[c] for w in words)
@@ -284,8 +295,8 @@ def exact_column_order(spec: FreeProductSpec, order: int) -> int:
     """The largest order <= `order` whose words fit EXACT_COLUMN_BYTES."""
     per_state = _STATE_BYTES + _PAIR_BYTES * len(_support(spec))
     states = EXACT_COLUMN_BYTES // per_state
-    while order > 1 and word_count_bound(spec, order // 2) > states:
-        order = 2 * (order // 2) - 1
+    while order > 1 and word_count_bound(spec, order) > states:
+        order -= 1
     return order
 
 
@@ -297,14 +308,13 @@ def bfs_convolution(
     spec: FreeProductSpec, order: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> PowerSeries:
     """Exact return probabilities mu^(n)(e) for n <= order by mass propagation."""
-    budget = order // 2
-    bound = word_count_bound(spec, budget)
+    bound = word_count_bound(spec, order)
     if bound > state_cap:
         raise StateExplosion(
             f"up to {bound} words within reach, more than {state_cap}; lower the order"
         )
-    letters = _Letters(spec, reach=budget + 1)
-    lfactor, lcost, merge, push = letters.ball(budget)
+    letters = _Letters(spec, reach=order // 2 + 1)
+    lfactor, lcost, merge, push = letters.ball(order)
     nletters = lfactor.size
     probs = letters.probs
     nsteps = probs.size
@@ -330,7 +340,7 @@ def bfs_convolution(
         target = np.where(moves, _ESCAPE, s[:, None])
         target = np.where(moves & (letter == _IDENTITY), prefix, target)
         grow = moves & (letter >= 0)
-        grow[grow] = cost[prefix[grow]] + lcost[letter[grow]] <= budget
+        grow[grow] = cost[prefix[grow]] + lcost[letter[grow]] <= order
         found, inverse = np.unique(prefix[grow] * nletters + letter[grow], return_inverse=True)
         pos, known = _locate(keys, found)
         fresh = found[~known]

@@ -7,7 +7,7 @@ import pytest
 from fprw import mc
 from fprw.errors import StateExplosion
 from fprw.factors import FiniteGroup, HomTree, LatticeNN, cyclic_group, flip_group
-from fprw.product import FreeProductSpec
+from fprw.product import FreeProductSpec, product_green_series
 
 C2 = flip_group()
 C3 = cyclic_group(3, (0.0, 0.5, 0.5))
@@ -35,19 +35,24 @@ def symmetric_three(mu) -> FiniteGroup:
 
 
 def tuple_bfs(spec, order):
-    """(mu^(n)(e) for n <= order, number of words) by tuple-word propagation."""
+    """(mu^(n)(e) for n <= order, number of words) by tuple-word propagation.
+
+    A word is kept when the level at which the search first reaches it (the
+    steps needed to reach it) plus its erase cost is at most `order`.
+    """
     factors = spec.factors
     support = mc._support(spec)
-    budget = order // 2
     states = [()]
     index = {(): 0}
     frontier = [()]
+    level = 0
     while frontier:
+        level += 1
         nxt = []
         for w in frontier:
             for i, g, _ in support:
                 t = mc.word_multiply(factors, w, i, g)
-                if t not in index and mc.word_erase_cost(factors, t) <= budget:
+                if t not in index and level + mc.word_erase_cost(factors, t) <= order:
                     index[t] = len(states)
                     states.append(t)
                     nxt.append(t)
@@ -101,6 +106,12 @@ ORACLE_SPECS = {
     "Z1*C3*T4": spec_of((Z1, 0.3), (C3, 0.3), (HomTree(4), 0.4)),
 }
 
+# supports not closed under inverses: a word costs more to erase than to reach
+ASYMMETRIC_SPECS = {
+    "C3-rotation*C2": spec_of((cyclic_group(3, (0.0, 1.0, 0.0)), 0.5), (C2, 0.5)),
+    "C4-support-1-2*C2": spec_of((cyclic_group(4, (0.0, 0.5, 0.5, 0.0)), 0.5), (C2, 0.5)),
+}
+
 
 class TestCodedAgainstTuples:
     @pytest.mark.parametrize("name", list(ORACLE_SPECS))
@@ -128,26 +139,34 @@ class TestCodedAgainstTuples:
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("name", list(ASYMMETRIC_SPECS))
+    def test_bfs_matches_series_on_asymmetric_support(self, name):
+        # the erase-cost ball of radius order // 2 gave mu^(8)(e) = 0.046875
+        # on C3-rotation*C2, where the series gives 0.05078125
+        spec = ASYMMETRIC_SPECS[name]
+        got = mc.bfs_convolution(spec, 14).coeffs
+        want = product_green_series(spec, 14).coeffs
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got, tuple_bfs(spec, 14)[0], rtol=1e-14, atol=0.0)
+
 
 class TestWordCountBound:
     @pytest.mark.parametrize("name", list(ORACLE_SPECS))
     def test_equals_state_count_on_symmetric_supports(self, name):
         spec = ORACLE_SPECS[name]
-        for budget in range(4):
-            assert mc.word_count_bound(spec, budget) == tuple_bfs(spec, 2 * budget)[1]
+        for order in range(8):
+            assert mc.word_count_bound(spec, order) == tuple_bfs(spec, order)[1]
 
     def test_bounds_asymmetric_support(self):
-        rotation = cyclic_group(3, (0.0, 1.0, 0.0))  # support {1}: 1 costs 2 to erase
-        spec = spec_of((rotation, 0.5), (C2, 0.5))
-        for budget in range(6):
-            assert mc.word_count_bound(spec, budget) >= tuple_bfs(spec, 2 * budget)[1]
-        assert mc.word_count_bound(spec, 3) > tuple_bfs(spec, 6)[1]
+        for spec in ASYMMETRIC_SPECS.values():
+            for order in range(12):
+                assert mc.word_count_bound(spec, order) == tuple_bfs(spec, order)[1]
 
     def test_enumerated_counts(self):
         z2c3 = spec_of((LatticeNN.simple(2), 0.5), (C3, 0.5))
         z5z6 = spec_of((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5))
-        assert mc.word_count_bound(z2c3, 7) == 26_739
-        assert [mc.word_count_bound(z5z6, b) for b in (3, 4, 5)] == [6_127, 97_089, 1_538_375]
+        assert mc.word_count_bound(z2c3, 14) == 26_739
+        assert [mc.word_count_bound(z5z6, n) for n in (6, 8, 10)] == [6_127, 97_089, 1_538_375]
 
     def test_state_cap_checked_before_enumerating(self, monkeypatch):
         def no_letters(*args):
@@ -164,8 +183,8 @@ class TestWordCountBound:
         order = mc.exact_column_order(z5z6, 14)
         assert 1 <= order < 14
         per_state = mc._STATE_BYTES + mc._PAIR_BYTES * 22
-        assert mc.word_count_bound(z5z6, order // 2) * per_state <= mc.EXACT_COLUMN_BYTES
-        assert mc.word_count_bound(z5z6, order // 2 + 1) * per_state > mc.EXACT_COLUMN_BYTES
+        assert mc.word_count_bound(z5z6, order) * per_state <= mc.EXACT_COLUMN_BYTES
+        assert mc.word_count_bound(z5z6, order + 1) * per_state > mc.EXACT_COLUMN_BYTES
         assert mc.exact_column_order(z2c3, 14) == 14
         assert mc.exact_column_order(z5z6, 3) == 3
 
