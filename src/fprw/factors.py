@@ -93,6 +93,7 @@ class LatticeNN:
     def dist_to_identity(self, e) -> int:
         return sum(abs(x) for x in e)
 
+    # analytics hooks, asked once per factor by analyze_factor
     def invariants(self):
         d = self.dim
         sing = None

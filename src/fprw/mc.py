@@ -26,15 +26,14 @@ fwd(w) + bwd(w) <= order, where fwd(w) counts the steps needed to reach w and
 bwd(w) the steps needed to walk it back; both add up over the word's letters.
 Only that ball of words is enumerated (for a support closed under inverses
 fwd = bwd, and the ball is erase cost <= order // 2); mass crossing its
-boundary goes to an escape bucket, which keeps the per-step totals at
-exactly 1.  The words form a trie: each is keyed by the
-state id of its prefix and its last letter, the ball's letters numbered
-densely, and the levels are enumerated with np.unique/searchsorted.  Mass moves
-by one CSR mat-vec per step, each row listing a word's predecessors in support
-order, so every sum is taken in the order of the tuple-word propagation.
-word_count_bound counts the ball's words exactly from the factors' sphere
-sizes in fwd + bwd, so an order that does not fit is refused before anything
-is enumerated.
+boundary goes to an escape bucket, which keeps the per-step totals at exactly
+1.  The words form a trie: each is keyed by the state id of its prefix and its
+last letter, the ball's letters numbered densely, and the levels are
+enumerated with np.unique/searchsorted.  Mass moves by one CSR mat-vec per
+step, each row listing a word's predecessors in support order, so every sum
+is taken in the order of the tuple-word propagation.  word_count_bound counts
+the ball's words exactly from the factors' sphere sizes in fwd + bwd, so an
+order that does not fit is refused before anything is enumerated.
 
 word_multiply, word_is_normal and word_erase_cost work on words as tuples of
 (factor_index, element) letters.  They are kept as the oracle that the coded

@@ -19,7 +19,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .classify import INHERITED, THREE_HALVES, inherited_choice
-from .errors import AmbiguousRegime, ConfigError, DegenerateProduct, OutOfDomain, TargetOutOfRange
+from .errors import (
+    AmbiguousRegime,
+    ConfigError,
+    DegenerateProduct,
+    OutOfDomain,
+    TargetOutOfRange,
+)
 from .factors import GreenAnalytics, LatticeNN, analyze_factor, psi_at_argument
 from .parallel import parallel_map, requested_threads
 from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two, theta_bar_of

@@ -18,7 +18,13 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConfigError, FprwError, NoConvergence, NotAtCriticality, RootNotBracketed
+from .errors import (
+    ConfigError,
+    FprwError,
+    NoConvergence,
+    NotAtCriticality,
+    RootNotBracketed,
+)
 from .factors import (
     FactorSpec,
     FiniteGroup,
@@ -28,7 +34,13 @@ from .factors import (
     phi_derivs_at,
     psi_at_argument,
 )
-from .series import PowerSeries, series_compose, series_derivative, series_mul, series_reciprocal
+from .series import (
+    PowerSeries,
+    series_compose,
+    series_derivative,
+    series_mul,
+    series_reciprocal,
+)
 
 _CRIT_TOL = 1e-8  # |Psi(theta-bar)| below this counts as exactly critical
 _WARN_TOL = 1e-4  # near-critical warning band
