@@ -16,6 +16,7 @@ from .product import (
     FreeProductSpec,
     ProductAnalytics,
     analyze_product,
+    normalized_green_series,
     product_green_series,
     product_radius,
     sqrt_coefficient,

@@ -29,9 +29,9 @@ from .product import (
     FreeProductSpec,
     analyze_product,
     factor_analytics,
+    normalized_green_series,
     product_green_series,
     product_period,
-    product_radius,
 )
 
 _DEFAULTS = {"order": 512, "grid": 512, "steps": 100, "walks": 10_000, "seed": 0}
@@ -246,7 +246,7 @@ def cmd_analyze(spec: FreeProductSpec, options, args) -> str:
 def cmd_series(spec: FreeProductSpec, options, args) -> str:
     order = args.order or options["order"]
     g = product_green_series(spec, order)
-    radius, _ = product_radius(spec)
+    radius, scaled = normalized_green_series(spec, order)
     delta = product_period(spec)
     if args.format == "json":
         payload = {
@@ -256,12 +256,8 @@ def cmd_series(spec: FreeProductSpec, options, args) -> str:
         }
         return json.dumps(_present(payload), indent=2) + "\n"
     lines = [f"# radius={_fmt(radius)} period={delta}", "n,mu_n,mu_n_radius_n"]
-    log_radius = math.log(radius)
     for n in range(order + 1):
-        # radius**n alone overflows long before mu_n radius^n does
-        mu = g[n]
-        scaled = math.exp(math.log(mu) + n * log_radius) if mu > 0.0 else 0.0
-        lines.append(f"{n},{_fmt(mu)},{_fmt(scaled)}")
+        lines.append(f"{n},{_fmt(g[n])},{_fmt(scaled[n])}")
     return "\n".join(lines) + "\n"
 
 
@@ -378,7 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classify the return-probability law")
     common(p)
-    p = sub.add_parser("series", help="exact return-probability series")
+    p = sub.add_parser(
+        "series",
+        help="exact return-probability series",
+        description="Exact return probabilities mu_n of the product walk.  The CSV "
+        "columns are n, mu_n and mu_n radius^n; the last is solved for directly, "
+        "so it stays a normal float where mu_n itself underflows.",
+    )
     common(p)
     p.add_argument("--order", type=_count, default=None)
     p.set_defaults(format="csv")

@@ -6,10 +6,12 @@ group-invariant walks on a finite group, the uniform walk on the free product
 of q copies of Z/2Z (whose Cayley graph is the q-regular tree), and a
 user-supplied explicit return series with asserted radius metadata.
 
-Each factor kind answers the same four questions as methods: its radius,
+Each factor kind answers the same questions as methods: its radius,
 period and singularity descriptor (`invariants`), its return series
-(`series`), its Green function and derivatives (`green`), and the limit of
-Psi at the radius where G diverges there (`recurrent_psi_limit`).
+(`series`), the same series in the variable x = z/rho (`radius_series`,
+which the product's first-visit solve uses), its Green function and
+derivatives (`green`), and the limit of Psi at the radius where G diverges
+there (`recurrent_psi_limit`).
 analyze_factor asks them once per (factor, order) and caches the result.
 
 All evaluations are pure; a GreenAnalytics object builds its return series
@@ -103,6 +105,16 @@ class LatticeNN:
 
     def series(self, order: int) -> PowerSeries:
         return lattice.return_series(self.beta, self.p, order)
+
+    def radius_series(self, order: int):
+        """(rho, G(rho x)).  c_n rho^n is the return probability of the
+        symmetric walk with axis weights proportional to c_j = beta_j
+        sqrt(4 p_j (1 - p_j)): the per-axis factors (p_j (1 - p_j))^(n_j/2)
+        collect into (sum_j c_j)^n.  With every p_j = 1/2, rho is 1.0 and the
+        series is `series` bit for bit."""
+        c = lattice.axis_coupling(self.beta, self.p)
+        rho = float(np.sum(self.beta)) / float(np.sum(c))
+        return rho, lattice.return_series(c, (0.5,) * self.dim, order)
 
     def green(self, z: float, deriv: int) -> float:
         return lattice.green(self.beta, self.p, z, deriv)
@@ -238,6 +250,10 @@ class FiniteGroup:
             out[n] = row[self.id]
         return PowerSeries(out)
 
+    def radius_series(self, order: int):
+        # a stochastic matrix has spectral radius exactly 1
+        return 1.0, self.series(order)
+
     def green(self, z: float, deriv: int) -> float:
         if z >= self._radius * (1.0 - 1e-13):
             return math.inf
@@ -307,15 +323,24 @@ class HomTree:
         return _tree_radius(self.q), 2, sing
 
     def series(self, order: int) -> PowerSeries:
-        # F = z/q + ((q-1)/q) z F^2: first passage from a neighbour to the root
+        return self._series(order, 1.0)
+
+    def radius_series(self, order: int):
+        rho = _tree_radius(self.q)
+        return rho, self._series(order, rho)
+
+    def _series(self, order: int, rho: float) -> PowerSeries:
+        """G(rho x).  F = z/q + ((q-1)/q) z F^2 is the first passage from a
+        neighbour to the root; in x = z/rho each z brings a factor rho."""
         q = self.q
         f = np.zeros(order + 1)
         if order >= 1:
-            f[1] = 1.0 / q
+            f[1] = rho / q
+        step = (q - 1.0) / q * rho
         for n in range(3, order + 1, 2):
-            f[n] = (q - 1.0) / q * np.dot(f[1 : n - 1], f[n - 2 : 0 : -1])
+            f[n] = step * np.dot(f[1 : n - 1], f[n - 2 : 0 : -1])
         u = np.zeros(order + 1)
-        u[1:] = f[:-1]  # U = z F
+        u[1:] = rho * f[:-1]  # U = z F
         return series_reciprocal(PowerSeries(np.concatenate([[1.0], np.zeros(order)])) - PowerSeries(u))
 
     def green(self, z: float, deriv: int) -> float:
@@ -371,6 +396,9 @@ class ExplicitSeries:
 
     def series(self, order: int) -> PowerSeries:
         return PowerSeries(np.array(self.coeffs)).pad(order).truncate(order)
+
+    def radius_series(self, order: int):
+        return self.radius, self.series(order).scale_arg(self.radius)
 
     def green(self, z: float, deriv: int) -> float:
         if z >= self.radius * (1.0 - 1e-13):

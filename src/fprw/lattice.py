@@ -151,6 +151,7 @@ def return_series(beta, p, order: int) -> PowerSeries:
     p = np.asarray(p, dtype=float)
     acc = _axis_return_probs(float(p[0]), order)
     wsum = float(beta[0])
+    log_fact = special.gammaln(np.arange(order + 1) + 1)  # log n!, read per n
     for j in range(1, len(beta)):
         axis = _axis_return_probs(float(p[j]), order)
         b = float(beta[j]) / (wsum + float(beta[j]))
@@ -160,9 +161,9 @@ def return_series(beta, p, order: int) -> PowerSeries:
         for n in range(2, order + 1, 2):
             k = np.arange(0, n + 1, 2)
             logpmf = (
-                special.gammaln(n + 1)
-                - special.gammaln(k + 1)
-                - special.gammaln(n - k + 1)
+                log_fact[n]
+                - log_fact[k]
+                - log_fact[n - k]
                 + k * log_b
                 + (n - k) * log_nb
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -26,7 +27,6 @@ from .errors import (
     RootNotBracketed,
 )
 from .factors import (
-    FactorSpec,
     FiniteGroup,
     GreenAnalytics,
     analyze_factor,
@@ -196,25 +196,27 @@ def first_return_series(g: PowerSeries) -> PowerSeries:
     return PowerSeries(u)
 
 
-def _visit_kernel(f: FactorSpec, order: int) -> PowerSeries:
-    """T(w) = U(w)/w of one factor: nonnegative first-return coefficients."""
-    u = first_return_series(f.series(order + 1))
-    return PowerSeries(np.maximum(u.coeffs[1:], 0.0))
+def _visit_kernel(g: PowerSeries) -> PowerSeries:
+    """T(w) = U(w)/w from a return series: nonnegative first-return coefficients."""
+    return PowerSeries(np.maximum(first_return_series(g).coeffs[1:], 0.0))
 
 
-def _zeta_pair_series(t1: PowerSeries, t2: PowerSeries, a1: float, a2: float, order: int):
+def _zeta_pair_series(t1: PowerSeries, t2: PowerSeries, s1: float, s2: float, order: int):
     """Solve the coupled first-visit system for the zeta series (Newton).
 
-    zeta_i (1 - V_j) = alpha_i z with V_j = alpha_j z T_j(zeta_j).  Every
-    series in the update (the V's, the sequence reciprocals 1/(1-V), the
-    Jacobian inverse assembled as a product of 1/(1-positive) pieces) has
-    nonnegative coefficients, so no step cancels and the relative accuracy
-    of the geometrically small high-order coefficients survives.
+    zeta_i (1 - V_j) = s_i u with V_j = s_j u T_j(zeta_j).  Every series in
+    the update (the V's, the sequence reciprocals 1/(1-V), the Jacobian
+    inverse assembled as a product of 1/(1-positive) pieces) has nonnegative
+    coefficients, so no step cancels and every coefficient keeps its
+    relative accuracy.  T_j and T_j' compose with zeta_j on one shared table
+    of powers.  The last pass only polishes zeta by a rounding-level d, so V
+    takes it as the first-order update V - s u T'(zeta) d instead of a fresh
+    composition.
     """
     t1p = series_derivative(t1).pad(order)
     t2p = series_derivative(t2).pad(order)
-    zeta1 = PowerSeries.identity(order).truncate(1) * a1
-    zeta2 = PowerSeries.identity(order).truncate(1) * a2
+    zeta1 = PowerSeries.identity(order).truncate(1) * s1
+    zeta2 = PowerSeries.identity(order).truncate(1) * s2
     cur = 1
     polished = False
     while cur < order or not polished:
@@ -223,14 +225,18 @@ def _zeta_pair_series(t1: PowerSeries, t2: PowerSeries, a1: float, a2: float, or
         z1 = zeta1.pad(cur)
         z2 = zeta2.pad(cur)
         ident = PowerSeries.identity(cur)
-        v1 = series_compose(t1.truncate(cur), z1).shift() * a1
-        v2 = series_compose(t2.truncate(cur), z2).shift() * a2
+        k1, k1p = series_compose((t1.truncate(cur), t1p.truncate(cur)), z1)
+        k2, k2p = series_compose((t2.truncate(cur), t2p.truncate(cur)), z2)
+        v1 = k1.shift() * s1
+        v2 = k2.shift() * s2
+        w1 = k1p.shift() * s1  # s_1 u T_1'(zeta_1)
+        w2 = k2p.shift() * s2
         A = 1.0 - v2
         D = 1.0 - v1
-        f1 = series_mul(z1, A) - ident * a1
-        f2 = series_mul(z2, D) - ident * a2
-        B = series_mul(z1, series_compose(t2p.truncate(cur), z2).shift() * a2)
-        C = series_mul(z2, series_compose(t1p.truncate(cur), z1).shift() * a1)
+        f1 = series_mul(z1, A) - ident * s1
+        f2 = series_mul(z2, D) - ident * s2
+        B = series_mul(z1, w2)
+        C = series_mul(z2, w1)
         inv_a = series_reciprocal(A)
         inv_d = series_reciprocal(D)
         corr = series_mul(series_mul(B, C), series_mul(inv_a, inv_d))
@@ -241,52 +247,97 @@ def _zeta_pair_series(t1: PowerSeries, t2: PowerSeries, a1: float, a2: float, or
         d2 = series_mul(series_mul(C, f1) + series_mul(A, f2), inv_det)
         zeta1 = z1 - d1
         zeta2 = z2 - d2
-    v1 = series_compose(t1.truncate(order), zeta1).shift() * a1
-    v2 = series_compose(t2.truncate(order), zeta2).shift() * a2
+    v1 = v1 - series_mul(w1, d1)
+    v2 = v2 - series_mul(w2, d2)
     return zeta1, zeta2, v1, v2
 
 
 def product_green_series(spec: FreeProductSpec, order: int) -> PowerSeries:
-    """Exact return-probability series of the product walk.
+    """Exact return-probability series c_0..c_order of the product walk.
 
-    Solves the coupled first-visit equations for the zeta series, folding
-    factors in pairwise (the first m-1 factors form a sub-product whose
-    first-return kernel feeds the next pairing), then G = 1/(1 - V_1 - V_2).
-    All participating series have nonnegative coefficients, which keeps the
-    relative error of coefficient n at roundoff level for as long as it is a
-    normal float.  c_n decays like radius^-n, so it drops below 2.2e-308
-    near n = 708 / log(radius); past that point the coefficients are
-    subnormal or zero and carry no relative accuracy.  For the tuned
-    Z^7 * Z^8 product at its critical weight (radius 1.374) the last normal
-    coefficient is c_2196.
+    It is c_n = c^_n R^-n from `normalized_green_series`, with R^-n applied
+    as two half powers.  c_n decays like R^-n n^-lambda and leaves the
+    normal floats near n = 708 / log R: c_2196 is the last normal one for
+    the tuned Z^7 * Z^8 at its critical weight (R = 1.374), c_1202 for
+    equal-weight Z^5 * Z^6 (R = 1.774).  Past that point c_n is subnormal or
+    zero and carries no relative accuracy, while c^_n is still a normal
+    float accurate to roundoff (about 1e-5 and 2e-10 at n = 3000 for those
+    two products).  Fits of the coefficient asymptotics belong on c^_n.
     """
-    return _green_series_cached(spec, order)
+    radius, ghat = normalized_green_series(spec, order)
+    half = radius ** (-0.5 * np.arange(order + 1))
+    return PowerSeries(ghat.coeffs * half * half)
 
 
 @lru_cache(maxsize=64)
-def _green_series_cached(spec: FreeProductSpec, order: int) -> PowerSeries:
+def normalized_green_series(spec: FreeProductSpec, order: int):
+    """(R, G^) with R = product_radius(spec) and G^(u) = G(R u).
+
+    The first-visit system is solved in u = z/R.  Each factor enters as its
+    kernel in its own radius variable, T^_i(x) = rho_i T_i(rho_i x), built
+    from `radius_series`, and the pair solve takes s_i = alpha_i R / rho_i.
+    The first m-1 factors fold pairwise into a head whose kernel feeds the
+    next pairing; a head is solved in the variable of its own radius
+    (`product_radius` of the sub-product) and enters the next pairing with
+    that radius as its rho.  All participating series have nonnegative
+    coefficients, and c^_n = c_n R^n falls only like n^-lambda, so every
+    coefficient stays a normal float with relative error at roundoff level
+    (Flajolet & Sedgewick, Analytic Combinatorics, ch. VI, for the transfer
+    to c^_n ~ C n^-lambda).
+    """
     # deeper folds consume one kernel order per level
     depth = spec.m - 2
-    kernels = [
-        (_visit_kernel(f, order + depth), a)
-        for f, a in zip(spec.factors, spec.weights)
-    ]
+    # the weights as exact fractions of their sum, which is 1 only to rounding
+    total = sum(map(Fraction, spec.weights))
+    kernels = []
+    for f, a in zip(spec.factors, spec.weights):
+        rho, g = f.radius_series(order + depth + 1)
+        kernels.append((_visit_kernel(g), Fraction(a) / total, rho))
+    size = 2
     while len(kernels) > 2:
-        (tk1, a1), (tk2, a2) = kernels[0], kernels[1]
+        (t1, a1, r1), (t2, a2, r2) = kernels[0], kernels[1]
         w = a1 + a2
-        g_head = _pair_green(tk1, tk2, a1 / w, a2 / w, order + len(kernels) - 2)
-        u_head = first_return_series(g_head)
-        t_head = PowerSeries(np.maximum(u_head.coeffs[1:], 0.0))
-        kernels = [(t_head, w)] + kernels[2:]
-    (tk1, a1), (tk2, a2) = kernels
-    return _pair_green(tk1, tk2, a1, a2, order)
+        head = FreeProductSpec(spec.factors[:size], spec.weights[:size])
+        near, g_head = _pair_green(
+            t1, t2, a1 / w / Fraction(r1), a2 / w / Fraction(r2),
+            product_radius(head)[0], order + len(kernels) - 2,
+        )
+        kernels = [(_visit_kernel(g_head), w, near)] + kernels[2:]
+        size += 1
+    (t1, a1, r1), (t2, a2, r2) = kernels
+    radius, _ = product_radius(spec)
+    near, g = _pair_green(t1, t2, a1 / Fraction(r1), a2 / Fraction(r2), radius, order)
+    # G(R u) = G(R~ (R / R~) u): coefficient n picks up (R / R~)^n; R - R~ is exact
+    shift = math.log1p((radius - near) / near)
+    return radius, PowerSeries(g.coeffs * np.exp(shift * np.arange(order + 1)))
 
 
-def _pair_green(t1: PowerSeries, t2: PowerSeries, a1: float, a2: float, order: int) -> PowerSeries:
+def _pair_green(t1: PowerSeries, t2: PowerSeries, q1: Fraction, q2: Fraction, radius: float, order: int):
+    """(R~, G(R~ u)) for the pair with exact weight-to-kernel-radius ratios
+    q_i = alpha_i / rho_i.
+
+    A relative error e in a constant s_i = q_i R~ or in the weights' sum acts
+    like a change e of the walk's mass: it moves the radius by about e and
+    coefficient n by about n e, which is 1e-13 at n = 2000 for e = eps / 2.
+    So the weights are exact fractions summing to 1, and R~ is the float
+    within 128 ulps of `radius` whose two constants round least; the best of
+    those 257 is typically within 0.03 ulp of exact.
+    """
+    best = None
+    for j in sorted(range(-128, 129), key=abs):
+        near = radius + j * math.ulp(radius)
+        exact = [q * Fraction(near) for q in (q1, q2)]
+        consts = [float(x) for x in exact]
+        err = max(abs(Fraction(c) / x - 1) for c, x in zip(consts, exact))
+        if best is None or err < best[0]:
+            best = (err, near, consts)
+        if err == 0:
+            break
+    _, near, (s1, s2) = best
     _, _, v1, v2 = _zeta_pair_series(
-        t1.truncate(order), t2.truncate(order), a1, a2, order
+        t1.truncate(order), t2.truncate(order), s1, s2, order
     )
-    return series_reciprocal(1.0 - (v1 + v2))
+    return near, series_reciprocal(1.0 - (v1 + v2))
 
 
 def zeta_at(spec: FreeProductSpec, z: float, tol: float = 1e-13, max_iter: int = 20000):

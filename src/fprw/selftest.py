@@ -27,6 +27,7 @@ from .factors import (
 from .product import (
     FreeProductSpec,
     factor_analytics,
+    normalized_green_series,
     product_green_series,
     product_period,
     product_radius,
@@ -236,32 +237,29 @@ def correction_exponents(descriptors) -> tuple:
     return tuple(float(e) for e in sorted(found))
 
 
-# every window must agree; the upper ends clip to the normal-float coefficients
+# every window must agree
 SQRT_FIT_WINDOWS = ((200, 1200), (300, 3000), (600, 3000))
 
 
-def fit_sqrt_coefficient(coeffs, radius: float, period: int, exponents, window):
-    """g1 of G = g0 + g1 sqrt(radius - z) + ... from the series coefficients.
+def fit_sqrt_coefficient(scaled, radius: float, period: int, exponents, window):
+    """g1 of G = g0 + g1 sqrt(radius - z) + ... from the normalized coefficients.
 
     Transfer: the period-many singular points each give [z^n] g1 sqrt(radius - z)
     = -g1 sqrt(radius) / (2 sqrt(pi)) radius^-n n^-3/2, so on the period lattice
-    c_n radius^n n^3/2 = -period g1 sqrt(radius / pi) / 2 (1 + sum_e a_e n^-e).
-    The scaled coefficients in `window` are fitted on [1, n^-e for e in
-    exponents].  Only normal floats enter: subnormal coefficients carry no
-    relative accuracy.  Returns (g1, (first n, last n) actually used).
+    c^_n n^3/2 = c_n radius^n n^3/2 = -period g1 sqrt(radius / pi) / 2
+    (1 + sum_e a_e n^-e).  `scaled` holds c^_n, the coefficients of
+    G(radius u) (`normalized_green_series`); those in `window` are fitted on
+    [1, n^-e for e in exponents].  Returns (g1, (first n, last n) used).
     """
     lo, hi = window
-    c = np.asarray(coeffs, dtype=float)
+    c = np.asarray(scaled, dtype=float)
     n = np.arange(max(lo, 1), min(hi, c.size - 1) + 1)
     n = n[n % period == 0]
-    n = n[np.abs(c[n]) >= np.finfo(float).tiny]
     if n.size <= len(exponents) + 1:
-        raise ValueError(f"too few normal coefficients in window {window}")
+        raise ValueError(f"too few coefficients in window {window}")
     nf = n.astype(float)
-    log_scaled = np.log(np.abs(c[n])) + nf * math.log(radius) + 1.5 * np.log(nf)
-    scaled = np.sign(c[n]) * np.exp(log_scaled)
     design = np.vstack([np.ones_like(nf)] + [nf ** -e for e in exponents]).T
-    const = np.linalg.lstsq(design, scaled, rcond=None)[0][0]
+    const = np.linalg.lstsq(design, c[n] * nf**1.5, rcond=None)[0][0]
     g1 = -2.0 * float(const) / (period * math.sqrt(radius / math.pi))
     return g1, (int(n[0]), int(n[-1]))
 
@@ -274,14 +272,13 @@ def criterion_7():
     ac = ans[0].theta / (ans[0].theta + ans[1].theta)
     spec = _spec((f7, ac), (f8, 1.0 - ac))
     _, g1 = sqrt_coefficient(spec)
-    radius, _ = product_radius(spec)
     _, argmin = theta_bar(spec)
     exponents = correction_exponents([factor_analytics(spec)[i].sing for i in argmin])
-    series = product_green_series(spec, 3000)
+    radius, scaled = normalized_green_series(spec, 3000)
     period = product_period(spec)
     fits = []
     for window in SQRT_FIT_WINDOWS:
-        g1_fit, used = fit_sqrt_coefficient(series.coeffs, radius, period, exponents, window)
+        g1_fit, used = fit_sqrt_coefficient(scaled.coeffs, radius, period, exponents, window)
         fits.append((used, g1_fit, abs(g1_fit / g1 - 1.0)))
     ok = all(err <= 0.02 for _, _, err in fits)
     basis = ", ".join(f"{e:g}" for e in exponents)

@@ -1,12 +1,14 @@
 """Truncated formal power-series arithmetic over float64 coefficients.
 
 A series is a coefficient vector c0..cN; every binary operation truncates to
-the smaller of the two orders.  Composition uses Brent-Kung block evaluation,
-reversion and the implicit Green-function solve use Newton iteration with
-order doubling, so everything stays at O(N^2) flops with plain (FFT-free)
-convolutions.  Direct convolution keeps the relative accuracy of the tiny
-high-order coefficients, which decay geometrically for the series handled
-here; FFT products would drown them in absolute rounding noise.
+the smaller of the two orders.  Products are direct (FFT-free) convolutions
+that form only the coefficients they keep.  Composition uses Brent-Kung block
+evaluation: about 2 sqrt(N) truncated products of O(N^2) flops each, so
+O(N^2.5) in all (Brent & Kung, JACM 1978).  Reversion and the implicit
+Green-function solve use Newton iteration with order doubling.  Direct
+convolution keeps the relative accuracy of every coefficient that is small
+against the coefficient sums, which FFT products would drown in absolute
+rounding noise.
 """
 
 from __future__ import annotations
@@ -99,8 +101,13 @@ class PowerSeries:
         return PowerSeries(c)
 
     def scale_arg(self, alpha: float) -> "PowerSeries":
-        """The series a(alpha*z): coefficient k picks up alpha^k."""
-        return PowerSeries(self.coeffs * alpha ** np.arange(self.coeffs.size))
+        """The series a(alpha*z): coefficient k picks up alpha^k.
+
+        The factor goes on as two half powers, so a coefficient stays finite
+        and keeps its accuracy where alpha^k alone would overflow or
+        underflow."""
+        half = alpha ** (0.5 * np.arange(self.coeffs.size))
+        return PowerSeries(self.coeffs * half * half)
 
     def __call__(self, z: float) -> float:
         """Evaluate the truncated polynomial at a scalar point."""
@@ -112,8 +119,29 @@ class PowerSeries:
         return f"PowerSeries([{head}{tail}], order={self.order})"
 
 
+_SPLIT_ORDER = 512  # below this a truncated product is one np.convolve
+
+
 def _trunc_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    return np.convolve(a[: order + 1], b[: order + 1])[: order + 1]
+    """Coefficients 0..order of a*b, by direct convolution.
+
+    With h = order // 2 + 1, the low halves a[:h] b[:h] give coefficients
+    0..2h-2 in full; the cross terms a b[h:] and a[h:] b are needed only to
+    order - h, so each is a truncated product of half the size; a[h:] b[h:]
+    starts past order.  Recursing forms about half of the full product's
+    terms.
+    """
+
+    def low(a, b, n):
+        if n < _SPLIT_ORDER:
+            return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
+        h = n // 2 + 1
+        out = np.zeros(n + 1)
+        out[: 2 * h - 1] = np.convolve(a[:h], b[:h])
+        out[h:] += low(a, b[h:], n - h) + low(a[h:], b, n - h)
+        return out
+
+    return low(a, b, order)
 
 
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -132,34 +160,47 @@ def series_reciprocal(a: PowerSeries) -> PowerSeries:
     b[0] = 1.0 / c[0]
     for k in range(1, n + 1):
         b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
+    b += 0.0  # -0.0 + 0.0 = +0.0: a zero coefficient carries no sign
     return PowerSeries(b)
 
 
-def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """outer(inner(z)) truncated to the smaller order; inner(0) must be 0."""
+def series_compose(outer, inner: PowerSeries):
+    """outer(inner(z)) truncated to the smallest order; inner(0) must be 0.
+
+    `outer` may be a sequence of series: they share one table of the powers
+    of inner, each result is bitwise the one a call of its own gives, and
+    the results come back as a tuple.
+    """
     if inner.coeffs[0] != 0.0:
         raise NonzeroInnerConstant("composition needs inner constant term 0")
-    n = min(outer.order, inner.order)
-    f = outer.coeffs[: n + 1]
+    outers = (outer,) if isinstance(outer, PowerSeries) else tuple(outer)
+    n = min(inner.order, *(f.order for f in outers))
     g = inner.coeffs[: n + 1]
     if n == 0:
-        return PowerSeries(f.copy())
-    # Brent-Kung: split outer into sqrt-size blocks, one dgemm for the block
-    # values, then Horner over inner^m.
+        out = tuple(PowerSeries(f.coeffs[:1].copy()) for f in outers)
+        return out[0] if isinstance(outer, PowerSeries) else out
+    # Brent-Kung: split outer into sqrt-size blocks, take the block values
+    # against the table of inner^0..inner^(m-1), then Horner over inner^m.
     m = math.isqrt(n) + 1
     pows = np.zeros((m, n + 1))
     pows[0, 0] = 1.0
     for i in range(1, m):
         pows[i] = _trunc_mul(pows[i - 1], g, n)
-    nblocks = -(-(n + 1) // m)
-    fpad = np.zeros(nblocks * m)
-    fpad[: n + 1] = f
-    blocks = fpad.reshape(nblocks, m) @ pows
     gm = _trunc_mul(pows[m - 1], g, n)
-    acc = blocks[-1]
-    for j in range(nblocks - 2, -1, -1):
-        acc = _trunc_mul(acc, gm, n) + blocks[j]
-    return PowerSeries(acc)
+    nblocks = -(-(n + 1) // m)
+    out = []
+    for f in outers:
+        fpad = np.zeros(nblocks * m)
+        fpad[: n + 1] = f.coeffs[: n + 1]
+        # einsum, not a BLAS dgemm, whose threads spin on this shape; summed
+        # from the highest power down, the order of growing terms when the
+        # inner series has mass at most 1, as in the radius variable
+        blocks = np.einsum("ij,jk->ik", fpad.reshape(nblocks, m)[:, ::-1], pows[::-1])
+        acc = blocks[-1]
+        for j in range(nblocks - 2, -1, -1):
+            acc = _trunc_mul(acc, gm, n) + blocks[j]
+        out.append(PowerSeries(acc))
+    return out[0] if isinstance(outer, PowerSeries) else tuple(out)
 
 
 def series_derivative(a: PowerSeries) -> PowerSeries:

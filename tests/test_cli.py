@@ -71,8 +71,11 @@ def test_series_csv_beyond_float_range_of_radius_power(tmp_path, capsys):
     coeffs = json.loads(json_out.out)["coefficients"]
     assert [float(r[1]) for r in rows] == coeffs
     scaled = [float(r[2]) for r in rows]
-    assert all(math.isfinite(v) and v >= 0.0 for v in scaled)
-    assert all(v == 0.0 for v, c in zip(scaled, coeffs) if c == 0.0)
+    assert all(math.isfinite(v) for v in scaled)
+    # mu_n radius^n is solved for, not rebuilt from mu_n: positive on every
+    # even n, including those past n ~ 1280 where mu_n itself underflows to 0
+    assert all((v > 0.0) == (n % 2 == 0) for n, v in enumerate(scaled))
+    assert any(c == 0.0 for c in coeffs[::2])
 
 
 def test_analyze_reuses_factor_analytics_across_weights(tmp_path, capsys):

@@ -265,3 +265,42 @@ class TestNearRadius:
         many = np.linspace(0.0, rho, 150)
         want = [lattice.green(beta, p, float(v)) for v in many]
         np.testing.assert_allclose(lattice.green(beta, p, many), want, rtol=rtol)
+
+
+def per_n_gammaln_series(beta, p, order):
+    """The axis merge of return_series with gammaln called anew for each n."""
+    from scipy import special
+
+    beta = np.asarray(beta, dtype=float)
+    p = np.asarray(p, dtype=float)
+    acc = lattice._axis_return_probs(float(p[0]), order)
+    wsum = float(beta[0])
+    for j in range(1, len(beta)):
+        axis = lattice._axis_return_probs(float(p[j]), order)
+        b = float(beta[j]) / (wsum + float(beta[j]))
+        nxt = np.zeros(order + 1)
+        nxt[0] = 1.0
+        log_b, log_nb = math.log(b), math.log1p(-b)
+        for n in range(2, order + 1, 2):
+            k = np.arange(0, n + 1, 2)
+            logpmf = (
+                special.gammaln(n + 1)
+                - special.gammaln(k + 1)
+                - special.gammaln(n - k + 1)
+                + k * log_b
+                + (n - k) * log_nb
+            )
+            nxt[n] = float(np.dot(np.exp(logpmf) * axis[k], acc[n - k]))
+        acc = nxt
+        wsum += float(beta[j])
+    return acc
+
+
+@pytest.mark.parametrize(
+    "beta,p",
+    [simple(5), ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5))],
+    ids=["Z5", "biased-Z5"],
+)
+def test_log_factorial_table_is_bitwise_per_n_gammaln(beta, p):
+    got = lattice.return_series(beta, p, 701).coeffs
+    assert np.array_equal(got, per_n_gammaln_series(beta, p, 701))

@@ -1,17 +1,19 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fprw import mc
 from fprw.classify import estimate_radius
 from fprw.errors import ConfigError, NotAtCriticality
-from fprw.factors import HomTree, LatticeNN, cyclic_group, flip_group
+from fprw.factors import ExplicitSeries, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import (
     FreeProductSpec,
     analyze_product,
     factor_analytics,
     is_two_by_two,
+    normalized_green_series,
     phi_of_t,
     product_green_series,
     product_radius,
@@ -224,3 +226,81 @@ class TestAnalyzeProduct:
         assert pa.psi_bar <= 1.0
         assert pa.radius == pytest.approx(pa.theta_bar / pa.phi_bar, rel=1e-12)
         assert math.isfinite(pa.g_at_radius)
+
+
+def tree_returns(q, order, dps=150):
+    """Return probabilities of the q-regular tree walk at n = 0, 2, ..., order.
+
+    G(z) = (q s - (q - 2)) / (2 (1 - z^2)) with s = sqrt(1 - 4 (q-1) z^2 / q^2)
+    and sqrt(1 - 4x) = 1 - 2 sum_n C_{n-1} x^n (Catalan numbers C), so
+    p_2N = 1 - q sum_{n=1}^{N} C_{n-1} ((q-1)/q^2)^n.  The sum cancels to
+    about rho^-2N, so it runs with dps digits.
+    """
+    with mp.workdps(dps):
+        r = mp.mpf(q - 1) / q**2
+        out = [mp.mpf(1)]
+        term, acc = r, mp.mpf(0)  # term = C_{n-1} r^n
+        for n in range(1, order // 2 + 1):
+            acc += term
+            out.append(1 - q * acc)
+            term = term * r * 2 * (2 * n - 1) / (n + 1)
+        return [float(v) for v in out]
+
+
+class TestNormalizedSeries:
+    def test_three_regular_tree_closed_form_at_order_4000(self):
+        s = spec_of((C2, 1.0), (C2, 1.0), (C2, 1.0))
+        g = product_green_series(s, 4000).coeffs
+        want = np.array(tree_returns(3, 4000))
+        assert np.all(g[1::2] == 0.0)
+        assert want[-1] > np.finfo(float).tiny  # about 2e-107
+        assert np.max(np.abs(g[::2] / want - 1.0)) <= 1e-13
+
+    def test_unscaled_series_is_normalized_times_radius_power(self):
+        s = spec_of((Z5, 0.5), (Z6, 0.5))
+        radius, scaled = normalized_green_series(s, 1500)
+        assert radius == product_radius(s)[0]
+        c = product_green_series(s, 1500).coeffs
+        with mp.workdps(30):
+            for n in range(0, 1501, 50):
+                want = mp.mpf(float(scaled[n])) * mp.mpf(radius) ** -n
+                if want >= np.finfo(float).tiny:
+                    assert float(abs(c[n] / want - 1)) <= 4 * np.finfo(float).eps
+
+    def test_normalized_series_stays_normal_past_underflow(self):
+        # c_n R^n ~ n^-lambda: normal where c_n itself underflows to zero
+        for pairs in (((Z5, 0.5), (Z6, 0.5)), ((Z5, 0.4), (Z6, 0.35), (HomTree(3), 0.25))):
+            s = spec_of(*pairs)
+            _, scaled = normalized_green_series(s, 1500)
+            c = product_green_series(s, 1500).coeffs
+            assert np.all(scaled.coeffs[::2] >= np.finfo(float).tiny)
+            assert np.all(scaled.coeffs[1::2] == 0.0)
+            assert np.any(c[::2] < np.finfo(float).tiny)
+
+    def test_zero_coefficients_carry_no_sign(self):
+        for pairs in (((Z5, 0.5), (Z6, 0.5)), ((C2, 1.0), (C2, 1.0), (C2, 1.0)), ((Z1, 0.3), (C2, 0.7))):
+            s = spec_of(*pairs)
+            assert not np.any(np.signbit(product_green_series(s, 200).coeffs))
+            assert not np.any(np.signbit(normalized_green_series(s, 200)[1].coeffs))
+
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            LatticeNN((0.5, 0.3, 0.2), (0.6, 0.5, 0.3)),
+            Z5,
+            HomTree(4),
+            cyclic_group(3, (0.1, 0.5, 0.4)),
+            ExplicitSeries(
+                coeffs=tuple(HomTree(3).series(300).coeffs), radius=3 / (2 * math.sqrt(2)),
+                g_at_r=4.0, gprime_at_r=math.inf, sing=None, period=2,
+            ),
+        ],
+        ids=["biased-lattice", "Z5", "T4", "C3", "explicit-T3"],
+    )
+    def test_radius_series_is_series_in_radius_variable(self, factor):
+        rho, scaled = factor.radius_series(300)
+        assert rho == pytest.approx(factor.invariants()[0], rel=1e-14)
+        c = factor.series(300).coeffs
+        with mp.workdps(30):
+            want = [float(mp.mpf(float(x)) * mp.mpf(rho) ** n) for n, x in enumerate(c)]
+        assert np.allclose(scaled.coeffs, want, rtol=1e-13, atol=0.0)

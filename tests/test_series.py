@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fprw import series as series_mod
 from fprw.errors import NonzeroInnerConstant, NotInvertible, ZeroConstantTerm
 from fprw.series import (
     PowerSeries,
@@ -267,3 +268,71 @@ class TestRingAxioms:
 def test_derivative():
     d = series_derivative(PowerSeries([5.0, 1.0, 2.0, 3.0]))
     assert np.allclose(d.coeffs, [1.0, 4.0, 9.0])
+
+
+class TestKernels:
+    """The split truncated product and the shared-table composition."""
+
+    split = series_mod._SPLIT_ORDER
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from((1, 2, 4)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    def test_split_product_equals_convolve(self, offset, mult, seed, signed):
+        n = mult * self.split + offset
+        rng = np.random.default_rng(seed)
+        a, b = rng.random(n + 1), rng.random(n + 1)
+        if signed:
+            a, b = a - 0.5, b - 0.5
+        got = series_mod._trunc_mul(a, b, n)
+        want = np.convolve(a, b)[: n + 1]
+        # the same terms in another order: within rounding of |a| * |b|
+        bound = 2 * (n + 1) * np.finfo(float).eps * np.convolve(np.abs(a), np.abs(b))[: n + 1]
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= bound)
+        if not signed:
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_shared_table_compose_is_bitwise_separate(self, order, count, seed):
+        rng = np.random.default_rng(seed)
+        outers = [PowerSeries(rng.normal(size=order + 1)) for _ in range(count)]
+        inner_c = rng.random(order + 1)
+        inner_c[0] = 0.0
+        inner = PowerSeries(inner_c)
+        shared = series_compose(outers, inner)
+        assert isinstance(shared, tuple) and len(shared) == count
+        for outer, got in zip(outers, shared):
+            assert np.array_equal(got.coeffs, series_compose(outer, inner).coeffs)
+
+    def test_shared_table_compose_is_bitwise_separate_past_split(self):
+        order = 2 * self.split + 5
+        rng = np.random.default_rng(7)
+        outer, outer_p = (PowerSeries(rng.random(order + 1)) for _ in range(2))
+        inner = PowerSeries(np.concatenate([[0.0], rng.random(order) / order]))
+        shared = series_compose((outer, outer_p), inner)
+        assert np.array_equal(shared[0].coeffs, series_compose(outer, inner).coeffs)
+        assert np.array_equal(shared[1].coeffs, series_compose(outer_p, inner).coeffs)
+
+    def test_reciprocal_zeros_carry_no_sign(self):
+        # 1/(1 - z^2/2): every odd coefficient is a zero formed as -0/1
+        r = series_reciprocal(PowerSeries([1.0, 0.0, -0.5] + [0.0] * 9))
+        assert not np.any(np.signbit(r.coeffs))
+        assert np.all(r.coeffs[1::2] == 0.0)
+
+    def test_scale_arg_past_overflow_of_the_power(self):
+        # 2^1100 overflows, while c_n 2^n here is 1 for every n
+        n = np.arange(1101)
+        c = PowerSeries(0.5 ** n.astype(float) * (n < 1074))
+        scaled = c.scale_arg(2.0).coeffs
+        assert np.allclose(scaled[:1074], 1.0, rtol=1e-15, atol=0.0)
+        assert np.all(scaled[1074:] == 0.0)
