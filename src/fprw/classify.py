@@ -120,6 +120,15 @@ def inherited_choice(ans, argmin):
     return idx, sing
 
 
+def law_of_psi(ans, argmin, pb: float):
+    """(kind, factor index, lambda, kappa) from pb = Psi(theta-bar): the law
+    of the dominant argmin factor when pb > _CRIT_TOL, else n^-3/2."""
+    if pb > _CRIT_TOL:
+        idx, sing = inherited_choice(ans, argmin)
+        return INHERITED, idx, sing.lam, sing.kappa
+    return THREE_HALVES, None, 1.5, 0
+
+
 def classify_two(spec: FreeProductSpec) -> AsymptoticLaw:
     """Classify a two-factor product (all theorem branches)."""
     if spec.m != 2:
@@ -140,25 +149,15 @@ def _classify_flat(spec: FreeProductSpec) -> AsymptoticLaw:
     pb = psi_of_t(spec, tbar)
     radius, _ = product_radius(spec)
     delta = product_period(spec)
-    conf = NEAR_CRITICAL if abs(pb) <= _WARN_TOL else EXACT
-    if pb > _CRIT_TOL:
-        idx, sing = inherited_choice(factor_analytics(spec), argmin)
-        return AsymptoticLaw(
-            radius=radius,
-            period=delta,
-            kind=INHERITED,
-            lam=sing.lam,
-            kappa=sing.kappa,
-            factor_index=idx,
-            confidence=conf,
-        )
+    kind, idx, lam, kappa = law_of_psi(factor_analytics(spec), argmin, pb)
     return AsymptoticLaw(
         radius=radius,
         period=delta,
-        kind=THREE_HALVES,
-        lam=1.5,
-        kappa=0,
-        confidence=conf,
+        kind=kind,
+        lam=lam,
+        kappa=kappa,
+        factor_index=idx,
+        confidence=NEAR_CRITICAL if abs(pb) <= _WARN_TOL else EXACT,
     )
 
 

@@ -244,7 +244,7 @@ def cmd_analyze(spec: FreeProductSpec, options, args) -> str:
 
 
 def cmd_series(spec: FreeProductSpec, options, args) -> str:
-    order = args.order or options["order"]
+    order = args.order if args.order is not None else options["order"]
     g = product_green_series(spec, order)
     radius, scaled = normalized_green_series(spec, order)
     delta = product_period(spec)
@@ -264,7 +264,7 @@ def cmd_series(spec: FreeProductSpec, options, args) -> str:
 def cmd_phase(spec: FreeProductSpec, options, args) -> str:
     if spec.m != 2:
         raise _PhaseArity("phase analysis is defined for two factors only")
-    grid = args.grid or options["grid"]
+    grid = args.grid if args.grid is not None else options["grid"]
     diag = phase.sweep(spec, grid_size=grid)
     if args.format == "json":
         payload = {

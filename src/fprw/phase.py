@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .classify import INHERITED, THREE_HALVES, inherited_choice
+from .classify import law_of_psi
 from .errors import (
     AmbiguousRegime,
     ConfigError,
@@ -30,7 +30,7 @@ from .factors import GreenAnalytics, LatticeNN, analyze_factor, psi_at_argument
 from .parallel import parallel_map, requested_threads
 from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two, theta_bar_of
 
-_SIGN_TOL = 1e-9  # Upsilon values closer to 0 than this are treated as zero
+_SIGN_TOL = 1e-9  # regime labels: Upsilon values closer to 0 than this count as zero
 _CASE_F_TOL = 1e-6
 _ROOT_XTOL = 1e-10
 
@@ -161,14 +161,11 @@ def regime_case(spec: FreeProductSpec) -> str:
 
 
 def _law_at(an1, an2, alpha1: float):
-    """Law kind at one grid point from the Upsilon sign (no radius solve)."""
+    """Law at one grid point: Upsilon is Psi(theta-bar) at these weights, and
+    `classify.law_of_psi` decides it as `analyze` does (no radius solve)."""
     ups = upsilon_of(an1, an2, alpha1)
-    warn = abs(ups) <= _WARN_TOL
-    if ups > _SIGN_TOL:
-        _, argmin = theta_bar_of((an1, an2), (alpha1, 1.0 - alpha1))
-        idx, sing = inherited_choice((an1, an2), argmin)
-        return ups, INHERITED, idx, sing.lam, sing.kappa, warn
-    return ups, THREE_HALVES, None, 1.5, 0, warn
+    _, argmin = theta_bar_of((an1, an2), (alpha1, 1.0 - alpha1))
+    return (ups, *law_of_psi((an1, an2), argmin, ups), abs(ups) <= _WARN_TOL)
 
 
 @dataclass(frozen=True)

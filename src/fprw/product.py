@@ -1,6 +1,7 @@
 """Free-product layer: theta-bar, Psi/Phi at the candidate singular argument,
-spectral radius of the product walk, the exact product Green series from the
-first-visit (zeta) system, and the square-root coefficient at criticality.
+spectral radius of the product walk, the exact product Green series from one
+first-visit (zeta) system over all m factors, and the square-root coefficient
+at criticality.
 
 Conventions for infinite values follow the ratio rules c/(c+inf) = 0 and
 inf/(inf+c) = 1; Psi_i at an infinite argument uses the factor's stored limit
@@ -186,70 +187,65 @@ def product_radius(spec: FreeProductSpec):
     return theta / g, g
 
 
-def first_return_series(g: PowerSeries) -> PowerSeries:
-    """First-return series U from a return series G via G = 1/(1-U)."""
-    n = g.order
-    c = g.coeffs
-    u = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        u[i] = c[i] - np.dot(u[1:i], c[i - 1:0:-1])
-    return PowerSeries(u)
-
-
 def _visit_kernel(g: PowerSeries) -> PowerSeries:
-    """T(w) = U(w)/w from a return series: nonnegative first-return coefficients."""
-    return PowerSeries(np.maximum(first_return_series(g).coeffs[1:], 0.0))
+    """T(w) = U(w)/w from a return series G = 1/(1-U): nonnegative
+    first-return coefficients."""
+    return PowerSeries(np.maximum(-series_reciprocal(g).coeffs[1:], 0.0))
 
 
-def _zeta_pair_series(t1: PowerSeries, t2: PowerSeries, s1: float, s2: float, order: int):
-    """Solve the coupled first-visit system for the zeta series (Newton).
+def _zeta_series(kernels, consts, order: int):
+    """The first-visit series V_1..V_m of the product, solved for zeta by Newton.
 
-    zeta_i (1 - V_j) = s_i u with V_j = s_j u T_j(zeta_j).  Every series in
-    the update (the V's, the sequence reciprocals 1/(1-V), the Jacobian
-    inverse assembled as a product of 1/(1-positive) pieces) has nonnegative
-    coefficients, so no step cancels and every coefficient keeps its
-    relative accuracy.  T_j and T_j' compose with zeta_j on one shared table
-    of powers.  The last pass only polishes zeta by a rounding-level d, so V
-    takes it as the first-order update V - s u T'(zeta) d instead of a fresh
-    composition.
+    zeta_i (1 - P_i) = s_i u with P_i = sum_{j != i} V_j and V_j = s_j u
+    T_j(zeta_j) (Woess, Random Walks on Infinite Graphs and Groups, 2000,
+    section 9); the product's return series is 1 / (1 - sum_j V_j).  The
+    Jacobian has diagonal 1 - P_i and off-diagonal -zeta_i W_j with
+    W_j = s_j u T_j'(zeta_j).  Gaussian elimination keeps each diagonal as
+    1 - (nonnegative series) and each off-diagonal as -(nonnegative series),
+    so every multiplier and reciprocal has nonnegative coefficients: no step
+    cancels and every coefficient keeps its relative accuracy.  For the same
+    reason P_i is a direct sum over j != i, never (sum_j V_j) - V_i.  T_j and
+    T_j' compose with zeta_j on one shared table of powers.  The last pass
+    only polishes zeta by a rounding-level d, so V takes it as the
+    first-order update V - W d instead of a fresh composition.
     """
-    t1p = series_derivative(t1).pad(order)
-    t2p = series_derivative(t2).pad(order)
-    zeta1 = PowerSeries.identity(order).truncate(1) * s1
-    zeta2 = PowerSeries.identity(order).truncate(1) * s2
+    m = len(kernels)
+    slopes = [series_derivative(t).pad(order) for t in kernels]
+    zeta = [PowerSeries.identity(1) * s for s in consts]
     cur = 1
     polished = False
     while cur < order or not polished:
         polished = cur == order
         cur = min(2 * cur, order)
-        z1 = zeta1.pad(cur)
-        z2 = zeta2.pad(cur)
+        zeta = [z.truncate(cur) for z in zeta]
+        v, w = [], []
+        for t, tp, s, z in zip(kernels, slopes, consts, zeta):
+            k, kp = series_compose((t.truncate(cur), tp.truncate(cur)), z)
+            v.append(k.shift() * s)
+            w.append(kp.shift() * s)
         ident = PowerSeries.identity(cur)
-        k1, k1p = series_compose((t1.truncate(cur), t1p.truncate(cur)), z1)
-        k2, k2p = series_compose((t2.truncate(cur), t2p.truncate(cur)), z2)
-        v1 = k1.shift() * s1
-        v2 = k2.shift() * s2
-        w1 = k1p.shift() * s1  # s_1 u T_1'(zeta_1)
-        w2 = k2p.shift() * s2
-        A = 1.0 - v2
-        D = 1.0 - v1
-        f1 = series_mul(z1, A) - ident * s1
-        f2 = series_mul(z2, D) - ident * s2
-        B = series_mul(z1, w2)
-        C = series_mul(z2, w1)
-        inv_a = series_reciprocal(A)
-        inv_d = series_reciprocal(D)
-        corr = series_mul(series_mul(B, C), series_mul(inv_a, inv_d))
-        inv_det = series_mul(
-            series_mul(inv_a, inv_d), series_reciprocal(1.0 - corr)
-        )
-        d1 = series_mul(series_mul(D, f1) + series_mul(B, f2), inv_det)
-        d2 = series_mul(series_mul(C, f1) + series_mul(A, f2), inv_det)
-        zeta1 = z1 - d1
-        zeta2 = z2 - d2
-    v1 = v1 - series_mul(w1, d1)
-    v2 = v2 - series_mul(w2, d2)
-    return zeta1, zeta2, v1, v2
+        # J d = f with J_ii = 1 - p[i] and J_ij = -b[i][j]
+        p = [sum(v[j] for j in range(m) if j != i) for i in range(m)]
+        f = [series_mul(z, 1.0 - pi) - ident * s for z, pi, s in zip(zeta, p, consts)]
+        b = [[series_mul(zeta[i], w[j]) if j != i else None for j in range(m)] for i in range(m)]
+        inv = []
+        for k in range(m):
+            inv.append(series_reciprocal(1.0 - p[k]))
+            for i in range(k + 1, m):
+                lik = series_mul(b[i][k], inv[k])
+                p[i] = p[i] + series_mul(lik, b[k][i])
+                f[i] = f[i] + series_mul(lik, f[k])
+                for j in range(k + 1, m):
+                    if j != i:
+                        b[i][j] = b[i][j] + series_mul(lik, b[k][j])
+        d = [None] * m
+        for i in reversed(range(m)):
+            rhs = f[i]
+            for j in range(i + 1, m):
+                rhs = rhs + series_mul(b[i][j], d[j])
+            d[i] = series_mul(rhs, inv[i])
+        zeta = [z - di for z, di in zip(zeta, d)]
+    return [vj - series_mul(wj, dj) for vj, wj, dj in zip(v, w, d)]
 
 
 def product_green_series(spec: FreeProductSpec, order: int) -> PowerSeries:
@@ -273,71 +269,47 @@ def product_green_series(spec: FreeProductSpec, order: int) -> PowerSeries:
 def normalized_green_series(spec: FreeProductSpec, order: int):
     """(R, G^) with R = product_radius(spec) and G^(u) = G(R u).
 
-    The first-visit system is solved in u = z/R.  Each factor enters as its
-    kernel in its own radius variable, T^_i(x) = rho_i T_i(rho_i x), built
-    from `radius_series`, and the pair solve takes s_i = alpha_i R / rho_i.
-    The first m-1 factors fold pairwise into a head whose kernel feeds the
-    next pairing; a head is solved in the variable of its own radius
-    (`product_radius` of the sub-product) and enters the next pairing with
-    that radius as its rho.  All participating series have nonnegative
-    coefficients, and c^_n = c_n R^n falls only like n^-lambda, so every
-    coefficient stays a normal float with relative error at roundoff level
-    (Flajolet & Sedgewick, Analytic Combinatorics, ch. VI, for the transfer
-    to c^_n ~ C n^-lambda).
+    The first-visit system of all m factors is solved in u = z/R
+    (`_zeta_series`).  Each factor enters once, as its kernel in its own
+    radius variable, T^_i(x) = rho_i T_i(rho_i x), built from
+    `radius_series`, with the constant s_i = alpha_i R / rho_i.  All
+    participating series have nonnegative coefficients, and c^_n = c_n R^n
+    falls only like n^-lambda, so every coefficient stays a normal float with
+    relative error at roundoff level (Flajolet & Sedgewick, Analytic
+    Combinatorics, ch. VI, for the transfer to c^_n ~ C n^-lambda).
+
+    A relative error e in a constant s_i or in the weights' sum acts like a
+    change e of the walk's mass: it moves the radius by about e and
+    coefficient n by about n e, which is 1e-13 at n = 2000 for e = eps / 2.
+    So the weights are exact fractions summing to 1, and the solve runs at
+    the float R~ within 128 ulps of R whose m constants round least (the
+    largest of their rounding errors is smallest); the best of those 257
+    typically rounds by under 0.03 eps for two factors and 0.3 eps for three
+    to five.  The result is carried back to R.
     """
-    # deeper folds consume one kernel order per level
-    depth = spec.m - 2
     # the weights as exact fractions of their sum, which is 1 only to rounding
     total = sum(map(Fraction, spec.weights))
-    kernels = []
+    kernels, ratios = [], []
     for f, a in zip(spec.factors, spec.weights):
-        rho, g = f.radius_series(order + depth + 1)
-        kernels.append((_visit_kernel(g), Fraction(a) / total, rho))
-    size = 2
-    while len(kernels) > 2:
-        (t1, a1, r1), (t2, a2, r2) = kernels[0], kernels[1]
-        w = a1 + a2
-        head = FreeProductSpec(spec.factors[:size], spec.weights[:size])
-        near, g_head = _pair_green(
-            t1, t2, a1 / w / Fraction(r1), a2 / w / Fraction(r2),
-            product_radius(head)[0], order + len(kernels) - 2,
-        )
-        kernels = [(_visit_kernel(g_head), w, near)] + kernels[2:]
-        size += 1
-    (t1, a1, r1), (t2, a2, r2) = kernels
+        rho, g = f.radius_series(order + 1)
+        kernels.append(_visit_kernel(g))
+        ratios.append(Fraction(a) / total / Fraction(rho))
     radius, _ = product_radius(spec)
-    near, g = _pair_green(t1, t2, a1 / Fraction(r1), a2 / Fraction(r2), radius, order)
-    # G(R u) = G(R~ (R / R~) u): coefficient n picks up (R / R~)^n; R - R~ is exact
-    shift = math.log1p((radius - near) / near)
-    return radius, PowerSeries(g.coeffs * np.exp(shift * np.arange(order + 1)))
-
-
-def _pair_green(t1: PowerSeries, t2: PowerSeries, q1: Fraction, q2: Fraction, radius: float, order: int):
-    """(R~, G(R~ u)) for the pair with exact weight-to-kernel-radius ratios
-    q_i = alpha_i / rho_i.
-
-    A relative error e in a constant s_i = q_i R~ or in the weights' sum acts
-    like a change e of the walk's mass: it moves the radius by about e and
-    coefficient n by about n e, which is 1e-13 at n = 2000 for e = eps / 2.
-    So the weights are exact fractions summing to 1, and R~ is the float
-    within 128 ulps of `radius` whose two constants round least; the best of
-    those 257 is typically within 0.03 ulp of exact.
-    """
     best = None
     for j in sorted(range(-128, 129), key=abs):
         near = radius + j * math.ulp(radius)
-        exact = [q * Fraction(near) for q in (q1, q2)]
+        exact = [q * Fraction(near) for q in ratios]
         consts = [float(x) for x in exact]
         err = max(abs(Fraction(c) / x - 1) for c, x in zip(consts, exact))
         if best is None or err < best[0]:
             best = (err, near, consts)
         if err == 0:
             break
-    _, near, (s1, s2) = best
-    _, _, v1, v2 = _zeta_pair_series(
-        t1.truncate(order), t2.truncate(order), s1, s2, order
-    )
-    return near, series_reciprocal(1.0 - (v1 + v2))
+    _, near, consts = best
+    g = series_reciprocal(1.0 - sum(_zeta_series(kernels, consts, order)))
+    # G(R u) = G(R~ (R / R~) u): coefficient n picks up (R / R~)^n; R - R~ is exact
+    shift = math.log1p((radius - near) / near)
+    return radius, PowerSeries(g.coeffs * np.exp(shift * np.arange(order + 1)))
 
 
 def zeta_at(spec: FreeProductSpec, z: float, tol: float = 1e-13, max_iter: int = 20000):

@@ -78,6 +78,19 @@ def test_series_csv_beyond_float_range_of_radius_power(tmp_path, capsys):
     assert any(c == 0.0 for c in coeffs[::2])
 
 
+def test_series_order_zero_is_one_coefficient(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, {"factors": [Z5, Z6], "weights": [0.5, 0.5]}, "series", "--order", "0")
+    assert code == 0
+    assert out.out.splitlines()[1:] == ["n,mu_n,mu_n_radius_n", "0,1,1"]
+
+
+def test_phase_grid_zero_exits_2(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, {"factors": [Z5, Z6], "weights": [0.5, 0.5]}, "phase", "--grid", "0")
+    assert code == 2
+    assert out.err == "config error: grid needs at least 3 points\n"
+    assert out.out == ""
+
+
 def test_analyze_reuses_factor_analytics_across_weights(tmp_path, capsys):
     factors.analyze_factor.cache_clear()
     for a in (0.5, 0.4, 0.3):

@@ -147,6 +147,19 @@ class TestSweep:
             elif p.alpha1 > high + 1e-6:
                 assert (p.kind, p.factor_index) == (INHERITED, 0)
 
+    def test_law_agrees_with_analyze_just_above_zero(self):
+        # Upsilon = Psi(theta-bar) = 5e-9 at alpha_c: above the regime labels'
+        # sign tolerance, below classify's critical tolerance
+        f5 = phase.tune_axis_weights(5, 0.5)
+        f6 = phase.tune_axis_weights(6, 0.5 + 5e-9)
+        an1, an2 = factor_analytics(pair(f5, f6))
+        ac = an1.theta / (an1.theta + an2.theta)
+        ups, kind, idx, lam, kappa, warn = phase._law_at(an1, an2, ac)
+        assert ups == pytest.approx(5e-9, rel=1e-3)
+        law = classify_two(pair(f5, f6, ac))
+        assert (kind, idx, lam, kappa) == (law.kind, law.factor_index, law.lam, law.kappa)
+        assert kind == THREE_HALVES
+
     def test_sign_determines_branch_outside_warning_band(self, z56):
         diag = phase.sweep(z56, grid_size=17)
         for p in diag.grid:

@@ -1,10 +1,14 @@
+import json
 import math
+from fractions import Fraction
+from math import comb, factorial
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from fprw import mc
+from fprw import cli, mc
 from fprw.classify import estimate_radius
 from fprw.errors import ConfigError, NotAtCriticality
 from fprw.factors import ExplicitSeries, HomTree, LatticeNN, cyclic_group, flip_group
@@ -247,6 +251,63 @@ def tree_returns(q, order, dps=150):
         return [float(v) for v in out]
 
 
+def _frac_mul(a, b):
+    return [sum(a[k] * b[n - k] for k in range(n + 1)) for n in range(len(a))]
+
+
+def _frac_reciprocal(a):
+    b = [1 / a[0]]
+    for n in range(1, len(a)):
+        b.append(-sum(a[k] * b[n - k] for k in range(1, n + 1)) / a[0])
+    return b
+
+
+def _frac_one_minus(parts, n):
+    return [int(k == 0) - sum(p[k] for p in parts) for k in range(n)]
+
+
+def exact_tree_series(q, order):
+    """Return probabilities of the q-regular tree walk in exact rationals:
+    F = z/q + ((q-1)/q) z F^2 is the first passage to a neighbour, G = 1/(1 - zF)."""
+    f = [Fraction(0)] * (order + 1)
+    for _ in range(order + 1):
+        f = [Fraction(0)] + [Fraction(int(n == 0), q) + Fraction(q - 1, q) * c for n, c in enumerate(_frac_mul(f, f)[:-1])]
+    return _frac_reciprocal(_frac_one_minus([[Fraction(0)] + f[:-1]], order + 1))
+
+
+def exact_lattice_series(d, order):
+    """Return probabilities of the simple walk on Z^d in exact rationals: the
+    exponential generating function is the d-th power of that of Z^1."""
+    one_axis = [Fraction(comb(k, k // 2), 2**k * d**k * factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(order + 1)]
+    egf = [Fraction(int(k == 0)) for k in range(order + 1)]
+    for _ in range(d):
+        egf = _frac_mul(egf, one_axis)
+    return [c * factorial(k) for k, c in enumerate(egf)]
+
+
+def exact_product_series(series, weights):
+    """c_0..c_N of the free product in exact rationals from the factors' return
+    series c_0..c_N: the first-visit system in z, zeta_i = alpha_i z / (1 - sum_{j != i} V_j)
+    with V_j = alpha_j z T_j(zeta_j), iterated until every coefficient is fixed."""
+    n = len(series[0])
+    # T(w) = (1 - 1/G(w)) / w
+    kernels = [[-c for c in _frac_reciprocal(g)[1:]] + [Fraction(0)] for g in series]
+    zeta = [[Fraction(0)] * n for _ in series]
+    for _ in range(n + 1):
+        v = []
+        for a, t, z in zip(weights, kernels, zeta):
+            tz = [Fraction(0)] * n
+            for c in reversed(t):
+                tz = _frac_mul(tz, z)
+                tz[0] += c
+            v.append([Fraction(0)] + [a * c for c in tz[:-1]])
+        zeta = [
+            [Fraction(0)] + [a * c for c in _frac_reciprocal(_frac_one_minus(v[:i] + v[i + 1:], n))[:-1]]
+            for i, a in enumerate(weights)
+        ]
+    return _frac_reciprocal(_frac_one_minus(v, n))
+
+
 class TestNormalizedSeries:
     def test_three_regular_tree_closed_form_at_order_4000(self):
         s = spec_of((C2, 1.0), (C2, 1.0), (C2, 1.0))
@@ -255,6 +316,32 @@ class TestNormalizedSeries:
         assert np.all(g[1::2] == 0.0)
         assert want[-1] > np.finfo(float).tiny  # about 2e-107
         assert np.max(np.abs(g[::2] / want - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("q,order", [(4, 3000), (5, 2000)])
+    def test_regular_tree_closed_form_of_more_factors(self, q, order):
+        s = FreeProductSpec((C2,) * q, (1.0,) * q)
+        g = product_green_series(s, order).coeffs
+        # the last term is about 1e-187 (q = 4) and 1e-194 (q = 5)
+        want = np.array(tree_returns(q, order, dps=260))
+        assert np.all(g[1::2] == 0.0)
+        assert want[-1] > np.finfo(float).tiny
+        assert np.max(np.abs(g[::2] / want - 1.0)) <= 1e-13
+
+    def test_explicit_factor_product_matches_exact_fractions(self):
+        # word convolution cannot take an explicit factor, so the golden
+        # X3*T4*Z8 is checked against the first-visit system in rationals
+        config = json.loads((Path(__file__).parent / "golden" / "configs.json").read_text())["X3xT4xZ8"]
+        s = FreeProductSpec(tuple(cli.parse_factor(f, i) for i, f in enumerate(config["factors"])), config["weights"])
+        weights = [Fraction(w) for w in config["weights"]]
+        exact = exact_product_series(
+            [[Fraction(c) for c in config["factors"][0]["coeffs"][:9]], exact_tree_series(4, 8), exact_lattice_series(8, 8)],
+            [w / sum(weights) for w in weights],
+        )
+        got = product_green_series(s, 200).coeffs[:9]
+        for g, e in zip(got, exact):
+            assert abs(Fraction(float(g)) - e) <= 2 * np.finfo(float).eps * e
+        # printed to 12 digits: c_6 = 0.00110110351562499981 is 2e-19 below a tie
+        assert [f"{g:.12g}" for g in got] == [f"{float(e):.12g}" for e in exact]
 
     def test_unscaled_series_is_normalized_times_radius_power(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
