@@ -21,6 +21,7 @@ on first access and is otherwise immutable after construction.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
@@ -39,10 +40,26 @@ DEFAULT_ORDER = 512
 _ROOT_RTOL = 1e-13
 _EDGE_RTOL = 1e-8
 
-# Green values kept per factor evaluator, keyed on (z, deriv), and analysed
-# factors kept per (factor, order)
+# Green values kept per factor evaluator, keyed on (z, deriv), analysed
+# factors kept per (factor, order), and lattice kernels kept per coupling
 _GREEN_CACHE_SIZE = 4096
 _ANALYTICS_CACHE_SIZE = 256
+_KERNEL_CACHE_SIZE = 8
+_kernel_cache: "OrderedDict[tuple, PowerSeries]" = OrderedDict()
+
+
+def _symmetric_return_series(couplings: tuple, order: int) -> PowerSeries:
+    """`lattice.return_series(couplings, (1/2, ...), order)`, kept at the
+    highest order asked for the last few coupling tuples.  Coefficient n of
+    the return series does not depend on the order, so a lower order is the
+    kept series truncated, bit for bit."""
+    kept = _kernel_cache.pop(couplings, None)
+    if kept is None or kept.order < order:
+        kept = lattice.return_series(couplings, (0.5,) * len(couplings), order)
+    _kernel_cache[couplings] = kept
+    if len(_kernel_cache) > _KERNEL_CACHE_SIZE:
+        _kernel_cache.popitem(last=False)
+    return kept.truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +131,7 @@ class LatticeNN:
         series is `series` bit for bit."""
         c = lattice.axis_coupling(self.beta, self.p)
         rho = float(np.sum(self.beta)) / float(np.sum(c))
-        return rho, lattice.return_series(c, (0.5,) * self.dim, order)
+        return rho, _symmetric_return_series(tuple(c.tolist()), order)
 
     def green(self, z: float, deriv: int) -> float:
         return lattice.green(self.beta, self.p, z, deriv)

@@ -24,8 +24,10 @@ approaches rho.  One vectorized pass evaluates all nodes; the Bessel columns
 are computed once per distinct axis coupling and raised to its multiplicity.
 
 The exact return-probability series comes from a separate per-axis dynamic
-programme in probability space (no factorials, no cancellation), which doubles
-as an independent oracle for the integral representation.
+programme in probability space, which doubles as an independent oracle for
+the integral representation.  Its binomial weights are formed from log n!,
+which cancels: coefficient n has a relative error of about eps log n!
+(1e-12 near n = 3000).
 """
 
 from __future__ import annotations
@@ -145,7 +147,13 @@ def return_series(beta, p, order: int) -> PowerSeries:
 
     Axes are merged one at a time: conditioning on how many of the n steps
     fall on the new axis gives a binomial mixture of the two return laws.
-    Everything stays a probability, so there is no cancellation or overflow.
+    Everything stays a probability, so nothing overflows, and the mixture is
+    a sum of nonnegative terms.  Each binomial weight is exp of
+    log n! - log k! - log (n-k)! + ..., whose terms reach about 2e4 at
+    n = 3000 and cancel to O(1), so the weight and coefficient n carry a
+    relative error of about eps log n!: measured at most 1.5 eps log n!,
+    6.4e-12 on Z^2 and 6.3e-12 on Z^3 through n = 3000.  Coefficient n does
+    not depend on `order`.
     """
     beta = np.asarray(beta, dtype=float)
     p = np.asarray(p, dtype=float)

@@ -205,17 +205,21 @@ def _zeta_series(kernels, consts, order: int):
     so every multiplier and reciprocal has nonnegative coefficients: no step
     cancels and every coefficient keeps its relative accuracy.  For the same
     reason P_i is a direct sum over j != i, never (sum_j V_j) - V_i.  T_j and
-    T_j' compose with zeta_j on one shared table of powers.  The last pass
-    only polishes zeta by a rounding-level d, so V takes it as the
-    first-order update V - W d instead of a fresh composition.
+    T_j' compose with zeta_j on one shared table of powers.
+
+    Each pass doubles the order to which zeta is correct, and the pass that
+    reaches `order` is the last: it starts from a zeta correct through the
+    previous pass's order c >= order / 2, so its correction is
+    d = O(u^(c+1)), d^2 lies past the order, and V takes d as the
+    first-order update V - W d, exact through `order`, instead of a fresh
+    composition.  Every full-order composition, elimination and reciprocal
+    runs once.
     """
     m = len(kernels)
     slopes = [series_derivative(t).pad(order) for t in kernels]
-    zeta = [PowerSeries.identity(1) * s for s in consts]
+    zeta = [PowerSeries.identity(1) * s for s in consts]  # correct through u^1
     cur = 1
-    polished = False
-    while cur < order or not polished:
-        polished = cur == order
+    while True:  # at least one pass, so that orders 0 and 1 get V and W too
         cur = min(2 * cur, order)
         zeta = [z.truncate(cur) for z in zeta]
         v, w = [], []
@@ -244,6 +248,8 @@ def _zeta_series(kernels, consts, order: int):
             for j in range(i + 1, m):
                 rhs = rhs + series_mul(b[i][j], d[j])
             d[i] = series_mul(rhs, inv[i])
+        if cur == order:
+            break
         zeta = [z - di for z, di in zip(zeta, d)]
     return [vj - series_mul(wj, dj) for vj, wj, dj in zip(v, w, d)]
 
@@ -257,8 +263,9 @@ def product_green_series(spec: FreeProductSpec, order: int) -> PowerSeries:
     the tuned Z^7 * Z^8 at its critical weight (R = 1.374), c_1202 for
     equal-weight Z^5 * Z^6 (R = 1.774).  Past that point c_n is subnormal or
     zero and carries no relative accuracy, while c^_n is still a normal
-    float accurate to roundoff (about 1e-5 and 2e-10 at n = 3000 for those
-    two products).  Fits of the coefficient asymptotics belong on c^_n.
+    float (about 1e-5 and 2e-10 at n = 3000 for those two products) with
+    the relative accuracy stated there.  Fits of the coefficient asymptotics
+    belong on c^_n.
     """
     radius, ghat = normalized_green_series(spec, order)
     half = radius ** (-0.5 * np.arange(order + 1))
@@ -274,9 +281,13 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     radius variable, T^_i(x) = rho_i T_i(rho_i x), built from
     `radius_series`, with the constant s_i = alpha_i R / rho_i.  All
     participating series have nonnegative coefficients, and c^_n = c_n R^n
-    falls only like n^-lambda, so every coefficient stays a normal float with
-    relative error at roundoff level (Flajolet & Sedgewick, Analytic
-    Combinatorics, ch. VI, for the transfer to c^_n ~ C n^-lambda).
+    falls only like n^-lambda, so every coefficient stays a normal float
+    (Flajolet & Sedgewick, Analytic Combinatorics, ch. VI, for the transfer
+    to c^_n ~ C n^-lambda).  The solve itself adds a relative error near
+    roundoff (the 3-regular tree meets its closed form to 1.2e-14 at order
+    2000), but it inherits that of the factor kernels: a lattice factor's
+    return series is accurate only to about eps log n!, 1e-12 near n = 3000
+    (`lattice.return_series`).
 
     A relative error e in a constant s_i or in the weights' sum acts like a
     change e of the walk's mass: it moves the radius by about e and

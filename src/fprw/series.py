@@ -4,11 +4,13 @@ A series is a coefficient vector c0..cN; every binary operation truncates to
 the smaller of the two orders.  Products are direct (FFT-free) convolutions
 that form only the coefficients they keep.  Composition uses Brent-Kung block
 evaluation: about 2 sqrt(N) truncated products of O(N^2) flops each, so
-O(N^2.5) in all (Brent & Kung, JACM 1978).  Reversion and the implicit
-Green-function solve use Newton iteration with order doubling.  Direct
-convolution keeps the relative accuracy of every coefficient that is small
-against the coefficient sums, which FFT products would drown in absolute
-rounding noise.
+O(N^2.5) in all (Brent & Kung, JACM 1978).  The reciprocal takes one dot
+product per coefficient below the product's split order and extends past
+it by Newton steps with order doubling, two truncated products per step.
+Reversion and the implicit Green-function solve use Newton iteration with
+order doubling too.  Direct convolution keeps the relative accuracy of every
+coefficient that is small against the coefficient sums, which FFT products
+would drown in absolute rounding noise.
 """
 
 from __future__ import annotations
@@ -151,15 +153,31 @@ def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 def series_reciprocal(a: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse: series b with a*b = 1 + O(z^{N+1})."""
+    """Multiplicative inverse: series b with a*b = 1 + O(z^{N+1}).
+
+    Below the split order, one dot product per coefficient.  Past it, b is
+    first formed that way through N >> k, the largest such order below the
+    split; each Newton step then takes b, correct through h - 1, to order
+    2h - 1 or N as b <- b - b (a b)_{>=h}, two truncated products, since
+    (a b)_k vanishes for 0 < k < h.  For a = 1 - P with P >= 0 the high part
+    (a b)_{>=h} = -(P b)_{>=h} has no cancellation and b stays a sum of
+    nonnegative terms, as in the loop.
+    """
     c = a.coeffs
     if c[0] == 0.0:
         raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
     n = a.order
+    tops = [n]  # the order each Newton step reaches, last step first
+    while tops[-1] >= _SPLIT_ORDER:
+        tops.append(tops[-1] // 2)
     b = np.zeros(n + 1)
     b[0] = 1.0 / c[0]
-    for k in range(1, n + 1):
+    for k in range(1, tops.pop() + 1):
         b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
+    for top in reversed(tops):
+        h = top // 2 + 1  # b is correct through h - 1 and zero past it
+        high = _trunc_mul(c, b, top)[h:]
+        b[h : top + 1] = -_trunc_mul(b, high, top - h)
     b += 0.0  # -0.0 + 0.0 = +0.0: a zero coefficient carries no sign
     return PowerSeries(b)
 

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fprw import cli, mc
+from fprw import cli, mc, product
 from fprw.classify import estimate_radius
 from fprw.errors import ConfigError, NotAtCriticality
 from fprw.factors import ExplicitSeries, HomTree, LatticeNN, cyclic_group, flip_group
@@ -27,6 +27,7 @@ from fprw.product import (
     theta_bar,
     zeta_at,
 )
+from fprw.series import series_compose
 
 
 def spec_of(*pairs):
@@ -337,11 +338,31 @@ class TestNormalizedSeries:
             [[Fraction(c) for c in config["factors"][0]["coeffs"][:9]], exact_tree_series(4, 8), exact_lattice_series(8, 8)],
             [w / sum(weights) for w in weights],
         )
-        got = product_green_series(s, 200).coeffs[:9]
-        for g, e in zip(got, exact):
-            assert abs(Fraction(float(g)) - e) <= 2 * np.finfo(float).eps * e
-        # printed to 12 digits: c_6 = 0.00110110351562499981 is 2e-19 below a tie
-        assert [f"{g:.12g}" for g in got] == [f"{float(e):.12g}" for e in exact]
+        # orders 0-3 end the Newton doubling after its first or second pass
+        for order in (200, 0, 1, 2, 3):
+            got = product_green_series(s, order).coeffs[:9]
+            assert got.size == min(order, 8) + 1
+            for g, e in zip(got, exact):
+                assert abs(Fraction(float(g)) - e) <= 2 * np.finfo(float).eps * e
+            # printed to 12 digits: c_6 = 0.00110110351562499981 is 2e-19 below a tie
+            assert [f"{g:.12g}" for g in got] == [f"{float(e):.12g}" for e in exact[: got.size]]
+
+    def test_full_order_compositions_run_once_per_factor(self, monkeypatch):
+        # the Newton pass that reaches the order is the last one: m full-order
+        # compositions per solve, not 2m
+        orders = []
+
+        def spy(outer, inner):
+            orders.append(inner.order)
+            return series_compose(outer, inner)
+
+        monkeypatch.setattr(product, "series_compose", spy)
+        for pairs in (((Z5, 0.5), (Z6, 0.5)), ((Z5, 0.4), (Z6, 0.35), (HomTree(3), 0.25))):
+            for order in (1, 2, 300):
+                orders.clear()
+                normalized_green_series.__wrapped__(spec_of(*pairs), order)  # uncached
+                assert orders.count(order) == len(pairs)
+                assert max(orders) == order
 
     def test_unscaled_series_is_normalized_times_radius_power(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))

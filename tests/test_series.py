@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fprw import series as series_mod
 from fprw.errors import NonzeroInnerConstant, NotInvertible, ZeroConstantTerm
+from fprw.factors import LatticeNN
 from fprw.series import (
     PowerSeries,
     series_compose,
@@ -44,6 +45,15 @@ def first_return_probs_z(nmax):
         out[n] = nxt.pop(0, 0.0)
         mass = nxt
     return out
+
+
+def loop_reciprocal(c):
+    """1/c by one dot product per coefficient: the reciprocal below the split."""
+    b = np.zeros(c.size)
+    b[0] = 1.0 / c[0]
+    for k in range(1, c.size):
+        b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
+    return b + 0.0
 
 
 class TestMul:
@@ -324,10 +334,31 @@ class TestKernels:
         assert np.array_equal(shared[1].coeffs, series_compose(outer_p, inner).coeffs)
 
     def test_reciprocal_zeros_carry_no_sign(self):
-        # 1/(1 - z^2/2): every odd coefficient is a zero formed as -0/1
-        r = series_reciprocal(PowerSeries([1.0, 0.0, -0.5] + [0.0] * 9))
-        assert not np.any(np.signbit(r.coeffs))
-        assert np.all(r.coeffs[1::2] == 0.0)
+        # 1/(1 - z^2/2): every odd coefficient is a zero formed as -0/1, by the
+        # loop at order 11 and by the Newton steps past the split at 1025
+        for order in (11, 2 * self.split + 1):
+            r = series_reciprocal(PowerSeries([1.0, 0.0, -0.5] + [0.0] * (order - 2)))
+            assert not np.any(np.signbit(r.coeffs))
+            assert np.all(r.coeffs[1::2] == 0.0)
+
+    @pytest.mark.parametrize("order", [511, 512, 513, 1025, 3000])
+    def test_reciprocal_past_split_matches_loop(self, order):
+        # 1 - P with P >= 0 of mass 0.9 is the elimination's diagonal, and Z^5's
+        # return series in its radius variable the input of the visit kernel
+        rng = np.random.default_rng(order)
+        p = rng.random(order + 1)
+        p[0] = 0.0
+        p *= 0.9 / p.sum()
+        _, g = LatticeNN.simple(5).radius_series(order)
+        for c in (np.concatenate([[1.0], -p[1:]]), g.coeffs):
+            got = series_reciprocal(PowerSeries(c)).coeffs
+            want = loop_reciprocal(c)
+            if order < self.split:
+                assert np.array_equal(got, want)
+            # measured: at most 8 ulp on 1 - P, 7 on Z^5
+            assert np.all(np.abs(got - want) <= 16 * np.spacing(np.abs(want)))
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert not np.any(np.signbit(got[got == 0.0]))
 
     def test_scale_arg_past_overflow_of_the_power(self):
         # 2^1100 overflows, while c_n 2^n here is 1 for every n
