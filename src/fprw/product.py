@@ -283,11 +283,10 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     participating series have nonnegative coefficients, and c^_n = c_n R^n
     falls only like n^-lambda, so every coefficient stays a normal float
     (Flajolet & Sedgewick, Analytic Combinatorics, ch. VI, for the transfer
-    to c^_n ~ C n^-lambda).  The solve itself adds a relative error near
-    roundoff (the 3-regular tree meets its closed form to 1.2e-14 at order
-    2000), but it inherits that of the factor kernels: a lattice factor's
-    return series is accurate only to about eps log n!, 1e-12 near n = 3000
-    (`lattice.return_series`).
+    to c^_n ~ C n^-lambda).  The solve adds a relative error near roundoff
+    (the 3-regular tree meets its closed form to 1.2e-14 at order 2000) to
+    that of the factor kernels; a lattice factor's return series is within a
+    few eps of exact at every n (`lattice.return_series`).
 
     A relative error e in a constant s_i or in the weights' sum acts like a
     change e of the walk's mass: it moves the radius by about e and

@@ -4,9 +4,12 @@ A series is a coefficient vector c0..cN; every binary operation truncates to
 the smaller of the two orders.  Products are direct (FFT-free) convolutions
 that form only the coefficients they keep.  Composition uses Brent-Kung block
 evaluation: about 2 sqrt(N) truncated products of O(N^2) flops each, so
-O(N^2.5) in all (Brent & Kung, JACM 1978).  The reciprocal takes one dot
-product per coefficient below the product's split order and extends past
-it by Newton steps with order doubling, two truncated products per step.
+O(N^2.5) in all (Brent & Kung, JACM 1978).  An outer polynomial of degree
+D with D^2 < N, such as the kernel T(x) = x of Z/2Z, goes by Horner's rule
+instead: D truncated products and no table of powers.  The reciprocal takes
+one dot product per coefficient below the product's split order and
+extends past it by Newton steps with order doubling, two truncated products
+per step.
 Reversion and the implicit Green-function solve use Newton iteration with
 order doubling too.  Direct convolution keeps the relative accuracy of every
 coefficient that is small against the coefficient sums, which FFT products
@@ -187,37 +190,50 @@ def series_compose(outer, inner: PowerSeries):
 
     `outer` may be a sequence of series: they share one table of the powers
     of inner, each result is bitwise the one a call of its own gives, and
-    the results come back as a tuple.
+    the results come back as a tuple.  An outer of degree D (its last
+    nonzero coefficient) with D^2 < N is a short polynomial: Horner's rule
+    takes D truncated products and needs no table.
     """
     if inner.coeffs[0] != 0.0:
         raise NonzeroInnerConstant("composition needs inner constant term 0")
     outers = (outer,) if isinstance(outer, PowerSeries) else tuple(outer)
     n = min(inner.order, *(f.order for f in outers))
     g = inner.coeffs[: n + 1]
-    if n == 0:
-        out = tuple(PowerSeries(f.coeffs[:1].copy()) for f in outers)
-        return out[0] if isinstance(outer, PowerSeries) else out
-    # Brent-Kung: split outer into sqrt-size blocks, take the block values
-    # against the table of inner^0..inner^(m-1), then Horner over inner^m.
-    m = math.isqrt(n) + 1
-    pows = np.zeros((m, n + 1))
-    pows[0, 0] = 1.0
-    for i in range(1, m):
-        pows[i] = _trunc_mul(pows[i - 1], g, n)
-    gm = _trunc_mul(pows[m - 1], g, n)
-    nblocks = -(-(n + 1) // m)
-    out = []
-    for f in outers:
-        fpad = np.zeros(nblocks * m)
-        fpad[: n + 1] = f.coeffs[: n + 1]
-        # einsum, not a BLAS dgemm, whose threads spin on this shape; summed
-        # from the highest power down, the order of growing terms when the
-        # inner series has mass at most 1, as in the radius variable
-        blocks = np.einsum("ij,jk->ik", fpad.reshape(nblocks, m)[:, ::-1], pows[::-1])
-        acc = blocks[-1]
-        for j in range(nblocks - 2, -1, -1):
-            acc = _trunc_mul(acc, gm, n) + blocks[j]
-        out.append(PowerSeries(acc))
+    out = [None] * len(outers)
+    long = []
+    for i, f in enumerate(outers):
+        nz = np.flatnonzero(f.coeffs[: n + 1])
+        degree = int(nz[-1]) if nz.size else 0
+        if degree * degree < n or n == 0:
+            acc = np.zeros(n + 1)
+            acc[0] = f.coeffs[degree]
+            for j in range(degree - 1, -1, -1):
+                acc = _trunc_mul(acc, g, n)
+                acc[0] += f.coeffs[j]
+            out[i] = PowerSeries(acc)
+        else:
+            long.append(i)
+    if long:
+        # Brent-Kung: split outer into sqrt-size blocks, take the block values
+        # against the table of inner^0..inner^(m-1), then Horner over inner^m.
+        m = math.isqrt(n) + 1
+        pows = np.zeros((m, n + 1))
+        pows[0, 0] = 1.0
+        for i in range(1, m):
+            pows[i] = _trunc_mul(pows[i - 1], g, n)
+        gm = _trunc_mul(pows[m - 1], g, n)
+        nblocks = -(-(n + 1) // m)
+        for i in long:
+            fpad = np.zeros(nblocks * m)
+            fpad[: n + 1] = outers[i].coeffs[: n + 1]
+            # einsum, not a BLAS dgemm, whose threads spin on this shape; summed
+            # from the highest power down, the order of growing terms when the
+            # inner series has mass at most 1, as in the radius variable
+            blocks = np.einsum("ij,jk->ik", fpad.reshape(nblocks, m)[:, ::-1], pows[::-1])
+            acc = blocks[-1]
+            for j in range(nblocks - 2, -1, -1):
+                acc = _trunc_mul(acc, gm, n) + blocks[j]
+            out[i] = PowerSeries(acc)
     return out[0] if isinstance(outer, PowerSeries) else tuple(out)
 
 

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fprw import lattice
 from fprw.errors import OutOfDomain
@@ -13,6 +16,9 @@ from fprw.phase import tuned_lattice
 
 def simple(d):
     return np.full(d, 1.0 / d), np.full(d, 0.5)
+
+
+EXACT_EPS = 16  # relative error of return_series against exact rationals, in eps
 
 
 class TestRadius:
@@ -82,9 +88,8 @@ class TestSeries:
         assert np.all(s.coeffs[1::2] == 0.0)
 
     def test_relative_error_bounded_through_3000(self):
-        # log n! ~ 2e4 cancels inside the binomial weights, so coefficient n
-        # carries a relative error of about eps log n! (measured: at most
-        # 1.49 eps log n!, 6.4e-12 on Z^2 and 6.3e-12 on Z^3)
+        # Loader's weights and axis laws hold every coefficient to a few eps
+        # (measured: at most 2.5 eps on Z^2 and 3.1 eps on Z^3)
         order = 3000
         # A002893: a_m = sum_{i+j+k=m} (m! / (i! j! k!))^2 = sum_k C(m,k)^2 C(2k,k)
         a = [1, 3]
@@ -98,8 +103,7 @@ class TestSeries:
         for d, want in exact.items():
             got = lattice.return_series(*simple(d), order).coeffs[::2]
             err = [abs(float(Fraction(float(g)) / w - 1)) for g, w in zip(got, want)]
-            bound = [2 * np.finfo(float).eps * math.lgamma(2 * m + 1) for m in range(order // 2 + 1)]
-            assert all(e <= b for e, b in zip(err, bound))
+            assert max(err) <= EXACT_EPS * np.finfo(float).eps
 
 
 class TestGreen:
@@ -288,33 +292,45 @@ class TestNearRadius:
         np.testing.assert_allclose(lattice.green(beta, p, many), want, rtol=rtol)
 
 
-def per_n_gammaln_series(beta, p, order):
-    """The axis merge of return_series with gammaln called anew for each n."""
-    from scipy import special
+def exact_return_series(beta, p, order):
+    """Even coefficients of the return series in exact rationals.
 
-    beta = np.asarray(beta, dtype=float)
-    p = np.asarray(p, dtype=float)
-    acc = lattice._axis_return_probs(float(p[0]), order)
-    wsum = float(beta[0])
-    for j in range(1, len(beta)):
-        axis = lattice._axis_return_probs(float(p[j]), order)
-        b = float(beta[j]) / (wsum + float(beta[j]))
-        nxt = np.zeros(order + 1)
-        nxt[0] = 1.0
-        log_b, log_nb = math.log(b), math.log1p(-b)
-        for n in range(2, order + 1, 2):
-            k = np.arange(0, n + 1, 2)
-            logpmf = (
-                special.gammaln(n + 1)
-                - special.gammaln(k + 1)
-                - special.gammaln(n - k + 1)
-                + k * log_b
-                + (n - k) * log_nb
-            )
-            nxt[n] = float(np.dot(np.exp(logpmf) * axis[k], acc[n - k]))
-        acc = nxt
-        wsum += float(beta[j])
-    return acc
+    The floats beta_j = a_j / 2^E and p_j (1 - p_j) = u_j / 2^F are exact
+    dyadic rationals.  The exponential generating function of the walk is
+    prod_j sum_m t_j^m x^m / (m!)^2 in x = (s / B)^2, t_j = a_j^2 u_j, B =
+    sum_j a_j, so with Q_M = (M!)^2 2^(2EM + FM) [x^M], an integer,
+    Q^(j)_M = sum_m C(M, m)^2 t_j^m Q^(j-1)_(M-m) and c_(2M) = C(2M, M) Q_M /
+    (2^(FM) B^(2M)).
+    """
+    beta = [Fraction(float(x)) for x in beta]
+    q = [Fraction(float(x)) * (1 - Fraction(float(x))) for x in p]
+    e = max(x.denominator for x in beta).bit_length() - 1
+    f = max(x.denominator for x in q).bit_length() - 1
+    a = [int(x * 2**e) for x in beta]
+    top = order // 2
+    big_q = None
+    for aj, qj in zip(a, q):
+        powers = [(aj * aj * int(qj * 2**f)) ** m for m in range(top + 1)]
+        if big_q is None:
+            big_q = powers
+            continue
+        big_q = [sum(math.comb(M, m) ** 2 * powers[m] * big_q[M - m] for m in range(M + 1)) for M in range(top + 1)]
+    return [Fraction(math.comb(2 * M, M) * big_q[M], 2 ** (f * M) * sum(a) ** (2 * M)) for M in range(top + 1)]
+
+
+def test_exact_reference_matches_multinomial_sum():
+    beta, p = (0.6, 0.4), (0.3, 0.5)
+    want = exact_return_series(beta, p, 6)
+    b = [Fraction(x) for x in beta]
+    for M, w in enumerate(want):
+        n = 2 * M
+        direct = sum(
+            math.comb(n, n1) * b[0] ** n1 * b[1] ** (n - n1)
+            * math.comb(n1, n1 // 2) * (Fraction(p[0]) * (1 - Fraction(p[0]))) ** (n1 // 2)
+            * math.comb(n - n1, (n - n1) // 2) * (Fraction(p[1]) * (1 - Fraction(p[1]))) ** ((n - n1) // 2)
+            for n1 in range(0, n + 1, 2)
+        ) / (b[0] + b[1]) ** n
+        assert w == direct
 
 
 @pytest.mark.parametrize(
@@ -322,6 +338,73 @@ def per_n_gammaln_series(beta, p, order):
     [simple(5), ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5))],
     ids=["Z5", "biased-Z5"],
 )
-def test_log_factorial_table_is_bitwise_per_n_gammaln(beta, p):
-    got = lattice.return_series(beta, p, 701).coeffs
-    assert np.array_equal(got, per_n_gammaln_series(beta, p, 701))
+def test_matches_exact_rationals_at_order_200(beta, p):
+    # measured: 4.6 eps on Z5 and 5.7 eps on biased-Z5
+    got = lattice.return_series(beta, p, 200).coeffs
+    want = exact_return_series(beta, p, 200)
+    assert np.all(got[1::2] == 0.0)
+    err = [abs(float(Fraction(float(g)) / w - 1)) for g, w in zip(got[::2], want)]
+    assert max(err) <= EXACT_EPS * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "beta,p",
+    [simple(5), ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5)), (tuned_lattice(8, 0.3).beta, (0.5,) * 8)],
+    ids=["Z5", "biased-Z5", "tuned-Z8"],
+)
+def test_coefficients_do_not_depend_on_order(beta, p):
+    # factors._symmetric_return_series serves a lower order by truncation
+    top = lattice.return_series(beta, p, 1501).coeffs
+    for order in (0, 1, 2, 3, 4, 37, 200, 1001, 1500):
+        assert np.array_equal(lattice.return_series(beta, p, order).coeffs, top[: order + 1])
+
+
+def full_window(n, target, b):
+    return np.array([[0.0], [1.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    small=st.floats(0.005, 0.1),
+    rest=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
+    p=st.lists(st.floats(0.2, 0.8), min_size=4, max_size=4),
+    order=st.integers(40, 700),
+)
+def test_window_matches_full_binomial_sum(d, small, rest, p, order):
+    # the second axis enters with ratio b = small / (1 + small) < 0.1
+    beta = [1.0, small, *rest][:d]
+    got = lattice.return_series(beta, p[:d], order).coeffs
+    with mock.patch.object(lattice, "_chernoff_window", full_window):
+        full = lattice.return_series(beta, p[:d], order).coeffs
+    # each merge drops at most 2 _TAIL_TOL of its kept sum and sums the
+    # same nonnegative terms in another grouping (measured: 2 eps)
+    bound = (d - 1) * (2 * lattice._TAIL_TOL + 4 * np.finfo(float).eps)
+    assert np.all((got == 0.0) == (full == 0.0))
+    nz = full > 0.0
+    assert np.all(np.abs(got[nz] - full[nz]) <= bound * full[nz])
+
+
+def test_stirlerr_table_against_mpmath():
+    table = lattice._stirlerr(3000)
+    with mp.workdps(30):
+        for n in [*range(1, 200), 500, 501, 1000, 2999, 3000]:
+            want = mp.loggamma(n + 1) - (n + mp.mpf(1) / 2) * mp.log(n) + n - mp.log(2 * mp.pi) / 2
+            if n < len(lattice._STIRLERR_SMALL):
+                assert table[n] == float(want)  # the literal constants are correctly rounded
+            assert abs(mp.mpf(table[n]) - want) <= np.finfo(float).eps / 2  # measured: 0.48 eps
+
+
+def test_tuned_z8_at_order_10001_keeps_temporaries_bounded():
+    # chunked at _CELLS window cells per pass; unchunked, each temporary of a
+    # merge would hold its 5,000 rows x 250 window cells, 10 MB
+    spec = tuned_lattice(8, 0.3)
+    c = tuple(lattice.axis_coupling(spec.beta, spec.p).tolist())
+    tracemalloc.start()
+    try:
+        s = lattice.return_series(c, (0.5,) * 8, 10001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(s.coeffs[::2] > 0.0)
+    assert peak <= 4 * 2**20  # measured: 1.6 MB, of which 0.7 MB are the order-10^4 arrays

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -332,6 +333,53 @@ class TestKernels:
         shared = series_compose((outer, outer_p), inner)
         assert np.array_equal(shared[0].coeffs, series_compose(outer, inner).coeffs)
         assert np.array_equal(shared[1].coeffs, series_compose(outer_p, inner).coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=1200),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_short_outer_is_horner_on_trunc_mul(self, order, degree, seed):
+        degree = min(degree, math.isqrt(order - 1) if order > 1 else 0)  # degree^2 < order
+        rng = np.random.default_rng(seed)
+        coeffs = np.zeros(order + 1)  # trailing zeros past the degree
+        coeffs[: degree + 1] = rng.normal(size=degree + 1)
+        coeffs[degree] = 1.0 + rng.random()
+        inner_c = np.concatenate([[0.0], rng.random(order) / order])
+        # reference: repeated _trunc_mul from the top coefficient down
+        want = np.zeros(order + 1)
+        want[0] = coeffs[degree]
+        for j in range(degree - 1, -1, -1):
+            want = series_mod._trunc_mul(want, inner_c, order)
+            want[0] += coeffs[j]
+        real = series_mod._trunc_mul
+        with mock.patch.object(series_mod, "_trunc_mul", wraps=real) as spy:
+            got = series_compose(PowerSeries(coeffs), PowerSeries(inner_c)).coeffs
+        assert spy.call_count == degree  # no table of powers
+        assert np.array_equal(got, want)
+        # a top coefficient of 1e-300 forces Brent-Kung and moves only z^order,
+        # by 1e-300 inner_1^order: the two routes agree to rounding
+        padded = coeffs.copy()
+        padded[order] = 1e-300
+        blocked = series_compose(PowerSeries(padded), PowerSeries(inner_c)).coeffs
+        scale = np.zeros(order + 1)
+        scale[0] = abs(coeffs[degree])
+        for j in range(degree - 1, -1, -1):
+            scale = np.convolve(scale, inner_c)[: order + 1]
+            scale[0] += abs(coeffs[j])
+        bound = 4 * (order + 1) * np.finfo(float).eps * scale + 1e-300
+        assert np.all(np.abs(blocked - got) <= bound)
+
+    @pytest.mark.parametrize("order", [1, 2, 40, 2 * series_mod._SPLIT_ORDER + 3])
+    def test_flip_kernel_compositions_are_bitwise(self, order):
+        # the C2 kernel T(x) = x and its slope T' = 1 give zeta and 1 exactly
+        rng = np.random.default_rng(order)
+        zeta = PowerSeries(np.concatenate([[0.0], rng.random(order)]))
+        t, tp = series_compose((PowerSeries.identity(order), PowerSeries.one(order)), zeta)
+        assert np.array_equal(t.coeffs, zeta.coeffs)
+        assert np.array_equal(tp.coeffs, PowerSeries.one(order).coeffs)
+        assert not np.any(np.signbit(t.coeffs)) and not np.any(np.signbit(tp.coeffs))
 
     def test_reciprocal_zeros_carry_no_sign(self):
         # 1/(1 - z^2/2): every odd coefficient is a zero formed as -0/1, by the
