@@ -204,7 +204,7 @@ def series_compose(outer, inner: PowerSeries):
     for i, f in enumerate(outers):
         nz = np.flatnonzero(f.coeffs[: n + 1])
         degree = int(nz[-1]) if nz.size else 0
-        if degree * degree < n or n == 0:
+        if degree == 0 or degree * degree < n:
             acc = np.zeros(n + 1)
             acc[0] = f.coeffs[degree]
             for j in range(degree - 1, -1, -1):

@@ -208,7 +208,8 @@ class TestKernelCache:
         assert len(calls) == 4
         assert np.array_equal(again[0].coeffs, low[0].coeffs)
         assert np.array_equal(again[2].coeffs, low[1].coeffs)
-        assert again[1] is high[0] or np.array_equal(again[1].coeffs, high[0].coeffs)
+        assert np.array_equal(again[1].coeffs, high[0].coeffs)
+        assert np.array_equal(again[3].coeffs, high[1].coeffs)
 
 
 class TestPsi:
