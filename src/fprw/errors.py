@@ -34,7 +34,11 @@ class RootNotBracketed(FprwError):
 
 
 class NoConvergence(FprwError):
-    """A fixed-point iteration did not converge within the iteration cap."""
+    """A fixed-point iteration or root search did not converge within the iteration cap."""
+
+
+class NanValue(FprwError):
+    """A root search's function returned NaN."""
 
 
 class NotAtCriticality(FprwError):

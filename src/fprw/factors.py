@@ -27,10 +27,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import lattice
 from .errors import ConfigError, NeedsDerivative, OutOfDomain, RootNotBracketed
+from .roots import brent
 from .series import PowerSeries, series_reciprocal
 
 DEFAULT_ORDER = 512
@@ -631,7 +631,7 @@ def invert_w(an: GreenAnalytics, t: float) -> float:
     f = lambda z: z * an.green(z) - t
     if f(hi) < 0.0:
         raise RootNotBracketed(f"w inversion bracket failed at t={t}")
-    return float(brentq(f, 0.0, hi, xtol=1e-15, rtol=_ROOT_RTOL, maxiter=200))
+    return brent(f, 0.0, hi, xtol=1e-15, rtol=_ROOT_RTOL, maxiter=200)
 
 
 def psi_at_argument(an: GreenAnalytics, t: float) -> float:

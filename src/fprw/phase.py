@@ -12,11 +12,11 @@ the regime A-F.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .classify import law_of_psi
 from .errors import (
@@ -29,10 +29,12 @@ from .errors import (
 from .factors import GreenAnalytics, LatticeNN, analyze_factor, psi_at_argument
 from .parallel import parallel_map, requested_threads
 from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two, theta_bar_of
+from .roots import brent
 
 _SIGN_TOL = 1e-9  # regime labels: Upsilon values closer to 0 than this count as zero
 _CASE_F_TOL = 1e-6
 _ROOT_XTOL = 1e-10
+_ROOT_RTOL = 4 * sys.float_info.epsilon
 
 
 def _two_analytics(spec: FreeProductSpec):
@@ -107,15 +109,13 @@ def phase_roots(spec: FreeProductSpec):
         right_end = min(ac, 1.0 - lo_eps)
         bottom = val_c if val_c is not None else at1
         if at0 > _SIGN_TOL and bottom < -_SIGN_TOL:
-            alpha_low = float(
-                brentq(f, lo_eps, right_end, xtol=_ROOT_XTOL, maxiter=200)
-            )
+            alpha_low = brent(f, lo_eps, right_end, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200)
     if ac < 1.0:
         left_end = max(ac, lo_eps)
         bottom = val_c if val_c is not None else at0
         if bottom < -_SIGN_TOL and at1 > _SIGN_TOL:
-            alpha_high = float(
-                brentq(f, left_end, 1.0 - lo_eps, xtol=_ROOT_XTOL, maxiter=200)
+            alpha_high = brent(
+                f, left_end, 1.0 - lo_eps, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200
             )
     return alpha_low, alpha_high
 
@@ -264,7 +264,6 @@ def tune_axis_weights(d: int, target: float, delta_min: float = 0.02) -> Lattice
         raise TargetOutOfRange(
             f"target {target} outside attainable [{lo_val:.4f}, {hi_val:.4f}] for d={d}"
         )
-    root = float(
-        brentq(lambda t: _psi_at_theta(d, t) - target, delta_min, hi, xtol=1e-12)
-    )
+    f = lambda t: _psi_at_theta(d, t) - target
+    root = brent(f, delta_min, hi, xtol=1e-12, rtol=_ROOT_RTOL, maxiter=100)
     return tuned_lattice(d, root)

@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigError,
@@ -35,6 +34,7 @@ from .factors import (
     phi_derivs_at,
     psi_at_argument,
 )
+from .roots import brent
 from .series import (
     PowerSeries,
     series_compose,
@@ -165,7 +165,7 @@ def _critical_theta(spec: FreeProductSpec, tbar: float) -> float:
         lo *= 1e-3
         if lo < 1e-300:
             raise RootNotBracketed("Psi is nonpositive arbitrarily close to 0")
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=200))
+    return brent(f, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=200)
 
 
 def product_radius(spec: FreeProductSpec):

@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from fprw import mc
 from fprw.errors import StateExplosion
@@ -34,8 +36,9 @@ def symmetric_three(mu) -> FiniteGroup:
 # coded algebra replaced, kept here to test it against
 
 
-def tuple_bfs(spec, order):
-    """(mu^(n)(e) for n <= order, number of words) by tuple-word propagation.
+def tuple_ball(spec, order):
+    """(words, targets): the tuple words of the ball and targets[k][w], the
+    index of word w times support step k, or -1 outside the ball.
 
     A word is kept when the level at which the search first reaches it (the
     steps needed to reach it) plus its erase cost is at most `order`.
@@ -60,6 +63,13 @@ def tuple_bfs(spec, order):
     targets = np.array(
         [[index.get(mc.word_multiply(factors, w, i, g), -1) for w in states] for i, g, _ in support]
     )
+    return states, targets
+
+
+def tuple_bfs(spec, order):
+    """(mu^(n)(e) for n <= order, number of words) by tuple-word propagation."""
+    support = mc._support(spec)
+    states, targets = tuple_ball(spec, order)
     mass = np.zeros(len(states))
     mass[0] = 1.0
     out = np.zeros(order + 1)
@@ -72,6 +82,35 @@ def tuple_bfs(spec, order):
         mass = nxt
         out[n] = mass[0]
     return out, len(states)
+
+
+def csr_propagation(spec, order):
+    """mu^(n)(e) for n <= order by a CSR mat-vec over the tuple-word ball.
+
+    Row w lists the predecessors of w in support order, so each word's mass is
+    summed from 0.0 in the order bfs_convolution sums it; since a step has one
+    predecessor per word, the numbering of the words does not matter.
+    """
+    states, targets = tuple_ball(spec, order)
+    probs = np.array([p for _, _, p in mc._support(spec)])
+    nwords = len(states)
+    source = np.full((nwords, probs.size), -1)
+    for k, target in enumerate(targets):
+        stays = np.flatnonzero(target >= 0)
+        source[target[stays], k] = stays
+    has = source >= 0
+    indptr = np.concatenate(([0], np.cumsum(has.sum(axis=1))))
+    transition = csr_array(
+        (np.broadcast_to(probs, has.shape)[has], source[has], indptr), shape=(nwords, nwords)
+    )
+    mass = np.zeros(nwords)
+    mass[0] = 1.0
+    out = np.zeros(order + 1)
+    out[0] = 1.0
+    for n in range(1, order + 1):
+        mass = transition @ mass
+        out[n] = mass[0]
+    return out
 
 
 def tuple_block(spec, seed, block, nwalks, steps):
@@ -148,6 +187,38 @@ class TestCodedAgainstTuples:
         want = product_green_series(spec, 14).coeffs
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got, tuple_bfs(spec, 14)[0], rtol=1e-14, atol=0.0)
+
+
+# exact columns of `fprw simulate`, at the order exact_column_order allows for 14
+COLUMN_SPECS = {
+    "Z2*C3": spec_of((LatticeNN.simple(2), 0.5), (C3, 0.5)),
+    "Z1*Z1": spec_of((Z1, 0.5), (Z1, 0.5)),
+    "Z3*T4": spec_of((LatticeNN.simple(3), 0.5), (HomTree(4), 0.5)),
+    "C2^3": spec_of((C2, 1 / 3), (C2, 1 / 3), (C2, 1 / 3)),
+}
+
+
+class TestExactColumn:
+    @pytest.mark.parametrize("name", list(COLUMN_SPECS))
+    def test_bit_for_bit_with_csr_matvec(self, name):
+        spec = COLUMN_SPECS[name]
+        order = mc.exact_column_order(spec, 14)
+        got = mc.bfs_convolution(spec, order).coeffs
+        assert got.tobytes() == csr_propagation(spec, order).tobytes()
+
+    @pytest.mark.parametrize("name", list(COLUMN_SPECS))
+    def test_peak_memory_within_budget(self, name):
+        spec = COLUMN_SPECS[name]
+        order = mc.exact_column_order(spec, 14)
+        words = mc.word_count_bound(spec, order)
+        pairs = words * len(mc._support(spec))
+        tracemalloc.start()
+        try:
+            mc.bfs_convolution(spec, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= words * mc._STATE_BYTES + pairs * mc._PAIR_BYTES
 
 
 class TestWordCountBound:
