@@ -397,6 +397,13 @@ class ExplicitSeries:
                 raise ConfigError("singularity descriptor needs q>0 and integer k>=0")
         if self.period < 1:
             raise ConfigError("period must be a positive integer")
+        # the product's solve reads each factor only on the period lattice
+        off = next((n for n, c in enumerate(coeffs) if c != 0.0 and n % self.period), None)
+        if off is not None:
+            raise ConfigError(
+                f"explicit series coefficient {off} is nonzero, but {off} is not a "
+                f"multiple of the period {self.period}"
+            )
 
     def identity_elem(self):  # pragma: no cover - no word algebra for data factors
         raise ConfigError("explicit-series factors carry no group elements")

@@ -59,6 +59,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, config):
     assert out.out == ""
 
 
+def test_explicit_factor_off_its_period_exits_2(tmp_path, capsys):
+    # a period-2 factor with a nonzero coefficient at n = 3
+    explicit = {**EXPLICIT_Z1, "coeffs": [1.0, 0.0, 0.5, 0.125, 0.375]}
+    code, out = run(tmp_path, capsys, {"factors": [explicit, Z5], "weights": [0.5, 0.5]}, "series")
+    assert code == 2
+    assert out.err == (
+        "config error: explicit series coefficient 3 is nonzero, but 3 is not a multiple of the period 2\n"
+    )
+    assert out.out == ""
+
+
 def test_series_csv_beyond_float_range_of_radius_power(tmp_path, capsys):
     # radius 1.7735: radius**n overflows from n = 1239
     config = {"factors": [Z5, Z6], "weights": [0.5, 0.5]}

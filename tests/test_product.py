@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fprw import cli, mc, product
 from fprw.classify import estimate_radius
@@ -179,6 +180,50 @@ class TestGreenSeries:
         g = product_green_series(s, 51)
         assert np.all(np.abs(g.coeffs[1::2]) < 1e-15)
 
+    @pytest.mark.parametrize(
+        "factor,period",
+        [(cyclic_group(3, (0.0, 1.0, 0.0)), 3), (cyclic_group(4, (0.0, 1.0, 0.0, 0.0)), 4)],
+        ids=["C3*C3", "C4*C4"],
+    )
+    def test_period_lattice_matches_word_convolution(self, factor, period):
+        s = spec_of((factor, 0.5), (factor, 0.5))
+        assert product.product_period(s) == period
+        for order in (0, 1, period - 1, period, period + 1, 30):
+            g = product_green_series(s, order).coeffs
+            exact = mc.bfs_convolution(s, order).coeffs
+            assert np.array_equal(g != 0.0, exact != 0.0)
+            assert np.all(g[np.arange(order + 1) % period != 0] == 0.0)
+            nz = exact != 0.0
+            assert np.max(np.abs(g[nz] / exact[nz] - 1.0)) <= 1e-12
+
+
+@st.composite
+def cyclic_walks(draw):
+    """Z/nZ with a random step law on a random support that generates the group."""
+    n = draw(st.integers(2, 6))
+    support = draw(st.sets(st.integers(0, n - 1), min_size=1).filter(lambda s: math.gcd(n, *s) == 1))
+    raw = [draw(st.floats(0.1, 1.0)) if r in support else 0.0 for r in range(n)]
+    return cyclic_group(n, tuple(x / sum(raw) for x in raw))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(cyclic_walks(), min_size=2, max_size=3), st.data())
+def test_series_vanish_exactly_off_the_period_lattice(walks, data):
+    order = 40
+    for f in walks:
+        period = f.invariants()[1]
+        _, g = f.radius_series(order)
+        off = np.arange(order + 1) % period != 0
+        assert np.all(g.coeffs[off] == 0.0)
+        assert not np.any(np.signbit(g.coeffs))
+    weights = [data.draw(st.floats(0.1, 1.0)) for _ in walks]
+    s = FreeProductSpec(tuple(walks), tuple(weights))
+    period = product.product_period(s)
+    for c in (normalized_green_series(s, order)[1].coeffs, product_green_series(s, order).coeffs):
+        off = np.arange(order + 1) % period != 0
+        assert np.all(c[off] == 0.0)
+        assert not np.any(np.signbit(c[off]))
+
 
 class TestZeta:
     def test_at_zero(self):
@@ -348,8 +393,9 @@ class TestNormalizedSeries:
             assert [f"{g:.12g}" for g in got] == [f"{float(e):.12g}" for e in exact[: got.size]]
 
     def test_full_order_compositions_run_once_per_factor(self, monkeypatch):
-        # the Newton pass that reaches the order is the last one: m full-order
-        # compositions per solve, not 2m
+        # the solve runs in y = u^period at order N // period, and the Newton
+        # pass that reaches that order is the last one: m compositions at that
+        # order per solve, not 2m
         orders = []
 
         def spy(outer, inner):
@@ -357,12 +403,18 @@ class TestNormalizedSeries:
             return series_compose(outer, inner)
 
         monkeypatch.setattr(product, "series_compose", spy)
-        for pairs in (((Z5, 0.5), (Z6, 0.5)), ((Z5, 0.4), (Z6, 0.35), (HomTree(3), 0.25))):
-            for order in (1, 2, 300):
+        cases = (
+            (((Z5, 0.5), (Z6, 0.5)), 2),
+            (((Z5, 0.4), (Z6, 0.35), (HomTree(3), 0.25)), 2),
+            (((C2, 0.5), (C3, 0.5)), 1),
+        )
+        for pairs, period in cases:
+            assert product.product_period(spec_of(*pairs)) == period
+            for order in (1, 2, 300, 301):
                 orders.clear()
                 normalized_green_series.__wrapped__(spec_of(*pairs), order)  # uncached
-                assert orders.count(order) == len(pairs)
-                assert max(orders) == order
+                assert orders.count(order // period) == len(pairs)
+                assert max(orders) == order // period
 
     def test_unscaled_series_is_normalized_times_radius_power(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
