@@ -5,12 +5,17 @@ factor (n^-lambda log^kappa n via Darboux's coefficient map) or the square
 root law n^-3/2; the recurrent (Z/2Z)*(Z/2Z) product keeps its n^-1/2 law.
 The sign of Psi(theta-bar) picks the branch, with an explicit near-critical
 warning band because the law is discontinuous across the critical weight.
+
+Every law comes from `law_of_analysis`, which reads one
+`product.analyze_product` pass and the analysed factors; `fprw analyze`
+prints that same pass beside the law.  The phase sweep decides its grid
+points with `law_of_psi`, the same rule without the radius solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,16 +29,13 @@ from .errors import (
 from .factors import DEFAULT_ORDER, ExplicitSeries
 from .product import (
     FreeProductSpec,
+    ProductAnalytics,
     _CRIT_TOL,
     _WARN_TOL,
+    analyze_product,
     factor_analytics,
-    is_two_by_two,
-    phi_prime_of_t,
+    phi_of,
     product_green_series,
-    product_period,
-    product_radius,
-    psi_of_t,
-    theta_bar,
 )
 from .series import PowerSeries
 
@@ -129,36 +131,29 @@ def law_of_psi(ans, argmin, pb: float):
     return THREE_HALVES, None, 1.5, 0
 
 
-def classify_two(spec: FreeProductSpec) -> AsymptoticLaw:
-    """Classify a two-factor product (all theorem branches)."""
-    if spec.m != 2:
-        raise ValueError("classify_two needs exactly two factors")
-    return _classify_flat(spec)
-
-
-def _classify_flat(spec: FreeProductSpec) -> AsymptoticLaw:
-    if is_two_by_two(spec):
-        return AsymptoticLaw(
-            radius=1.0,
-            period=product_period(spec),
-            kind=ONE_HALF_DEGENERATE,
-            lam=0.5,
-            kappa=0,
-        )
-    tbar, argmin = theta_bar(spec)
-    pb = psi_of_t(spec, tbar)
-    radius, _ = product_radius(spec)
-    delta = product_period(spec)
-    kind, idx, lam, kappa = law_of_psi(factor_analytics(spec), argmin, pb)
+def law_of_analysis(pa: ProductAnalytics, ans) -> AsymptoticLaw:
+    """The law of a product from its one analysis pass and its analysed factors."""
+    if pa.degenerate:
+        kind, idx, lam, kappa = ONE_HALF_DEGENERATE, None, 0.5, 0
+    else:
+        kind, idx, lam, kappa = law_of_psi(ans, pa.argmin_set, pa.psi_bar)
+    near = not pa.degenerate and abs(pa.psi_bar) <= _WARN_TOL
     return AsymptoticLaw(
-        radius=radius,
-        period=delta,
+        radius=pa.radius,
+        period=pa.period,
         kind=kind,
         lam=lam,
         kappa=kappa,
         factor_index=idx,
-        confidence=NEAR_CRITICAL if abs(pb) <= _WARN_TOL else EXACT,
+        confidence=NEAR_CRITICAL if near else EXACT,
     )
+
+
+def classify_two(spec: FreeProductSpec) -> AsymptoticLaw:
+    """Classify a two-factor product (all theorem branches)."""
+    if spec.m != 2:
+        raise ValueError("classify_two needs exactly two factors")
+    return classify_multi(spec)
 
 
 def classify_multi(
@@ -174,19 +169,18 @@ def classify_multi(
     resulting two-factor product.
     """
     if spec.m == 2 or method == "direct":
-        return _classify_flat(spec)
+        return law_of_analysis(analyze_product(spec), factor_analytics(spec))
     if method != "fold":
         raise ValueError(f"unknown method {method!r}")
 
     head = FreeProductSpec(spec.factors[:-1], spec.weights[:-1])
     head_weight = sum(spec.weights[:-1])
     sub_law = classify_multi(head, method="fold", fold_order=fold_order)
-    sub_radius, sub_g = product_radius(head)
-    sub_psi = psi_of_t(head, theta_bar(head)[0])
-    if sub_psi > _CRIT_TOL:
+    sub = analyze_product(head)
+    if sub.psi_bar > _CRIT_TOL:
         # expansion of type (I): differentiable at the radius, inherited term
-        phi1 = phi_prime_of_t(head, theta_bar(head)[0])
-        sub_gprime = phi1 * sub_g / (1.0 - sub_radius * phi1)
+        phi1 = phi_of(factor_analytics(head), head.weights, sub.theta_bar, 1)
+        sub_gprime = phi1 * sub.g_at_radius / (1.0 - sub.radius * phi1)
         sing = _inverse_darboux(sub_law.lam, sub_law.kappa)
     else:
         # expansion of type (II): square-root branch point
@@ -196,8 +190,8 @@ def classify_multi(
     coeffs = np.clip(series.coeffs, 0.0, 1.0)
     synthetic = ExplicitSeries(
         coeffs=tuple(coeffs),
-        radius=sub_radius,
-        g_at_r=sub_g,
+        radius=sub.radius,
+        g_at_r=sub.g_at_radius,
         gprime_at_r=sub_gprime,
         sing=sing,
         period=sub_law.period,
@@ -206,19 +200,8 @@ def classify_multi(
     law = classify_two(pair)
     if law.kind == INHERITED:
         # map the synthetic index back to a real factor index
-        if law.factor_index == 0:
-            idx = sub_law.factor_index
-        else:
-            idx = spec.m - 1
-        law = AsymptoticLaw(
-            radius=law.radius,
-            period=law.period,
-            kind=law.kind,
-            lam=law.lam,
-            kappa=law.kappa,
-            factor_index=idx,
-            confidence=law.confidence,
-        )
+        idx = sub_law.factor_index if law.factor_index == 0 else spec.m - 1
+        law = replace(law, factor_index=idx)
     return law
 
 

@@ -209,7 +209,7 @@ def _factor_report(spec, an):
 def cmd_analyze(spec: FreeProductSpec, options, args) -> str:
     ans = factor_analytics(spec)
     pa = analyze_product(spec)
-    law = classify.classify_multi(spec)
+    law = classify.law_of_analysis(pa, ans)
     warnings = []
     if pa.degenerate:
         warnings.append("degenerate recurrent product (Z/2Z)*(Z/2Z)")
@@ -306,6 +306,8 @@ def cmd_simulate(spec: FreeProductSpec, options, args) -> str:
     steps = args.steps if args.steps is not None else options["steps"]
     walks = args.walks if args.walks is not None else options["walks"]
     seed = args.seed if args.seed is not None else options["seed"]
+    if not -(2**63) <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [-2^63, 2^64) for the Philox key, got {seed}")
     result = mc.simulate(spec, steps=steps, walks=walks, seed=seed)
     wanted = min(steps, _EXACT_COLUMN_ORDER)
     exact_order = mc.exact_column_order(spec, wanted)
@@ -343,10 +345,7 @@ def cmd_simulate(spec: FreeProductSpec, options, args) -> str:
 def cmd_selftest(args) -> int:
     from . import selftest
 
-    wanted = None
-    if args.criteria:
-        wanted = sorted({int(c) for c in args.criteria.split(",")})
-    results = selftest.run(wanted)
+    results = selftest.run(args.criteria)
     for r in results:
         print(selftest.format_line(r))
     return 0 if all(r.passed for r in results) else 1
@@ -357,6 +356,18 @@ def _count(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
     return n
+
+
+def _criteria(text: str) -> list:
+    from . import selftest
+
+    last = len(selftest.CRITERIA)
+    parts = text.split(",")
+    if not all(c.strip().isdecimal() and 1 <= int(c) <= last for c in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated criteria in 1-{last}, got {text!r}"
+        )
+    return sorted({int(c) for c in parts})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(format="csv")
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,2,9")
+    p.add_argument(
+        "--criteria", type=_criteria, default=None, help="comma-separated subset, e.g. 1,2,9"
+    )
     return ap
 
 

@@ -593,25 +593,26 @@ def psi_at(an: GreenAnalytics, z: float) -> float:
     return _psi_from_values(z, an.green(z), an.green(z, 1))
 
 
-def phi_derivs_at(an: GreenAnalytics, z: float):
-    """(Phi_i, Phi_i', Phi_i'') at t = z G_i(z).
+def phi_at(an: GreenAnalytics, z: float, deriv: int = 0) -> float:
+    """Phi_i^(deriv) at t = z G_i(z), one derivative as `green(z, deriv)` gives.
 
-    Phi_i = G_i(z); Phi_i' = G'/(zG'+G); Phi_i'' = (G G'' - 2 G'^2)/(G + zG')^3.
-    Raises NeedsDerivative when the required G'' is infinite.
+    Phi_i = G_i(z); Phi_i' = G'/(zG'+G); Phi_i'' = (G G'' - 2 G'^2)/(G + zG')^3
+    (Woess, Random Walks on Infinite Graphs and Groups, 2000, section 9).
+    Phi_i' reads no G'', so it is defined where G'' diverges; Phi_i'' raises
+    NeedsDerivative there.
     """
     g = an.green(z)
-    gp = an.green(z, 1)
     if not math.isfinite(g):
         raise OutOfDomain("Phi data undefined where G diverges")
-    if math.isinf(gp):
-        phi1 = 1.0 / z
-    else:
-        phi1 = gp / (z * gp + g)
+    if deriv == 0:
+        return g
+    gp = an.green(z, 1)
+    if deriv == 1:
+        return 1.0 / z if math.isinf(gp) else gp / (z * gp + g)
     gpp = an.green(z, 2)
     if not math.isfinite(gpp):
         raise NeedsDerivative(f"G'' infinite at z={z}; Phi'' not computable there")
-    phi2 = (g * gpp - 2.0 * gp * gp) / (g + z * gp) ** 3
-    return g, phi1, phi2
+    return (g * gpp - 2.0 * gp * gp) / (g + z * gp) ** 3
 
 
 def invert_w(an: GreenAnalytics, t: float) -> float:
@@ -642,10 +643,11 @@ def invert_w(an: GreenAnalytics, t: float) -> float:
 
 
 def psi_at_argument(an: GreenAnalytics, t: float) -> float:
-    """Psi_i(t) for t in [0, theta_i], including the endpoint limit."""
+    """Psi_i(t) for t in [0, theta_i], including the endpoint limit (which
+    covers t = theta_i = inf)."""
     if t == 0.0:
         return 1.0
-    if math.isfinite(an.theta) and t >= an.theta * (1.0 - 1e-12):
+    if t >= an.theta * (1.0 - 1e-12):
         if t > an.theta * (1.0 + 1e-12):
             raise OutOfDomain(f"t={t} exceeds theta={an.theta}")
         return an.psi_at_radius

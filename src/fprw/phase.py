@@ -1,7 +1,10 @@
 """Phase-transition analysis in the mixing weight alpha_1 for two factors.
 
-Upsilon(alpha_1) = Psi_1(alpha_1 tb) + Psi_2((1-alpha_1) tb) - 1 with
-tb = min(theta_1/alpha_1, theta_2/(1-alpha_1)) recomputed per alpha_1.
+Upsilon(alpha_1) is Psi(theta-bar) of the product at weights (alpha_1,
+1 - alpha_1): 1 + (Psi_1(alpha_1 tb) - 1) + (Psi_2((1-alpha_1) tb) - 1) with
+tb = min(theta_1/alpha_1, theta_2/(1-alpha_1)) recomputed per alpha_1.  It
+comes from `product.psi_of`, so it is bit for bit the psi_bar that
+`fprw analyze` prints at those weights.
 Upsilon is V-shaped: strictly decreasing up to the critical weight
 alpha_c = theta_1/(theta_1+theta_2) and strictly increasing after it (with
 the ratio conventions c/(c+inf) = 0 and inf/(inf+c) = 1), so each monotone
@@ -26,9 +29,10 @@ from .errors import (
     OutOfDomain,
     TargetOutOfRange,
 )
-from .factors import GreenAnalytics, LatticeNN, analyze_factor, psi_at_argument
+from .factors import GreenAnalytics, LatticeNN, analyze_factor
 from .parallel import parallel_map, requested_threads
-from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two, theta_bar_of
+from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two
+from .product import psi_of, theta_bar_of
 from .roots import brent
 
 _SIGN_TOL = 1e-9  # regime labels: Upsilon values closer to 0 than this count as zero
@@ -59,17 +63,11 @@ def critical_weight(theta1: float, theta2: float) -> Optional[float]:
 
 
 def upsilon_of(an1: GreenAnalytics, an2: GreenAnalytics, alpha1: float) -> float:
+    """Psi(theta-bar) of the product at weights (alpha_1, 1 - alpha_1)."""
     if not 0.0 < alpha1 < 1.0:
         raise OutOfDomain("alpha_1 must lie strictly between 0 and 1")
-    alpha2 = 1.0 - alpha1
-    tb = min(an1.theta / alpha1, an2.theta / alpha2)
-    if math.isinf(tb):
-        return an1.psi_at_radius + an2.psi_at_radius - 1.0
-    return (
-        psi_at_argument(an1, min(alpha1 * tb, an1.theta))
-        + psi_at_argument(an2, min(alpha2 * tb, an2.theta))
-        - 1.0
-    )
+    ans, weights = (an1, an2), (alpha1, 1.0 - alpha1)
+    return psi_of(ans, weights, theta_bar_of(ans, weights)[0])
 
 
 def upsilon(spec: FreeProductSpec, alpha1: float) -> float:
@@ -78,45 +76,37 @@ def upsilon(spec: FreeProductSpec, alpha1: float) -> float:
     return upsilon_of(an1, an2, alpha1)
 
 
-def _endpoint_limits(an1: GreenAnalytics, an2: GreenAnalytics):
-    """(limit at alpha_1 -> 0, limit at alpha_1 -> 1)."""
-    if math.isinf(an2.theta):
-        at0 = an1.psi_at_radius + an2.psi_at_radius - 1.0
-    else:
-        at0 = an2.psi_at_radius
-    if math.isinf(an1.theta):
-        at1 = an1.psi_at_radius + an2.psi_at_radius - 1.0
-    else:
-        at1 = an1.psi_at_radius
-    return at0, at1
+def _limits(an1: GreenAnalytics, an2: GreenAnalytics):
+    """(limit at alpha_1 -> 0, Upsilon(alpha_c), limit at alpha_1 -> 1).
+
+    At alpha_c every factor's argument alpha_i theta-bar is its own theta_i,
+    so Upsilon(alpha_c) is `psi_of` at weights theta_i and t = 1.  It is also
+    the limit at the end where alpha_c sits when it is 0 or 1, and the
+    constant value of Upsilon when both theta are infinite.
+    """
+    middle = psi_of((an1, an2), (an1.theta, an2.theta), 1.0)
+    at0 = middle if math.isinf(an2.theta) else an2.psi_at_radius
+    at1 = middle if math.isinf(an1.theta) else an1.psi_at_radius
+    return at0, middle, at1
 
 
 def phase_roots(spec: FreeProductSpec):
-    """(alpha_low, alpha_high): zeros of Upsilon on its two monotone pieces."""
+    """(alpha_low, alpha_high): zeros of Upsilon on its two monotone pieces,
+    each of which falls or rises to Upsilon(alpha_c)."""
     an1, an2 = _two_analytics(spec)
     ac = critical_weight(an1.theta, an2.theta)
-    at0, at1 = _endpoint_limits(an1, an2)
-    f = lambda a: upsilon_of(an1, an2, a)
-    lo_eps = 1e-9
-
     if ac is None:
         return None, None  # Upsilon is constant
-    val_c = an1.psi_at_radius + an2.psi_at_radius - 1.0 if 0.0 < ac < 1.0 else None
-
-    alpha_low = None
-    alpha_high = None
-    if ac > 0.0:
+    at0, bottom, at1 = _limits(an1, an2)
+    f = lambda a: upsilon_of(an1, an2, a)
+    lo_eps = 1e-9
+    alpha_low = alpha_high = None
+    if ac > 0.0 and at0 > _SIGN_TOL and bottom < -_SIGN_TOL:
         right_end = min(ac, 1.0 - lo_eps)
-        bottom = val_c if val_c is not None else at1
-        if at0 > _SIGN_TOL and bottom < -_SIGN_TOL:
-            alpha_low = brent(f, lo_eps, right_end, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200)
-    if ac < 1.0:
+        alpha_low = brent(f, lo_eps, right_end, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200)
+    if ac < 1.0 and bottom < -_SIGN_TOL and at1 > _SIGN_TOL:
         left_end = max(ac, lo_eps)
-        bottom = val_c if val_c is not None else at0
-        if bottom < -_SIGN_TOL and at1 > _SIGN_TOL:
-            alpha_high = brent(
-                f, left_end, 1.0 - lo_eps, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200
-            )
+        alpha_high = brent(f, left_end, 1.0 - lo_eps, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200)
     return alpha_low, alpha_high
 
 
@@ -124,21 +114,17 @@ def regime_case(spec: FreeProductSpec) -> str:
     """Label A-F of the Upsilon shape (sign pattern across the two pieces)."""
     an1, an2 = _two_analytics(spec)
     ac = critical_weight(an1.theta, an2.theta)
-    at0, at1 = _endpoint_limits(an1, an2)
+    at0, middle, at1 = _limits(an1, an2)
 
     if ac is None:
-        const = an1.psi_at_radius + an2.psi_at_radius - 1.0
-        if const < -_SIGN_TOL:
+        if middle < -_SIGN_TOL:
             return "E"
-        raise AmbiguousRegime(f"constant Upsilon = {const}; no transient label")
+        raise AmbiguousRegime(f"constant Upsilon = {middle}; no transient label")
 
     interior = 0.0 < ac < 1.0
     # the infimum of Upsilon: the V-bottom when alpha_c is interior, the
     # far-end limit when Upsilon is monotone
-    if interior:
-        bottom = an1.psi_at_radius + an2.psi_at_radius - 1.0
-    else:
-        bottom = min(at0, at1)
+    bottom = middle if interior else min(at0, at1)
     if interior and abs(bottom) <= _CASE_F_TOL:
         mid_l = upsilon_of(an1, an2, ac / 2.0)
         mid_r = upsilon_of(an1, an2, (1.0 + ac) / 2.0)
@@ -160,14 +146,6 @@ def regime_case(spec: FreeProductSpec) -> str:
     )
 
 
-def _law_at(an1, an2, alpha1: float):
-    """Law at one grid point: Upsilon is Psi(theta-bar) at these weights, and
-    `classify.law_of_psi` decides it as `analyze` does (no radius solve)."""
-    ups = upsilon_of(an1, an2, alpha1)
-    _, argmin = theta_bar_of((an1, an2), (alpha1, 1.0 - alpha1))
-    return (ups, *law_of_psi((an1, an2), argmin, ups), abs(ups) <= _WARN_TOL)
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     alpha1: float
@@ -177,6 +155,15 @@ class PhasePoint:
     lam: float
     kappa: int
     near_critical: bool
+
+
+def _law_at(an1, an2, alpha1: float) -> PhasePoint:
+    """One grid point: Upsilon is Psi(theta-bar) at these weights, and
+    `classify.law_of_psi` decides the law as `analyze` does (no radius solve)."""
+    ups = upsilon_of(an1, an2, alpha1)
+    _, argmin = theta_bar_of((an1, an2), (alpha1, 1.0 - alpha1))
+    kind, idx, lam, kappa = law_of_psi((an1, an2), argmin, ups)
+    return PhasePoint(alpha1, ups, kind, idx, lam, kappa, abs(ups) <= _WARN_TOL)
 
 
 @dataclass(frozen=True)
@@ -198,21 +185,7 @@ def logistic_grid(size: int) -> np.ndarray:
 def _sweep_chunk(args):
     spec, alphas = args
     an1, an2 = _two_analytics(spec)
-    rows = []
-    for a in alphas:
-        ups, kind, idx, lam, kappa, warn = _law_at(an1, an2, float(a))
-        rows.append(
-            PhasePoint(
-                alpha1=float(a),
-                upsilon=ups,
-                kind=kind,
-                factor_index=idx,
-                lam=lam,
-                kappa=kappa,
-                near_critical=warn,
-            )
-        )
-    return rows
+    return [_law_at(an1, an2, float(a)) for a in alphas]
 
 
 def sweep(spec: FreeProductSpec, grid_size: int = 512) -> PhaseDiagram:

@@ -1,7 +1,12 @@
-"""Free-product layer: theta-bar, Psi/Phi at the candidate singular argument,
-spectral radius of the product walk, the exact product Green series from one
-first-visit (zeta) system over all m factors, and the square-root coefficient
-at criticality.
+"""Free-product layer: theta-bar, Psi and Phi over the analysed factors,
+the spectral radius of the product walk, the exact product Green series from
+one first-visit (zeta) system over all m factors, and the square-root
+coefficient at criticality.
+
+Every product-level Psi or Phi value comes from `psi_of` or `phi_of`, and
+`_solve_branch` finds the branch in one pass: theta-bar, Psi there and the
+argument theta of the radius.  `analyze_product` and `product_radius` both
+call it; `classify` and `phase` read `analyze_product` and `psi_of`.
 
 The first-visit system is solved in y = (z/R)^d, where d is the period of
 the product walk: every return coefficient off multiples of d is an exact
@@ -37,7 +42,7 @@ from .factors import (
     GreenAnalytics,
     analyze_factor,
     invert_w,
-    phi_derivs_at,
+    phi_at,
     psi_at_argument,
 )
 from .roots import brent
@@ -95,11 +100,6 @@ def product_period(spec: FreeProductSpec) -> int:
     return math.gcd(*(an.period for an in factor_analytics(spec)))
 
 
-def theta_bar(spec: FreeProductSpec):
-    """(theta-bar, argmin set) of the product."""
-    return theta_bar_of(factor_analytics(spec), spec.weights)
-
-
 def theta_bar_of(ans, weights):
     """(theta-bar, argmin set) for theta-bar = min_i theta_i / alpha_i."""
     ratios = [an.theta / a for an, a in zip(ans, weights)]
@@ -110,86 +110,58 @@ def theta_bar_of(ans, weights):
     return tbar, argmin
 
 
-def psi_of_t(spec: FreeProductSpec, t: float) -> float:
-    """Psi(t) = 1 + sum_i (Psi_i(alpha_i t) - 1), totalized at infinity."""
-    ans = factor_analytics(spec)
-    if math.isinf(t):
-        return 1.0 + sum(an.psi_at_radius - 1.0 for an in ans)
-    return 1.0 + sum(
-        psi_at_argument(an, a * t) - 1.0 for an, a in zip(ans, spec.weights)
-    )
+def psi_of(ans, weights, t: float) -> float:
+    """Psi(t) = 1 + sum_i (Psi_i(alpha_i t) - 1) over analysed factors,
+    totalized at infinity."""
+    return 1.0 + sum(psi_at_argument(an, a * t) - 1.0 for an, a in zip(ans, weights))
 
 
-def psi_bar(spec: FreeProductSpec) -> float:
-    """Psi evaluated at theta-bar (the regime-deciding quantity)."""
-    return psi_of_t(spec, theta_bar(spec)[0])
-
-
-def _inverted(spec: FreeProductSpec, t: float):
-    """(analytics, alpha_i, z_i) per factor, with z_i G_i(z_i) = alpha_i t."""
-    return [(an, a, invert_w(an, a * t)) for an, a in zip(factor_analytics(spec), spec.weights)]
-
-
-def phi_of_t(spec: FreeProductSpec, t: float) -> float:
-    """Phi(t) = sum_i Phi_i(alpha_i t) - (m - 1), with Phi_i(w(z)) = G_i(z)."""
-    total = 1.0 - spec.m
-    for an, _, z in _inverted(spec, t):
-        total += an.green(z)
+def phi_of(ans, weights, t: float, deriv: int = 0) -> float:
+    """Phi^(deriv)(t) for Phi(t) = sum_i Phi_i(alpha_i t) - (m - 1), with
+    Phi_i(w(z)) = G_i(z): deriv 1 and 2 sum alpha_i Phi_i' and alpha_i^2
+    Phi_i''.  NeedsDerivative propagates."""
+    total = 1.0 - len(ans) if deriv == 0 else 0.0
+    for an, a in zip(ans, weights):
+        total += (1.0, a, a * a)[deriv] * phi_at(an, invert_w(an, a * t), deriv)
     return total
 
 
-def phi_prime_of_t(spec: FreeProductSpec, t: float) -> float:
-    """Phi'(t) = sum_i alpha_i Phi_i'(alpha_i t)."""
-    total = 0.0
-    for an, a, z in _inverted(spec, t):
-        g, gp = an.green(z), an.green(z, 1)
-        total += a / z if math.isinf(gp) else a * gp / (z * gp + g)
-    return total
+def _solve_branch(ans, weights):
+    """(theta-bar, argmin set, Psi(theta-bar), theta, Phi(theta)) of a product
+    that is not (Z/2Z)*(Z/2Z).
 
-
-def phi_second_of_t(spec: FreeProductSpec, t: float) -> float:
-    """Phi''(t) = sum_i alpha_i^2 Phi_i''(alpha_i t); NeedsDerivative propagates."""
-    total = 0.0
-    for an, a, z in _inverted(spec, t):
-        total += a * a * phi_derivs_at(an, z)[2]
-    return total
-
-
-def _critical_theta(spec: FreeProductSpec, tbar: float) -> float:
-    """The root of Psi on (0, theta-bar); exists exactly when Psi(theta-bar) < 0."""
-    f = lambda t: psi_of_t(spec, t)
-    if math.isfinite(tbar):
-        hi = tbar
-    else:
-        hi = 1.0
-        while f(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise RootNotBracketed("Psi does not change sign on (0, inf)")
-    lo = hi * 1e-9
-    while f(lo) <= 0.0:
-        lo *= 1e-3
-        if lo < 1e-300:
-            raise RootNotBracketed("Psi is nonpositive arbitrarily close to 0")
-    return brent(f, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=200)
+    Psi(theta-bar) >= 0: theta = theta-bar.  Psi(theta-bar) < 0: theta is the
+    root theta* of Psi on (0, theta-bar), where the branch point sits.  The
+    radius is theta / Phi(theta), and Phi(theta) is G there.
+    """
+    tbar, argmin = theta_bar_of(ans, weights)
+    pb = psi_of(ans, weights, tbar)
+    theta = tbar
+    if pb < -_CRIT_TOL:
+        f = lambda t: psi_of(ans, weights, t)
+        if math.isfinite(tbar):
+            hi = tbar
+        else:
+            hi = 1.0
+            while f(hi) > 0.0:
+                hi *= 2.0
+                if hi > 1e12:
+                    raise RootNotBracketed("Psi does not change sign on (0, inf)")
+        lo = hi * 1e-9
+        while f(lo) <= 0.0:
+            lo *= 1e-3
+            if lo < 1e-300:
+                raise RootNotBracketed("Psi is nonpositive arbitrarily close to 0")
+        theta = brent(f, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=200)
+    return tbar, argmin, pb, theta, phi_of(ans, weights, theta)
 
 
 def product_radius(spec: FreeProductSpec):
-    """(radius, G(radius)) of the product walk.
-
-    Psi(theta-bar) >= 0: radius = theta-bar / Phi(theta-bar), G finite there.
-    Psi(theta-bar) < 0: the branch point sits at the root theta* of Psi.
-    The degenerate (Z/2Z)*(Z/2Z) is recurrent with radius exactly 1.
-    """
+    """(radius, G(radius)) of the product walk (`_solve_branch`).  The
+    degenerate (Z/2Z)*(Z/2Z) is recurrent with radius exactly 1."""
     if is_two_by_two(spec):
         return 1.0, math.inf
-    tbar, _ = theta_bar(spec)
-    pb = psi_of_t(spec, tbar)
-    if pb >= -_CRIT_TOL:
-        theta = tbar
-    else:
-        theta = _critical_theta(spec, tbar)
-    g = phi_of_t(spec, theta)
+    *_, theta, g = _solve_branch(factor_analytics(spec), spec.weights)
     return theta / g, g
 
 
@@ -402,14 +374,15 @@ def sqrt_coefficient(spec: FreeProductSpec):
     Requires Psi(theta-bar) = 0 within tolerance.  g0 = Phi(theta-bar) and
     g1 = -sqrt(2 G(radius) / (radius^3 Phi''(theta-bar))).
     """
-    tbar, _ = theta_bar(spec)
-    pb = psi_of_t(spec, tbar)
+    ans = factor_analytics(spec)
+    tbar, _ = theta_bar_of(ans, spec.weights)
+    pb = psi_of(ans, spec.weights, tbar)
     if abs(pb) > _CRIT_TOL:
         raise NotAtCriticality(f"Psi(theta-bar) = {pb:.3e} is not 0 within {_CRIT_TOL}")
-    phi2 = phi_second_of_t(spec, tbar)
+    phi2 = phi_of(ans, spec.weights, tbar, 2)
     if not phi2 > 0.0:
         raise RootNotBracketed(f"Phi''(theta-bar) = {phi2} fails the positivity guarantee")
-    g0 = phi_of_t(spec, tbar)
+    g0 = phi_of(ans, spec.weights, tbar)
     rho = tbar / g0
     g1 = -math.sqrt(2.0 * g0 / (rho**3 * phi2))
     return g0, g1
@@ -444,10 +417,14 @@ def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
             sqrt_coeff=None,
             degenerate=True,
         )
-    tbar, argmin = theta_bar(spec)
-    pb = psi_of_t(spec, tbar)
-    radius, g_rho = product_radius(spec)
-    phi_bar = phi_of_t(spec, tbar) if math.isfinite(tbar) else math.inf
+    ans = factor_analytics(spec)
+    tbar, argmin, pb, theta, g_rho = _solve_branch(ans, spec.weights)
+    if not math.isfinite(tbar):
+        phi_bar = math.inf
+    elif theta == tbar:
+        phi_bar = g_rho
+    else:
+        phi_bar = phi_of(ans, spec.weights, tbar)
     coeff = None
     if abs(pb) <= _CRIT_TOL:
         try:
@@ -459,7 +436,7 @@ def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
         argmin_set=argmin,
         psi_bar=pb,
         phi_bar=phi_bar,
-        radius=radius,
+        radius=theta / g_rho,
         g_at_radius=g_rho,
         period=product_period(spec),
         sqrt_coeff=coeff,

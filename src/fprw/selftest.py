@@ -21,19 +21,19 @@ from .factors import (
     analyze_factor,
     cyclic_group,
     flip_group,
-    phi_derivs_at,
+    phi_at,
     psi_at,
 )
 from .product import (
     FreeProductSpec,
+    analyze_product,
     factor_analytics,
     normalized_green_series,
     product_green_series,
     product_period,
     product_radius,
-    psi_bar,
     sqrt_coefficient,
-    theta_bar,
+    theta_bar_of,
 )
 
 
@@ -94,7 +94,7 @@ def criterion_2():
     ans = factor_analytics(_spec((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5)))
     ac = ans[0].theta / (ans[0].theta + ans[1].theta)
     spec = _spec((LatticeNN.simple(5), ac), (LatticeNN.simple(6), 1.0 - ac))
-    val = psi_bar(spec)
+    val = analyze_product(spec).psi_bar
     ok = abs(val - 0.515) <= 0.004
     return ok, f"Psi(theta-bar) = {val:.5f} vs 0.515 (tol 0.004)"
 
@@ -272,8 +272,8 @@ def criterion_7():
     ac = ans[0].theta / (ans[0].theta + ans[1].theta)
     spec = _spec((f7, ac), (f8, 1.0 - ac))
     _, g1 = sqrt_coefficient(spec)
-    _, argmin = theta_bar(spec)
-    exponents = correction_exponents([factor_analytics(spec)[i].sing for i in argmin])
+    _, argmin = theta_bar_of(ans, spec.weights)
+    exponents = correction_exponents([ans[i].sing for i in argmin])
     radius, scaled = normalized_green_series(spec, 3000)
     period = product_period(spec)
     fits = []
@@ -311,7 +311,7 @@ def criterion_8():
         psis = [psi_at(an, z) for z in zs]
         if not all(a > b for a, b in zip(psis, psis[1:])):
             return False, f"Psi not strictly decreasing for {f}"
-        if any(phi_derivs_at(an, z)[2] <= 0 for z in zs):
+        if any(phi_at(an, z, 2) <= 0 for z in zs):
             return False, f"Phi'' not positive for {f}"
 
     # word normal form under 1e5 random multiplications

@@ -4,13 +4,15 @@ import time
 
 import pytest
 
-from fprw import cli, factors, phase, product
+from fprw import cli, factors, phase, product, selftest
 from fprw.errors import NoConvergence
 from fprw.product import FreeProductSpec, factor_analytics
 
 Z3 = {"type": "lattice", "dim": 3}
 Z5 = {"type": "lattice", "dim": 5}
 Z6 = {"type": "lattice", "dim": 6}
+C2 = {"type": "cyclic", "n": 2, "mu": [0.0, 1.0]}
+C3 = {"type": "cyclic", "n": 3, "mu": [0.0, 0.5, 0.5]}
 EXPLICIT_Z1 = {  # Z^1: 1/sqrt(1 - z^2), recurrent
     "type": "explicit", "coeffs": [1.0, 0.0, 0.5, 0.0, 0.375], "radius": 1.0,
     "g_at_r": "inf", "gprime_at_r": "inf", "sing": None, "period": 2,
@@ -192,3 +194,51 @@ def test_simulate_cuts_exact_column_to_budget(tmp_path, capsys):
     assert 1 <= cut < 14
     assert all(r[2] != "" for r in rows[:cut]) and all(r[2] == r[3] == "" for r in rows[cut:])
     assert f"n = {cut}," in out.err
+
+
+def test_analyze_solves_the_psi_root_once(tmp_path, capsys, monkeypatch):
+    # Psi(theta-bar) < 0 on Z3*Z4: the radius sits at the root of Psi, and
+    # the law and the printed numbers read the same root solve
+    solves = []
+    real = product.brent
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(product, "brent", counting)
+    config = {"factors": [Z3, {"type": "lattice", "dim": 4}], "weights": [0.5, 0.5]}
+    code, out = run(tmp_path, capsys, config, "analyze")
+    assert code == 0
+    report = json.loads(out.out)
+    assert report["psi_bar"] < 0 and report["law"]["kind"] == "three-halves"
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("criteria", ["abc", "42", "0,1"])
+def test_selftest_bad_criteria_exits_2(capsys, criteria):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--criteria", criteria])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"criteria in 1-{len(selftest.CRITERIA)}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [2**64, -(2**63) - 1])
+def test_seed_outside_philox_range_exits_2(tmp_path, capsys, seed):
+    config = {"factors": [C2, C3], "weights": [0.5, 0.5]}
+    argv = ("simulate", "--steps", "2", "--walks", "10")
+    for cfg, flag in ((config, ("--seed", str(seed))), ({**config, "options": {"seed": seed}}, ())):
+        code, out = run(tmp_path, capsys, cfg, *argv, *flag)
+        assert code == 2
+        assert out.err == f"config error: seed must lie in [-2^63, 2^64) for the Philox key, got {seed}\n"
+        assert out.out == ""
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, -(2**63)])
+def test_seed_at_the_ends_of_the_range_runs(tmp_path, capsys, seed):
+    config = {"factors": [C2, C3], "weights": [0.5, 0.5], "options": {"seed": seed}}
+    code, out = run(tmp_path, capsys, config, "simulate", "--steps", "2", "--walks", "10")
+    assert code == 0
+    assert out.out.startswith(f"# walks=10 seed={seed}\n")

@@ -15,7 +15,7 @@ from fprw.factors import (
     cyclic_group,
     flip_group,
     invert_w,
-    phi_derivs_at,
+    phi_at,
     psi_at,
     psi_at_argument,
 )
@@ -232,28 +232,26 @@ class TestPsi:
     def test_matches_phi_identity(self, z5):
         # Psi = Phi - t Phi' must agree with the U-based formula
         for z in (0.3, 0.6, 0.9):
-            phi, phi1, _ = phi_derivs_at(z5, z)
+            phi, phi1 = phi_at(z5, z), phi_at(z5, z, 1)
             t = z * z5.green(z)
             assert psi_at(z5, z) == pytest.approx(phi - t * phi1, rel=1e-9)
 
 
 class TestPhiDerivs:
     def test_value_at_zero(self, z5):
-        phi, _, _ = phi_derivs_at(z5, 0.0)
-        assert phi == 1.0
+        assert phi_at(z5, 0.0) == 1.0
 
     def test_convexity_on_grid(self, z5):
         for z in np.linspace(0.1, 0.95, 9):
-            _, _, phi2 = phi_derivs_at(z5, z)
-            assert phi2 > 0.0
+            assert phi_at(z5, z, 2) > 0.0
 
     def test_needs_derivative_at_radius_d5(self, z5):
         with pytest.raises(NeedsDerivative):
-            phi_derivs_at(z5, z5.radius)
+            phi_at(z5, z5.radius, 2)
 
     def test_finite_second_derivative_d7_at_radius(self):
         an = analyze_factor(LatticeNN.simple(7), order=8)
-        phi, phi1, phi2 = phi_derivs_at(an, an.radius)
+        phi, phi2 = phi_at(an, an.radius), phi_at(an, an.radius, 2)
         assert phi == pytest.approx(an.g_at_r)
         assert 0.0 < phi2 < math.inf
 
@@ -262,9 +260,9 @@ class TestPhiDerivs:
         h = 1e-4
         z0, z1 = 0.5 - h, 0.5 + h
         t0, t1 = z0 * z5.green(z0), z1 * z5.green(z1)
-        p0, _, _ = phi_derivs_at(z5, z0)
-        p1, _, _ = phi_derivs_at(z5, z1)
-        _, d0, _ = phi_derivs_at(z5, 0.5)
+        p0 = phi_at(z5, z0)
+        p1 = phi_at(z5, z1)
+        d0 = phi_at(z5, 0.5, 1)
         assert (p1 - p0) / (t1 - t0) == pytest.approx(d0, rel=1e-6)
 
 

@@ -1,13 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fprw import phase
+from fprw import cli, phase
 from fprw.classify import INHERITED, THREE_HALVES, classify_two
 from fprw.errors import ConfigError, DegenerateProduct, TargetOutOfRange
 from fprw.factors import LatticeNN, analyze_factor, cyclic_group, flip_group, psi_at
-from fprw.product import FreeProductSpec, factor_analytics
+from fprw.product import FreeProductSpec, analyze_product, factor_analytics
 
 
 def pair(f1, f2, a=0.5):
@@ -154,11 +156,12 @@ class TestSweep:
         f6 = phase.tune_axis_weights(6, 0.5 + 5e-9)
         an1, an2 = factor_analytics(pair(f5, f6))
         ac = an1.theta / (an1.theta + an2.theta)
-        ups, kind, idx, lam, kappa, warn = phase._law_at(an1, an2, ac)
-        assert ups == pytest.approx(5e-9, rel=1e-3)
+        p = phase._law_at(an1, an2, ac)
+        assert p.upsilon == pytest.approx(5e-9, rel=1e-3)
         law = classify_two(pair(f5, f6, ac))
-        assert (kind, idx, lam, kappa) == (law.kind, law.factor_index, law.lam, law.kappa)
-        assert kind == THREE_HALVES
+        got = (p.kind, p.factor_index, p.lam, p.kappa)
+        assert got == (law.kind, law.factor_index, law.lam, law.kappa)
+        assert p.kind == THREE_HALVES
 
     def test_sign_determines_branch_outside_warning_band(self, z56):
         diag = phase.sweep(z56, grid_size=17)
@@ -173,6 +176,21 @@ class TestSweep:
     def test_small_grid_rejected(self, z56):
         with pytest.raises(ConfigError):
             phase.sweep(z56, grid_size=2)
+
+
+GOLDEN_CONFIGS = json.loads((Path(__file__).parent / "golden" / "configs.json").read_text())
+# the two-factor golden products; C2xC2 is recurrent and has no phase diagram
+GOLDEN_PAIRS = [n for n, c in GOLDEN_CONFIGS.items() if len(c["factors"]) == 2 and n != "C2xC2"]
+
+
+@pytest.mark.parametrize("name", GOLDEN_PAIRS)
+def test_upsilon_is_psi_bar_of_analyze(name):
+    # the golden `phase --grid 64` points against `analyze` at the same weights
+    config = GOLDEN_CONFIGS[name]
+    factors = tuple(cli.parse_factor(f, i) for i, f in enumerate(config["factors"]))
+    for p in phase.sweep(FreeProductSpec(factors, config["weights"]), grid_size=64).grid:
+        pa = analyze_product(FreeProductSpec(factors, (p.alpha1, 1.0 - p.alpha1)))
+        assert p.upsilon == pa.psi_bar
 
 
 class TestTuneAxisWeights:

@@ -19,13 +19,12 @@ from fprw.product import (
     factor_analytics,
     is_two_by_two,
     normalized_green_series,
-    phi_of_t,
+    phi_of,
     product_green_series,
     product_radius,
-    psi_bar,
-    psi_of_t,
+    psi_of,
     sqrt_coefficient,
-    theta_bar,
+    theta_bar_of,
     zeta_at,
 )
 from fprw.series import series_compose
@@ -62,7 +61,7 @@ class TestSpec:
 class TestThetaBar:
     def test_recurrent_factor_never_argmin(self):
         s = spec_of((C3, 0.3), (Z5, 0.7))
-        tbar, argmin = theta_bar(s)
+        tbar, argmin = theta_bar_of(factor_analytics(s), s.weights)
         an5 = factor_analytics(s)[1]
         assert tbar == pytest.approx(an5.theta / 0.7)
         assert argmin == (1,)
@@ -72,15 +71,15 @@ class TestThetaBar:
         t1, t2 = ans[0].theta, ans[1].theta
         ac = t1 / (t1 + t2)
         s = spec_of((Z5, ac), (Z6, 1.0 - ac))
-        _, argmin = theta_bar(s)
+        _, argmin = theta_bar_of(factor_analytics(s), s.weights)
         assert argmin == (0, 1)
 
     def test_identical_factors_tie(self):
-        _, argmin = theta_bar(spec_of((Z5, 0.5), (Z5, 0.5)))
+        _, argmin = theta_bar_of(factor_analytics(spec_of((Z5, 0.5), (Z5, 0.5))), (0.5, 0.5))
         assert argmin == (0, 1)
 
     def test_all_recurrent_gives_infinity(self):
-        tbar, _ = theta_bar(spec_of((C2, 0.5), (C3, 0.5)))
+        tbar, _ = theta_bar_of(factor_analytics(spec_of((C2, 0.5), (C3, 0.5))), (0.5, 0.5))
         assert tbar == math.inf
 
 
@@ -89,22 +88,23 @@ class TestPsiBar:
         # alpha_1 -> 0 with theta_2 < inf: Psi(theta-bar) -> Psi_2(theta_2)
         s = spec_of((Z5, 1e-5), (Z6, 1.0 - 1e-5))
         an6 = factor_analytics(s)[1]
-        assert psi_bar(s) == pytest.approx(an6.psi_at_radius, abs=1e-3)
+        assert analyze_product(s).psi_bar == pytest.approx(an6.psi_at_radius, abs=1e-3)
 
     def test_negative_when_argmin_has_infinite_derivative(self):
         # make Z3 the argmin: its Psi vanishes at theta, dragging Psi below 0
         s = spec_of((Z3, 0.9), (Z5, 0.1))
-        tbar, argmin = theta_bar(s)
+        tbar, argmin = theta_bar_of(factor_analytics(s), s.weights)
         assert argmin == (0,)
-        assert psi_bar(s) < 0.0
+        assert analyze_product(s).psi_bar < 0.0
 
     def test_monotone_decreasing_in_t(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
-        tbar, _ = theta_bar(s)
+        ans = factor_analytics(s)
+        tbar, _ = theta_bar_of(ans, s.weights)
         ts = np.linspace(tbar * 0.02, tbar, 12)
-        vals = [psi_of_t(s, t) for t in ts]
+        vals = [psi_of(ans, s.weights, t) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert psi_of_t(s, tbar * 1e-9) == pytest.approx(1.0, abs=1e-6)
+        assert psi_of(ans, s.weights, tbar * 1e-9) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestRadius:
@@ -124,10 +124,10 @@ class TestRadius:
 
     def test_psi_positive_branch_formula(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
-        assert psi_bar(s) > 0
-        tbar, _ = theta_bar(s)
+        assert analyze_product(s).psi_bar > 0
+        tbar, _ = theta_bar_of(factor_analytics(s), s.weights)
         radius, g = product_radius(s)
-        assert radius == pytest.approx(tbar / phi_of_t(s, tbar), rel=1e-12)
+        assert radius == pytest.approx(tbar / phi_of(factor_analytics(s), s.weights, tbar), rel=1e-12)
 
     def test_series_growth_consistency_both_branches(self):
         # psi >= 0 branch and psi < 0 (root) branch against coefficient growth
@@ -244,8 +244,8 @@ class TestZeta:
     def test_boundary_value_at_radius(self):
         # Psi(theta-bar) > 0 with argmin {0}: zeta_1(radius) = radius of factor 1
         s = spec_of((Z5, 0.8), (Z6, 0.2))
-        assert psi_bar(s) > 0
-        assert theta_bar(s)[1] == (0,)
+        assert analyze_product(s).psi_bar > 0
+        assert theta_bar_of(factor_analytics(s), s.weights)[1] == (0,)
         radius, _ = product_radius(s)
         z1, z2 = zeta_at(s, radius)
         ans = factor_analytics(s)
@@ -271,7 +271,7 @@ class TestAnalyzeProduct:
     def test_summary_consistency(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
         pa = analyze_product(s)
-        assert pa.psi_bar == pytest.approx(psi_bar(s))
+        assert pa.psi_bar == pytest.approx(psi_of(factor_analytics(s), s.weights, pa.theta_bar))
         assert pa.period == 2
         assert pa.psi_bar <= 1.0
         assert pa.radius == pytest.approx(pa.theta_bar / pa.phi_bar, rel=1e-12)
