@@ -306,8 +306,8 @@ def cmd_simulate(spec: FreeProductSpec, options, args) -> str:
     steps = args.steps if args.steps is not None else options["steps"]
     walks = args.walks if args.walks is not None else options["walks"]
     seed = args.seed if args.seed is not None else options["seed"]
-    if not -(2**63) <= seed < 2**64:
-        raise ConfigError(f"seed must lie in [-2^63, 2^64) for the Philox key, got {seed}")
+    if not -(2**63) <= seed < 2**63:
+        raise ConfigError(f"seed must lie in [-2^63, 2^63) for the Philox key, got {seed}")
     result = mc.simulate(spec, steps=steps, walks=walks, seed=seed)
     wanted = min(steps, _EXACT_COLUMN_ORDER)
     exact_order = mc.exact_column_order(spec, wanted)
@@ -419,8 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once, on import: argparse loads gettext's locale module on its first
+# parser, which would otherwise happen inside the first command
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "selftest":
         return cmd_selftest(args)
     try:

@@ -31,7 +31,7 @@ import numpy as np
 from . import lattice
 from .errors import ConfigError, NeedsDerivative, OutOfDomain, RootNotBracketed
 from .roots import brent
-from .series import PowerSeries, series_reciprocal
+from .series import PowerSeries, horner, series_reciprocal
 
 DEFAULT_ORDER = 512
 
@@ -438,9 +438,13 @@ class ExplicitSeries:
 
 def _poly_value(coeffs: np.ndarray, z: float, deriv: int) -> float:
     """d^deriv/dz^deriv of sum_n coeffs[n] z^n, in Horner form: the partial
-    sums stay bounded where z^n alone overflows."""
-    poly = np.polynomial.polynomial
-    return float(poly.polyval(z, poly.polyder(coeffs, deriv)))
+    sums stay bounded where z^n alone overflows.  Each derivative scales
+    coefficient n by n once, as numpy's `polyder` does."""
+    for _ in range(deriv):
+        if coeffs.size <= 1:
+            return 0.0
+        coeffs = np.arange(1, coeffs.size) * coeffs[1:]
+    return horner(coeffs, z)
 
 
 FactorSpec = Union[LatticeNN, FiniteGroup, HomTree, ExplicitSeries]
@@ -573,7 +577,7 @@ def _validate_tree_closed_form(q: int) -> None:
     # first-passage recurrence before first use
     s = HomTree(q).series(48)
     z = 0.4 * _tree_radius(q)
-    direct = float(np.polynomial.polynomial.polyval(z, s.coeffs))
+    direct = s(z)
     if abs(_tree_green_closed(q, z, 0) - direct) > 1e-10:
         raise RootNotBracketed(f"tree Green closed form failed self-check for q={q}")
 

@@ -1,27 +1,41 @@
 """Nearest-neighbour random walks on Z^d.
 
-The Green function is evaluated through the Laplace-transform form of the
-exponential generating function: G(z) = int_0^inf e^-s prod_j I0(c_j z s) ds
-with c_j = 2 beta_j sqrt(p_j (1-p_j)), where I0 is the modified Bessel
-function.  Written with scaled Bessel factors the integrand is
-e^{-(1 - z/rho) s} prod_j I0(c_j z s) e^{-c_j z s}: it decays exponentially
-away from the convergence radius rho and like s^(-d/2) at it.  Derivatives in
-z go through the integral sign; they stay convergent at z = rho as long as
-d - 2*deriv >= 3.
+The Green function is a Laplace transform.  With c_j = 2 beta_j
+sqrt(p_j (1-p_j)) and F(t) = prod_j I0(c_j t), I0 the modified Bessel
+function, G(z) = int_0^inf e^-s F(z s) ds.  Put t = z s and a = 1/z, and
+integrate by parts once:
 
-The integral is taken in x = log s by the trapezoidal rule with step 1/8 on
-the fixed nodes x in [-40, 90].  In x the integrand is analytic in the strip
-|Im x| < pi/2 and decays at both ends (like e^x as x -> -inf; like
-e^{-x/2} or faster, or double exponentially inside the radius, as
-x -> +inf), so the step error is of order exp(-pi^2 / h) ~ 1e-34, far below
-rounding (Takahasi & Mori 1974; the Laplace form is the one in Guttmann,
-J. Phys. A 43 (2010) 305205).  Truncating at x = -40 leaves out about
-e^-40 ~ 4e-18 of G; truncating at x = 90 leaves out at most about
-e^-45 ~ 3e-20 (the slowest case, d - 2*deriv = 3 at the radius).  Near the
-radius the damping gap 1 - z/rho is taken as (rho - z)/rho, which has no
-cancellation, so G and its derivatives keep full relative accuracy as z
-approaches rho.  One vectorized pass evaluates all nodes; the Bessel columns
-are computed once per distinct axis coupling and raised to its multiplicity.
+    G(z) = 1 + int_0^inf e^(-a t) F'(t) dt,
+    G^(k)(z) = a^(k+1) int_0^inf t^k e^(-a t) F^(k)(t) dt    (k = 1, 2)
+
+(the Laplace form is the one in Guttmann, J. Phys. A 43 (2010) 305205).
+Only the damping e^(-a t) depends on z.  F' and F'' are sums of products of
+I0, I1 and I2 at c_j t, with I1' = (I0 + I2)/2, so every term is
+nonnegative.  With scaled Bessel functions the damping is e^(-(gap/z) t),
+where gap = (rho - z)/rho has no cancellation, so G and its derivatives keep
+full relative accuracy as z approaches rho.  At rho the integrand of G^(k)
+decays like t^(k - d/2), which converges while d - 2k >= 3.  The scaled
+columns of F' and F'' on the nodes are built once per walk and kept for the
+last few walks, so a call costs one exp and one dot product per z.
+
+The integral is taken in x = log t by the trapezoidal rule with step 1/8 on
+fixed nodes x in [-48, 90].  In x the integrand is analytic in the strip
+|Im x| < pi/2 and decays at both ends, so the step error is of order
+exp(-pi^2 / h) ~ 1e-34 (Takahasi & Mori 1974).  On the whole line the rule
+keeps that accuracy whatever the offset of its grid (Trefethen & Weideman,
+SIAM Review 56 (2014)), so nodes fixed in t, shifted by log z against nodes
+in s, cost nothing.  A call sums the nodes from t = z e^-24 up to where the
+damping underflows to 0.  The integrands grow like t^(k+1) from t = 0, so
+the cut leaves out at most e^-48 / 2 of G - 1 and e^-72 / 6 of G' and G''.
+That is why G is taken as 1 + int F': in the form a int e^(-a t) F dt the
+mass a t_0 below a cut at t_0 goes missing, 4e-14 of G at z = 1e-4 rho with
+the cut at e^-40.  Past t = e^90 the slowest decay (d - 2k = 3 at the
+radius) leaves out about e^-45 ~ 3e-20.  At and below z = 1e-9 rho, G =
+1 + |c|^2 z^2 / 2, G' = |c|^2 z and G'' = |c|^2, |c|^2 = sum_j c_j^2: the
+return probabilities have p_4 <= (3/2) |c|^2 p_2 and p_2n <= rho^-2n, so
+the terms left out are below 1e-17 relative.  The scaled Bessel functions
+come from their power series below x = 24 and their asymptotic series above
+(`_scaled_bessel`), within 2.5 eps of exact.
 
 The exact return-probability series comes from a separate per-axis dynamic
 programme in probability space, which doubles as an independent oracle for
@@ -34,19 +48,36 @@ is within a few eps of exact, and all n of a merge go in one array pass.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from .errors import OutOfDomain
 from .series import PowerSeries
 
 _STEP = 0.125
-_LOG_S = np.arange(-320, 721) * _STEP  # x = log s on [-40, 90], 1,041 nodes
-_NODES = np.exp(_LOG_S)
-_WEIGHTS = _STEP * _NODES  # trapezoid weight times ds/dx
-_CHUNK = 64  # z values per pass: each temporary array is 64 x 1,041 floats
+_LOG_T = np.arange(-384, 721) * _STEP  # x = log t on [-48, 90], 1,105 nodes
+_NODES = np.exp(_LOG_T)
+_CHUNK = 64  # z values per pass: each temporary array is at most 64 x 1,105 floats
+_TINY = 1e-9  # z / rho at or below which G's first Taylor terms are exact to rounding
+_HEAD = 24.0  # nodes below t = z e^-24 are left out
+_UNDERFLOW = 750.0  # exp(-u) is exactly 0.0 past u = 745.2
+_KERNEL_CACHE_SIZE = 32
+_kernel_cache: "OrderedDict[tuple, _Kernel]" = OrderedDict()
+
+# Scaled Bessel functions: the power series below _SERIES_TO, the asymptotic
+# series from it on.  Each coefficient is an exact rational rounded once.
+_SERIES_TO = 24.0
+_POWER = np.array([[1 / (math.factorial(k) * math.factorial(k + nu)) for nu in range(3)] for k in range(41)])
+
+
+def _asymptotic_coefficient(nu: int, k: int) -> float:
+    num = math.prod((2 * j - 1) ** 2 - 4 * nu * nu for j in range(1, k + 1))
+    return num / (math.factorial(k) * 8**k)
+
+
+_ASYMPTOTIC = np.array([[_asymptotic_coefficient(nu, k) for nu in range(3)] for k in range(21)])
 
 
 def axis_coupling(beta, p) -> np.ndarray:
@@ -66,39 +97,121 @@ def convergence_radius(beta, p) -> float:
     return 1.0 / spectral_radius(beta, p)
 
 
-def _ive(nu: int, x):
-    """Scaled Bessel I_nu(x) e^-x for nu in {0, 1}, accurate for every x >= 0."""
-    return special.i0e(x) if nu == 0 else special.i1e(x)
+def _horner(coef, y):
+    """Rows sum_k coef[k, nu] y^k for every column nu of coef, and their
+    derivatives in y."""
+    s = np.repeat(coef[-1][:, None], y.size, axis=1)
+    ds = np.zeros(s.shape)
+    for row in coef[-2::-1]:
+        ds *= y
+        ds += s
+        s *= y
+        s += row[:, None]
+    return s, ds
 
 
-def _laplace(couplings, mult, z, gap, deriv):
-    """Trapezoidal sums of the deriv-th z-derivative integrand, one per z.
+def _scaled_bessel(x) -> np.ndarray:
+    """I_nu(x) e^-x for nu = 0, 1, 2 (rows) at every x > 0, each within
+    2.5 eps of exact on the kernel's nodes (against 30-digit mpmath).
 
-    z and gap = 1 - z/rho are 1-d arrays of equal length; couplings are the
-    distinct c_j and mult their multiplicities.
-    """
-    s = _NODES
-    prod = np.exp(-np.multiply.outer(gap, s))
-    first = sq = diag = 0.0
-    for c, m in zip(couplings, mult):
-        x = np.multiply.outer(c * z, s)
-        i0 = _ive(0, x)
-        prod *= i0 if m == 1 else i0**m
+    Below x = 24 it is (x/2)^nu e^-x S_nu(x^2/4) with S_nu(y) = sum_k
+    y^k / (k! (k+nu)!), 41 terms, all positive.  S_nu has log-derivative
+    x I_(nu+1) / (2 I_nu), up to 12, in y, so y = x^2/4 is carried with its
+    rounding error dy (Dekker's exact product) and S_nu is taken as
+    S_nu(y) + S_nu'(y) dy.  I2 comes from its own series: I0 - 2 I1 / x
+    cancels at small x.  From x = 24 on it is (2 pi x)^(-1/2) sum_k a_k(nu)
+    x^-k with a_k = prod_(j<=k) ((2j-1)^2 - 4 nu^2) / (k! 8^k), 21 terms:
+    the last is below 2^-56 at x = 24, the terms still fall there until
+    k = 48, and the e^-2x term the series leaves out is 1.4e-21."""
+    out = np.empty((3, x.size))
+    small = x < _SERIES_TO
+    half = 0.5 * x[small]
+    y = half * half
+    split = 134217729.0 * half  # 2^27 + 1
+    hi = split - (split - half)
+    lo = half - hi
+    dy = ((hi * hi - y) + 2.0 * hi * lo) + lo * lo  # y + dy = half^2 exactly
+    s, ds = _horner(_POWER, y)
+    s += ds * dy
+    s *= np.exp(-2.0 * half)
+    s[1] *= half
+    s[2] *= y
+    out[:, small] = s
+    big = x[~small]
+    out[:, ~small] = _horner(_ASYMPTOTIC, 1.0 / big)[0] / np.sqrt(2.0 * math.pi * big)
+    return out
+
+
+class _Kernel:
+    """The z-free part of the quadrature for one walk: its radius and the
+    integrand columns of G, G' and G'' on the nodes."""
+
+    def __init__(self, beta, p):
+        c = axis_coupling(beta, p)
+        self.rho = 1.0 / float(np.sum(c))
+        self.dim = c.size
+        self.curvature = float(np.dot(c, c))  # G''(0)
+        values, mult = np.unique(c, return_counts=True)
+        # F(t) = prod_j I0(c_j t).  With r_j = I1/I0 and q_j = I2/I0 at c_j t,
+        # and P = prod_j I0(c_j t) e^(-c_j t): e^(-t/rho) F' = P sum_j c_j r_j
+        # and e^(-t/rho) F'' = P (sum_j c_j^2 (1 + q_j)/2 + sum_(j != k) c_j r_j
+        # c_k r_k), since I1' = (I0 + I2)/2.  Every term is nonnegative.
+        mult = mult.tolist()
+        prod = np.ones(_NODES.size)
+        first = second = 0.0
+        cr = []
+        for v, m in zip(values.tolist(), mult):
+            i0, i1, i2 = _scaled_bessel(v * _NODES)
+            prod *= i0 if m == 1 else i0**m
+            cr.append(v * (i1 / i0))
+            first = first + m * cr[-1]
+            second = second + m * (0.5 * v * v) * (1.0 + i2 / i0)
+        for i, (m, x) in enumerate(zip(mult, cr)):  # ordered pairs of axes
+            for j, (n, y) in enumerate(zip(mult, cr)):
+                pairs = m * (n - 1) if i == j else m * n
+                if pairs:
+                    second = second + pairs * x * y
+        # trapezoid weight times dt/dx, times t^deriv
+        weight = _STEP * _NODES
+        self.columns = (weight * prod * first, weight * _NODES * prod * first,
+                        weight * _NODES**2 * prod * second)
+
+    def value(self, z: float, deriv: int) -> float:
+        """G^(deriv)(z) under the domain, divergence and small-z rules."""
+        if z < 0.0 or z > self.rho * (1.0 + 1e-12):
+            raise OutOfDomain(f"z={z} outside [0, {self.rho}]")
+        z = min(z, self.rho)
+        if z >= self.rho * (1.0 - 1e-13) and self.dim - 2 * deriv <= 2:
+            return math.inf
+        if z <= self.rho * _TINY:
+            return (1.0 + 0.5 * self.curvature * z * z, self.curvature * z, self.curvature)[deriv]
+        return float(self.quadrature(z, deriv))
+
+    def quadrature(self, z, deriv: int):
+        """G^(deriv) by the trapezoidal sums, for a float z or a 1-d array of
+        z in (rho _TINY, rho]."""
+        b = (self.rho - z) / self.rho / z  # the damping rate gap / z in t
+        zmin, bmin = (float(z.min()), float(b.min())) if isinstance(z, np.ndarray) else (z, b)
+        lo = max(0, math.floor((math.log(zmin) - _HEAD - _LOG_T[0]) / _STEP))
+        hi = _NODES.size
+        if bmin > 0.0:
+            hi = min(hi, math.floor((math.log(_UNDERFLOW / bmin) - _LOG_T[0]) / _STEP) + 1)
+        s = np.exp(np.multiply.outer(-b, _NODES[lo:hi])) @ self.columns[deriv][lo:hi]
         if deriv == 0:
-            continue
-        r = _ive(1, x) / i0
-        a = c * r  # d/dz log I0(c z s), over s
-        first = first + m * a
-        if deriv == 2:
-            sq = sq + m * a * a
-            # I1'(x) / I0(x) = 1 - r/x, with the x -> 0 limit 1/2
-            with np.errstate(invalid="ignore", divide="ignore"):
-                diag = diag + m * c * c * np.where(x < 1e-8, 0.5, 1.0 - r / x)
-    if deriv == 1:
-        prod *= s * first
-    elif deriv == 2:
-        prod *= s * s * (diag + first * first - sq)
-    return prod @ _WEIGHTS
+            return 1.0 + s
+        return s / (z * z) if deriv == 1 else s / (z * z * z)
+
+
+def _kernel(beta, p) -> _Kernel:
+    """The kernel of one walk, kept for the last few walks."""
+    key = (tuple(beta), tuple(p))
+    kept = _kernel_cache.pop(key, None)
+    if kept is None:
+        kept = _Kernel(beta, p)
+    _kernel_cache[key] = kept
+    if len(_kernel_cache) > _KERNEL_CACHE_SIZE:
+        _kernel_cache.popitem(last=False)
+    return kept
 
 
 def green(beta, p, z, deriv: int = 0):
@@ -109,26 +222,19 @@ def green(beta, p, z, deriv: int = 0):
     """
     if deriv not in (0, 1, 2):
         raise OutOfDomain(f"deriv must be 0, 1 or 2, got {deriv}")
-    c = axis_coupling(beta, p)
-    rho = 1.0 / float(np.sum(c))
+    kern = _kernel(beta, p)
     zs = np.asarray(z, dtype=float)
-    bad = (zs < 0.0) | (zs > rho * (1.0 + 1e-12))
-    if np.any(bad):
-        raise OutOfDomain(f"z={zs[bad].flat[0]} outside [0, {rho}]")
-    flat = np.minimum(zs, rho).ravel()
+    if zs.ndim == 0:
+        return kern.value(float(zs), deriv)
+    flat = zs.ravel()
     out = np.empty(flat.shape)
-    diverges = (flat >= rho * (1.0 - 1e-13)) & (len(c) - 2 * deriv <= 2)
-    out[diverges] = math.inf
-    at_zero = flat == 0.0
-    out[at_zero] = (1.0, 0.0, float(np.dot(c, c)))[deriv]
-    todo = np.flatnonzero(~(diverges | at_zero))
-    couplings, mult = np.unique(c, return_counts=True)
+    inner = (flat > kern.rho * _TINY) & (flat < kern.rho * (1.0 - 1e-13))
+    for i in np.flatnonzero(~inner).tolist():
+        out[i] = kern.value(float(flat[i]), deriv)
+    todo = np.flatnonzero(inner)
     for lo in range(0, todo.size, _CHUNK):
         idx = todo[lo : lo + _CHUNK]
-        zc = flat[idx]
-        out[idx] = _laplace(couplings, mult, zc, (rho - zc) / rho, deriv)
-    if zs.ndim == 0:
-        return float(out[0])
+        out[idx] = kern.quadrature(flat[idx], deriv)
     return out.reshape(zs.shape)
 
 
@@ -214,8 +320,12 @@ def _chernoff_window(n, target, b):
     bound, Binomial(n, b) puts at most exp(-target) below lo n and at most
     exp(-target) above hi n."""
 
+    def rel_entr(x, y):  # x log(x/y), 0 at x = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0.0, x * np.log(x / y), 0.0)
+
     def short(a):
-        return n * (special.rel_entr(a, b) + special.rel_entr(1.0 - a, 1.0 - b)) < target
+        return n * (rel_entr(a, b) + rel_entr(1.0 - a, 1.0 - b)) < target
 
     ends = np.array([[0.0], [1.0]])
     far = np.repeat(ends, n.size, axis=1)
@@ -288,7 +398,7 @@ def _merge_axis(acc, axis, b, c, stir):
     # a row sums its window padded to a multiple of 16 cells, so its sum, and
     # so coefficient n, does not depend on which rows share its chunk
     cols = -(-((hi - lo) // 2 + 1) // 16) * 16
-    for width in np.unique(cols[1:]).tolist():
+    for width in sorted(set(cols[1:].tolist())):
         rows = 1 + np.flatnonzero(cols[1:] == width)
         step = max(1, _CELLS // width)
         for first in range(0, rows.size, step):

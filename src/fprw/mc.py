@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # for the Philox streams: numpy would load it lazily, inside the first simulate
 
 from .errors import ConfigError, StateExplosion
 from .factors import HomTree, LatticeNN, flip_group
@@ -238,10 +239,12 @@ class _Letters:
         for i, group in enumerate(self.groups):
             if isinstance(group, LatticeNN):
                 # the L1 spheres: neighbours of sphere r - 1 lie on spheres r - 2 and r
-                spheres = [np.zeros(1, dtype=self.dtype), np.unique(self.code[ks[i]])]
+                spheres = [np.zeros(1, dtype=self.dtype), _sorted_unique(self.code[ks[i]])]
                 for _ in range(order // 2 - 1):
-                    near = (spheres[-1][:, None] + self.code[ks[i]][None, :]).ravel()
-                    spheres.append(np.setdiff1d(near, spheres[-2]))
+                    near = _sorted_unique((spheres[-1][:, None] + self.code[ks[i]][None, :]).ravel())
+                    prev = spheres[-2]  # sorted: keep the neighbours not on it
+                    pos = np.minimum(np.searchsorted(prev, near), prev.size - 1)
+                    spheres.append(near[prev[pos] != near])
                 spheres = spheres[1 : order // 2 + 1]
                 codes.append(np.concatenate(spheres) if spheres else np.zeros(0, self.dtype))
                 costs.append(np.repeat(np.arange(2, 2 * len(spheres) + 1, 2), [s.size for s in spheres]))
@@ -404,6 +407,12 @@ class SimulationResult:
 
     def frequencies(self) -> np.ndarray:
         return np.array(self.returns, dtype=float) / self.walks
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-d array, by one sort (np.unique would load numpy.ma)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _simulate_block(args):

@@ -11,9 +11,7 @@ them but may inherit their locks held.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import ConfigError
 
@@ -41,5 +39,10 @@ def parallel_map(fn, tasks) -> list:
     workers = worker_count(len(tasks), requested_threads())
     if workers == 1:
         return [fn(t) for t in tasks]
+    # loaded only here: spawning the pool costs far more than the import, and
+    # the one-worker path, the default, never needs them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, tasks))

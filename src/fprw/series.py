@@ -25,6 +25,16 @@ import numpy as np
 from .errors import NonzeroInnerConstant, NotInvertible, ZeroConstantTerm
 
 
+def horner(coeffs: np.ndarray, z: float) -> float:
+    """sum_n coeffs[n] z^n by Horner's rule, in the order of operations of
+    numpy's `polyval`, so it gives the same bits."""
+    c = coeffs.tolist()
+    acc = c[-1] + z * 0.0
+    for a in reversed(c[:-1]):
+        acc = a + acc * z
+    return float(acc)
+
+
 class PowerSeries:
     """Immutable truncated power series: coeffs[k] is the z^k coefficient."""
 
@@ -116,7 +126,7 @@ class PowerSeries:
 
     def __call__(self, z: float) -> float:
         """Evaluate the truncated polynomial at a scalar point."""
-        return float(np.polynomial.polynomial.polyval(z, self.coeffs))
+        return horner(self.coeffs, z)
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:6])

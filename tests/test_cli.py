@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fprw
 from fprw import cli, factors, phase, product, selftest
 from fprw.errors import NoConvergence
 from fprw.product import FreeProductSpec, factor_analytics
@@ -225,20 +230,61 @@ def test_selftest_bad_criteria_exits_2(capsys, criteria):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("seed", [2**64, -(2**63) - 1])
+@pytest.mark.parametrize("seed", [2**64, -(2**63) - 1, 2**63, 2**64 - 1])
 def test_seed_outside_philox_range_exits_2(tmp_path, capsys, seed):
     config = {"factors": [C2, C3], "weights": [0.5, 0.5]}
     argv = ("simulate", "--steps", "2", "--walks", "10")
     for cfg, flag in ((config, ("--seed", str(seed))), ({**config, "options": {"seed": seed}}, ())):
         code, out = run(tmp_path, capsys, cfg, *argv, *flag)
         assert code == 2
-        assert out.err == f"config error: seed must lie in [-2^63, 2^64) for the Philox key, got {seed}\n"
+        assert out.err == f"config error: seed must lie in [-2^63, 2^63) for the Philox key, got {seed}\n"
         assert out.out == ""
 
 
-@pytest.mark.parametrize("seed", [2**64 - 1, -(2**63)])
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
 def test_seed_at_the_ends_of_the_range_runs(tmp_path, capsys, seed):
     config = {"factors": [C2, C3], "weights": [0.5, 0.5], "options": {"seed": seed}}
     code, out = run(tmp_path, capsys, config, "simulate", "--steps", "2", "--walks", "10")
     assert code == 0
     assert out.out.startswith(f"# walks=10 seed={seed}\n")
+
+
+NO_SCIPY_RUN = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import fprw.cli
+configs = json.loads(sys.argv[1])
+for name, config in configs.items():
+    with open(name + ".json", "w") as f:
+        json.dump(config, f)
+loaded = set(sys.modules)
+for name in configs:
+    path = name + ".json"
+    for argv in (["analyze"], ["series", "--order", "60"], ["phase", "--grid", "8"],
+                 ["simulate", "--steps", "6", "--walks", "200"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = fprw.cli.main([*argv, "--config", path])
+        print(name, argv[0], code, sorted(set(sys.modules) - loaded))
+"""
+
+
+def test_commands_run_without_scipy_and_load_no_module_after_import(tmp_path):
+    # scipy is a test extra only, and every module a command needs is loaded
+    # by `import fprw.cli`, so none of its cost moves into the first command
+    T3 = {"type": "tree", "q": 3}
+    configs = {
+        "Z5xZ6": {"factors": [Z5, Z6], "weights": [0.5, 0.5]},
+        "C2xC3": {"factors": [C2, C3], "weights": [0.5, 0.5]},
+        "Z5xT3": {"factors": [Z5, T3], "weights": [0.5, 0.5]},
+    }
+    env = {k: v for k, v in os.environ.items() if k != "FPRW_THREADS"}
+    env["PYTHONPATH"] = str(Path(fprw.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, json.dumps(configs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4 * len(configs)
+    for line in lines:
+        name, command, code, loaded = line.split(" ", 3)
+        assert (code, loaded) == ("0", "[]"), line

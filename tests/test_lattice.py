@@ -291,6 +291,133 @@ class TestNearRadius:
         np.testing.assert_allclose(lattice.green(beta, p, many), want, rtol=rtol)
 
 
+# ---------------------------------------------------------------------------
+# the t-form kernel against its oracles
+
+COLUMN_WALKS = {
+    **{f"Z{d}": simple(d) for d in range(1, 9)},
+    "tuned-Z3": (tuned_lattice(3, 0.3).beta, tuned_lattice(3, 0.3).p),
+    "biased-Z3": ((0.5, 0.3, 0.2), (0.5, 0.4, 0.7)),
+}
+
+
+@pytest.mark.parametrize("walk", COLUMN_WALKS)
+def test_scaled_bessel_columns_against_mpmath(walk):
+    # measured: at most 2.42 eps (biased-Z3, I0); scipy's i0e and i1e
+    # reach 5 eps on the same nodes
+    eps = np.finfo(float).eps
+    for v in np.unique(lattice.axis_coupling(*COLUMN_WALKS[walk])).tolist():
+        x = v * lattice._NODES
+        got = lattice._scaled_bessel(x)
+        assert np.all(got > 0.0)
+        with mp.workdps(30):
+            for i, xi in enumerate(x.tolist()):
+                xm = mp.mpf(xi)
+                damp = mp.exp(-xm)
+                for nu in range(3):
+                    want = mp.besseli(nu, xm) * damp
+                    assert abs(mp.mpf(float(got[nu, i])) / want - 1) <= 3 * eps, (v, xi, nu)
+
+
+def scipy_laplace_green(beta, p, z, deriv):
+    """The s-form kernel the t-form replaced, with scipy's Bessel functions:
+    G^(deriv)(z) = int e^-s d^deriv/dz^deriv prod_j I0(c_j z s) ds, by the
+    trapezoidal rule in log s on [-40, 90] with step 1/8, for 0 < z < rho."""
+    from scipy import special
+
+    c = lattice.axis_coupling(beta, p)
+    rho = 1.0 / float(np.sum(c))
+    s = np.exp(np.arange(-320, 721) * 0.125)
+    prod = np.exp(-(rho - z) / rho * s)
+    first = sq = diag = 0.0
+    for cj, m in zip(*np.unique(c, return_counts=True)):
+        x = cj * z * s
+        i0 = special.i0e(x)
+        prod *= i0 if m == 1 else i0**m
+        r = special.i1e(x) / i0
+        a = cj * r
+        first = first + m * a
+        sq = sq + m * a * a
+        with np.errstate(invalid="ignore", divide="ignore"):
+            diag = diag + m * cj * cj * np.where(x < 1e-8, 0.5, 1.0 - r / x)
+    if deriv == 1:
+        prod *= s * first
+    elif deriv == 2:
+        prod *= s * s * (diag + first * first - sq)
+    return float(prod @ (0.125 * s))
+
+
+def series_green(beta, p, z, deriv):
+    """G^(deriv)(z) summed in 30 digits from the exact return series, for
+    z <= rho / 2 (the tail past order 100 is below 1e-30 relative)."""
+    with mp.workdps(30):
+        zm = mp.mpf(z)
+        terms = exact_return_series(beta, p, 100)
+        return mp.fsum(
+            mp.mpf(c.numerator) / c.denominator * mp.ff(2 * k, deriv) * zm ** (2 * k - deriv)
+            for k, c in enumerate(terms)
+            if 2 * k >= deriv
+        )
+
+
+@st.composite
+def walks(draw):
+    d = draw(st.integers(1, 8))
+    raw = draw(st.lists(st.floats(0.02, 1.0), min_size=d, max_size=d))
+    beta = [x / sum(raw) for x in raw]
+    symmetric = draw(st.booleans())
+    p = [0.5] * d if symmetric else draw(st.lists(st.floats(0.02, 0.98), min_size=d, max_size=d))
+    return beta, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    walk=walks(),
+    frac=st.one_of(
+        st.floats(-8.0, 0.0).map(lambda u: 10.0**u),
+        st.floats(-10.0, -0.3).map(lambda u: 1.0 - 10.0**u),
+    ),
+)
+def test_green_matches_the_scipy_kernel(walk, frac):
+    beta, p = walk
+    z = lattice.convergence_radius(beta, p) * min(frac, 1.0 - 1e-10)
+    for deriv in (0, 1, 2):
+        got = lattice.green(beta, p, z, deriv)
+        want = scipy_laplace_green(beta, p, z, deriv)
+        if abs(got / want - 1.0) <= 2e-15:
+            continue
+        # the oracle itself is off by up to 11 eps at small z (G'' on Z^7
+        # and Z^8, against the exact series): there the exact series decides
+        assert frac <= 0.5, (z, deriv, got, want)
+        exact = series_green(beta, p, z, deriv)
+        assert abs(got / exact - 1) <= abs(want / exact - 1), (z, deriv, got, want)
+
+
+@pytest.mark.parametrize("walk", ["Z1", "Z3", "Z8", "biased-Z3"])
+def test_small_z_rule_meets_the_quadrature(walk):
+    # at and below rho 1e-9 G is 1 + |c|^2 z^2 / 2, G' = |c|^2 z and G'' =
+    # |c|^2, whose next terms are below 1e-17 relative; just above, the
+    # quadrature takes over
+    beta, p = COLUMN_WALKS[walk]
+    rho = lattice.convergence_radius(beta, p)
+    for z in (rho * lattice._TINY, rho * lattice._TINY * (1 + 1e-9), rho * 1e-6):
+        for deriv in (0, 1, 2):
+            exact = series_green(beta, p, z, deriv)
+            assert abs(lattice.green(beta, p, z, deriv) / exact - 1) <= 4 * np.finfo(float).eps
+
+
+def test_one_kernel_per_walk_in_a_bounded_cache():
+    lattice._kernel_cache.clear()
+    beta, p = simple(5)
+    kern = lattice._kernel(beta, p)
+    for z in (0.1, 0.5, np.array([0.2, 0.9])):
+        lattice.green(beta, p, z, 1)
+    assert list(lattice._kernel_cache.values()) == [kern]
+    for d in range(1, 2 * lattice._KERNEL_CACHE_SIZE):
+        lattice.green(*simple(d), 0.5)
+    assert len(lattice._kernel_cache) == lattice._KERNEL_CACHE_SIZE
+
+
 def exact_return_series(beta, p, order):
     """Even coefficients of the return series in exact rationals.
 

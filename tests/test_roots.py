@@ -135,14 +135,3 @@ def test_cli_reports_a_nan_root_function_as_a_numeric_failure(tmp_path, capsys, 
     assert code == 3
     assert err.startswith("numeric failure (NanValue):")
     assert "Traceback" not in err
-
-
-def test_cli_import_loads_no_optimize_sparse_or_linalg():
-    code = (
-        "import sys, fprw.cli\n"
-        "print('\\n'.join(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'optimize'], ['scipy', 'sparse'], ['scipy', 'linalg'])))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(fprw.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
