@@ -115,8 +115,8 @@ def _scaled_bessel(x) -> np.ndarray:
     2.5 eps of exact on the kernel's nodes (against 30-digit mpmath).
 
     Below x = 24 it is (x/2)^nu e^-x S_nu(x^2/4) with S_nu(y) = sum_k
-    y^k / (k! (k+nu)!), 41 terms, all positive.  S_nu has log-derivative
-    x I_(nu+1) / (2 I_nu), up to 12, in y, so y = x^2/4 is carried with its
+    y^k / (k! (k+nu)!), 41 terms, all positive.  d log S_nu / d log y is
+    x I_(nu+1) / (2 I_nu), up to 12, so y = x^2/4 is carried with its
     rounding error dy (Dekker's exact product) and S_nu is taken as
     S_nu(y) + S_nu'(y) dy.  I2 comes from its own series: I0 - 2 I1 / x
     cancels at small x.  From x = 24 on it is (2 pi x)^(-1/2) sum_k a_k(nu)

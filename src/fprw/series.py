@@ -27,7 +27,7 @@ from .errors import NonzeroInnerConstant, NotInvertible, ZeroConstantTerm
 
 def horner(coeffs: np.ndarray, z: float) -> float:
     """sum_n coeffs[n] z^n by Horner's rule, in the order of operations of
-    numpy's `polyval`, so it gives the same bits."""
+    numpy's `polyval`, so it gives the same value."""
     c = coeffs.tolist()
     acc = c[-1] + z * 0.0
     for a in reversed(c[:-1]):

@@ -415,3 +415,20 @@ class TestKernels:
         scaled = c.scale_arg(2.0).coeffs
         assert np.allclose(scaled[:1074], 1.0, rtol=1e-15, atol=0.0)
         assert np.all(scaled[1074:] == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+    z=st.floats(-2.0, 2.0),
+    deriv=st.integers(0, 2),
+)
+def test_horner_matches_numpy_polyval_exactly(coeffs, z, deriv):
+    # series.horner and factors._poly_value replace numpy.polynomial's
+    # polyval and polyder, which would load numpy.polynomial on first use
+    from fprw.factors import _poly_value
+
+    poly = np.polynomial.polynomial
+    c = np.array(coeffs)
+    assert series_mod.horner(c, z) == float(poly.polyval(z, c))
+    assert _poly_value(c, z, deriv) == float(poly.polyval(z, poly.polyder(c, deriv)))
