@@ -20,13 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InsufficientData,
-    InvalidSingularity,
-    MissingSingularity,
-    RootNotBracketed,
-)
-from .factors import DEFAULT_ORDER, ExplicitSeries
+from .errors import InsufficientData, MissingSingularity, RootNotBracketed
+# darboux_map is kept importable from here, beside the laws it feeds
+from .factors import _INT_TOL, DEFAULT_ORDER, ExplicitSeries, darboux_map
 from .product import (
     FreeProductSpec,
     ProductAnalytics,
@@ -39,29 +35,12 @@ from .product import (
 )
 from .series import PowerSeries
 
-_INT_TOL = 1e-9
-
 INHERITED = "inherited"
 THREE_HALVES = "three-halves"
 ONE_HALF_DEGENERATE = "one-half-degenerate"
 
 EXACT = "exact"
 NEAR_CRITICAL = "near-critical-warning"
-
-
-def darboux_map(q: float, k: int):
-    """Map a leading singular term (rho-z)^q log^k(rho-z) to law exponents.
-
-    Returns (lambda, kappa) with lambda = q + 1 and kappa = k, except that an
-    integer q consumes one log power (kappa = k - 1); integer q with k = 0 has
-    no singular part at all.
-    """
-    if q <= 0 or k < 0 or int(k) != k:
-        raise InvalidSingularity(f"need q > 0 and integer k >= 0, got ({q}, {k})")
-    is_int = abs(q - round(q)) < _INT_TOL
-    if is_int and k == 0:
-        raise InvalidSingularity(f"(q, k) = ({q}, 0) with integer q is analytic")
-    return q + 1.0, int(k) - 1 if is_int else int(k)
 
 
 def _inverse_darboux(lam: float, kappa: int):

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import classify, mc, phase
-from .errors import ConfigError, DegenerateProduct, FprwError
+from .errors import ConfigError, FprwError
 from .factors import ExplicitSeries, FiniteGroup, HomTree, LatticeNN, cyclic_group
 from .product import (
     FreeProductSpec,
@@ -377,14 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON product description")
+    def common(p, formats=("json", "csv")):
+        p.add_argument("--config", required=True, help="JSON product description")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("analyze", help="classify the return-probability law")
-    common(p)
+    common(p, formats=("json",))
     p = sub.add_parser(
         "series",
         help="exact return-probability series",
@@ -446,7 +445,7 @@ def main(argv=None) -> int:
     except _PhaseArity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (FprwError, DegenerateProduct) as exc:
+    except FprwError as exc:
         print(f"numeric failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
     _write(text, args.out)

@@ -11,11 +11,13 @@ period and singularity descriptor (`invariants`), its return series
 (`series`), the same series in the variable x = z/rho (`radius_series`,
 which the product's first-visit solve uses), its Green function and
 derivatives (`green`), and the limit of Psi at the radius where G diverges
-there (`recurrent_psi_limit`).
-analyze_factor asks them once per (factor, order) and caches the result.
+there (`recurrent_psi_limit`).  Each fact has one source: analyze_factor
+asks the factor once and caches the result per factor.  The validity of a
+singular term (q, k) is `darboux_map`, which both the explicit factor's
+construction and `SingularityDescriptor` read.
 
-All evaluations are pure; a GreenAnalytics object builds its return series
-on first access and is otherwise immutable after construction.
+All evaluations are pure; a GreenAnalytics object is immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import lattice
-from .errors import ConfigError, NeedsDerivative, OutOfDomain, RootNotBracketed
+from .errors import (
+    ConfigError,
+    InvalidSingularity,
+    NeedsDerivative,
+    OutOfDomain,
+    RootNotBracketed,
+)
 from .roots import brent
 from .series import PowerSeries, horner, series_reciprocal
 
@@ -41,7 +49,8 @@ _ROOT_RTOL = 1e-13
 _EDGE_RTOL = 1e-8
 
 # Green values kept per factor evaluator, keyed on (z, deriv), analysed
-# factors kept per (factor, order), and lattice kernels kept per coupling
+# factors kept per factor, and lattice return series kept per coupling (not
+# an lru_cache: a lower order is served from a higher one already kept)
 _GREEN_CACHE_SIZE = 4096
 _ANALYTICS_CACHE_SIZE = 256
 _KERNEL_CACHE_SIZE = 8
@@ -136,7 +145,7 @@ class LatticeNN:
     def green(self, z: float, deriv: int) -> float:
         return lattice.green(self.beta, self.p, z, deriv)
 
-    def recurrent_psi_limit(self, order: int) -> float:
+    def recurrent_psi_limit(self) -> float:
         return 0.0  # null-recurrent (Z^1, Z^2): w -> inf with Psi -> 0
 
 
@@ -241,10 +250,6 @@ class FiniteGroup:
         exactly when s_1 ... s_k = x^-1, so it is the forward distance of x^-1."""
         return tuple(self.forward_dist[row.index(self.id)] for row in self.table)
 
-    @cached_property
-    def _radius(self) -> float:
-        return 1.0 / float(np.max(np.abs(np.linalg.eigvals(self.matrix()))))
-
     def invariants(self):
         # gcd of (dist[x] + 1 - dist[y]) over support edges x -> y, the standard
         # period of a strongly connected digraph
@@ -254,7 +259,8 @@ class FiniteGroup:
         for x in dist:
             for s in supp:
                 period = math.gcd(period, dist[x] + 1 - dist[self.table[x][s]])
-        return self._radius, period, None
+        # a stochastic matrix has spectral radius exactly 1
+        return 1.0, period, None
 
     def series(self, order: int) -> PowerSeries:
         P = self.matrix()
@@ -268,11 +274,10 @@ class FiniteGroup:
         return PowerSeries(out)
 
     def radius_series(self, order: int):
-        # a stochastic matrix has spectral radius exactly 1
         return 1.0, self.series(order)
 
     def green(self, z: float, deriv: int) -> float:
-        if z >= self._radius * (1.0 - 1e-13):
+        if z >= 1.0 - 1e-13:
             return math.inf
         P = self.matrix()
         e = np.zeros(self.order)
@@ -287,7 +292,7 @@ class FiniteGroup:
             return float(v @ pu)
         return float(2.0 * (v @ (P @ np.linalg.solve(M, pu))))
 
-    def recurrent_psi_limit(self, order: int) -> float:
+    def recurrent_psi_limit(self) -> float:
         return 1.0 / self.order  # positive recurrent: the stationary mass pi(e)
 
 
@@ -363,7 +368,7 @@ class HomTree:
     def green(self, z: float, deriv: int) -> float:
         return _tree_green_closed(self.q, z, deriv)
 
-    def recurrent_psi_limit(self, order: int) -> float:
+    def recurrent_psi_limit(self) -> float:
         return 0.0  # null-recurrent (q = 2 is Z^1)
 
 
@@ -392,9 +397,10 @@ class ExplicitSeries:
         if self.g_at_r < 1.0:
             raise ConfigError("G at the radius is at least 1")
         if self.sing is not None:
-            q, k = self.sing
-            if not (q > 0 and int(k) == k and k >= 0):
-                raise ConfigError("singularity descriptor needs q>0 and integer k>=0")
+            try:
+                darboux_map(*self.sing)
+            except InvalidSingularity as exc:
+                raise ConfigError(f"singularity descriptor: {exc}") from None
         if self.period < 1:
             raise ConfigError("period must be a positive integer")
         # the product's solve reads each factor only on the period lattice
@@ -429,10 +435,10 @@ class ExplicitSeries:
             return (self.g_at_r, self.gprime_at_r, math.inf)[deriv]
         return _poly_value(np.array(self.coeffs), z, deriv)
 
-    def recurrent_psi_limit(self, order: int) -> float:
-        # approximate the limit from the truncated sums
-        coeffs = self.series(order).coeffs
-        z = self.radius * (1.0 - 10.0 / max(order, 20))
+    def recurrent_psi_limit(self) -> float:
+        # approximate the limit from the truncated sums to DEFAULT_ORDER
+        coeffs = self.series(DEFAULT_ORDER).coeffs
+        z = self.radius * (1.0 - 10.0 / DEFAULT_ORDER)
         return _psi_from_values(z, _poly_value(coeffs, z, 0), _poly_value(coeffs, z, 1))
 
 
@@ -453,6 +459,23 @@ FactorSpec = Union[LatticeNN, FiniteGroup, HomTree, ExplicitSeries]
 # ---------------------------------------------------------------------------
 # singularity descriptor
 
+_INT_TOL = 1e-9
+
+
+def darboux_map(q: float, k: int):
+    """Map a leading singular term (rho-z)^q log^k(rho-z) to law exponents.
+
+    Returns (lambda, kappa) with lambda = q + 1 and kappa = k, except that an
+    integer q consumes one log power (kappa = k - 1); integer q with k = 0 has
+    no singular part at all.
+    """
+    if not 0 < q < math.inf or k < 0 or int(k) != k:
+        raise InvalidSingularity(f"need finite q > 0 and integer k >= 0, got ({q}, {k})")
+    is_int = abs(q - round(q)) < _INT_TOL
+    if is_int and k == 0:
+        raise InvalidSingularity(f"(q, k) = ({q}, 0) with integer q is analytic")
+    return q + 1.0, int(k) - 1 if is_int else int(k)
+
 
 @dataclass(frozen=True)
 class SingularityDescriptor:
@@ -465,8 +488,6 @@ class SingularityDescriptor:
 
     @classmethod
     def from_qk(cls, q: float, k: int) -> "SingularityDescriptor":
-        from .classify import darboux_map
-
         lam, kappa = darboux_map(q, k)
         return cls(q=q, k=k, lam=lam, kappa=kappa)
 
@@ -486,14 +507,8 @@ class GreenAnalytics:
     theta: float
     period: int
     sing: Optional[SingularityDescriptor]
-    order: int
     psi_at_radius: float
     _green: Callable = field(repr=False)
-
-    @cached_property
-    def series(self) -> PowerSeries:
-        """Return-probability series to the analysis order, built on first use."""
-        return self.spec.series(self.order)
 
     def green(self, z: float, deriv: int = 0) -> float:
         """G^(deriv)(z) on [0, radius]; +inf where divergent."""
@@ -540,8 +555,8 @@ def _psi_from_values(z: float, g: float, gp: float) -> float:
 
 
 @lru_cache(maxsize=_ANALYTICS_CACHE_SIZE)
-def analyze_factor(spec: FactorSpec, order: int = DEFAULT_ORDER) -> GreenAnalytics:
-    """Compute all invariants of one factor's walk, cached per (factor, order).
+def analyze_factor(spec: FactorSpec) -> GreenAnalytics:
+    """Compute all invariants of one factor's walk, cached per factor.
 
     Psi's limit at the radius is finite or zero in every case: an honest
     evaluation with finite G and G', 0 where G' diverges, and the kind's
@@ -556,7 +571,7 @@ def analyze_factor(spec: FactorSpec, order: int = DEFAULT_ORDER) -> GreenAnalyti
         psi_r = _psi_from_values(radius, g_r, gp_r)
     else:
         theta = math.inf
-        psi_r = spec.recurrent_psi_limit(order)
+        psi_r = spec.recurrent_psi_limit()
     return GreenAnalytics(
         spec=spec,
         radius=radius,
@@ -565,7 +580,6 @@ def analyze_factor(spec: FactorSpec, order: int = DEFAULT_ORDER) -> GreenAnalyti
         theta=theta,
         period=period,
         sing=sing,
-        order=order,
         psi_at_radius=psi_r,
         _green=ev,
     )

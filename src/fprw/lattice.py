@@ -48,8 +48,8 @@ is within a few eps of exact, and all n of a merge go in one array pass.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,8 +63,6 @@ _CHUNK = 64  # z values per pass: each temporary array is at most 64 x 1,105 flo
 _TINY = 1e-9  # z / rho at or below which G's first Taylor terms are exact to rounding
 _HEAD = 24.0  # nodes below t = z e^-24 are left out
 _UNDERFLOW = 750.0  # exp(-u) is exactly 0.0 past u = 745.2
-_KERNEL_CACHE_SIZE = 32
-_kernel_cache: "OrderedDict[tuple, _Kernel]" = OrderedDict()
 
 # Scaled Bessel functions: the power series below _SERIES_TO, the asymptotic
 # series from it on.  Each coefficient is an exact rational rounded once.
@@ -202,16 +200,10 @@ class _Kernel:
         return s / (z * z) if deriv == 1 else s / (z * z * z)
 
 
-def _kernel(beta, p) -> _Kernel:
-    """The kernel of one walk, kept for the last few walks."""
-    key = (tuple(beta), tuple(p))
-    kept = _kernel_cache.pop(key, None)
-    if kept is None:
-        kept = _Kernel(beta, p)
-    _kernel_cache[key] = kept
-    if len(_kernel_cache) > _KERNEL_CACHE_SIZE:
-        _kernel_cache.popitem(last=False)
-    return kept
+@lru_cache(maxsize=32)
+def _kernel(beta: tuple, p: tuple) -> _Kernel:
+    """The kernel of one walk, kept for the last 32 walks."""
+    return _Kernel(beta, p)
 
 
 def green(beta, p, z, deriv: int = 0):
@@ -222,7 +214,7 @@ def green(beta, p, z, deriv: int = 0):
     """
     if deriv not in (0, 1, 2):
         raise OutOfDomain(f"deriv must be 0, 1 or 2, got {deriv}")
-    kern = _kernel(beta, p)
+    kern = _kernel(tuple(beta), tuple(p))
     zs = np.asarray(z, dtype=float)
     if zs.ndim == 0:
         return kern.value(float(zs), deriv)

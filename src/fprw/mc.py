@@ -29,10 +29,10 @@ fwd = bwd, and the ball is erase cost <= order // 2); mass crossing its
 boundary goes to an escape bucket, which keeps the per-step totals at exactly
 1.  The words form a trie: each is keyed by the state id of its prefix and its
 last letter, the ball's letters numbered densely, and the levels are
-enumerated with np.unique/searchsorted.  Mass moves by one np.bincount per
-step over the (word, predecessor) pairs, listed word by word and each word's
-predecessors in support order, so every sum starts from 0.0 and is taken in
-the order of the tuple-word propagation.  word_count_bound counts
+enumerated with np.unique/searchsorted.  Mass moves over a dense table of
+each word's predecessor per support step: a step adds p_k times the mass of
+the k-th predecessors, in support order, so every sum starts from 0.0 and is
+taken in the order of the tuple-word propagation.  word_count_bound counts
 the ball's words exactly from the factors' sphere sizes in fwd + bwd, so an
 order that does not fit is refused before anything is enumerated.
 
@@ -61,9 +61,9 @@ _SIM_BLOCK = 4096  # walks per RNG stream; fixed so seeding is partition-proof
 # Memory that `fprw simulate` gives its exact column.  At its peak
 # bfs_convolution holds up to _STATE_BYTES per word plus _PAIR_BYTES per (word,
 # support step) pair: trie arrays, a level's candidate arrays, the target table
-# and the pair arrays (word, predecessor, probability).  Measured peaks
-# (tracemalloc), word arrays included, were 52-59 bytes per pair on Z5*Z6,
-# Z2*C3, Z1*Z1, Z3*T4 and C2^3; the constants leave room.
+# and the predecessor table.  Measured peaks (tracemalloc), word arrays
+# included, were 52-59 bytes per pair on Z5*Z6, Z2*C3, Z1*Z1, Z3*T4 and C2^3;
+# the constants leave room.
 EXACT_COLUMN_BYTES = 64 << 20
 _STATE_BYTES = 128
 _PAIR_BYTES = 64
@@ -364,27 +364,27 @@ def bfs_convolution(
     target = np.concatenate(levels)
     del levels
 
-    # (word, predecessor, probability) pairs, row-major: each word's
-    # predecessors in support order
-    source = np.full((nstates, nsteps), -1, dtype=np.int64)
+    # source[k, w]: the word that support step k takes to w, or -1 for none,
+    # which indexes the trailing 0.0 of `padded`
+    source = np.full((nsteps, nstates), -1, dtype=np.int64)
     for k in range(nsteps):
         stays = np.flatnonzero(target[:, k] >= 0)
-        source[target[stays, k], k] = stays
+        source[k, target[stays, k]] = stays
     escape = np.where(target < 0, probs, 0.0).sum(axis=1)
     del target
-    rows, step = np.nonzero(source >= 0)
-    cols = source[rows, step]
-    probs_pair = probs[step]
-    del source, step
 
-    mass = np.zeros(nstates)
-    mass[0] = 1.0
+    padded = np.zeros(nstates + 1)
+    padded[0] = 1.0
+    mass = padded[:-1]
     escaped = 0.0
     out = np.zeros(order + 1)
     out[0] = 1.0
     for n in range(1, order + 1):
         escaped += float(escape @ mass)
-        mass = np.bincount(rows, weights=probs_pair * mass[cols], minlength=nstates)
+        new = np.zeros(nstates)
+        for pk, pred in zip(probs.tolist(), source):
+            new += pk * padded[pred]
+        mass[:] = new
         total = float(np.sum(mass)) + escaped
         if abs(total - 1.0) > 1e-12:
             raise StateExplosion(f"probability mass drifted to {total}")

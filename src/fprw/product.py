@@ -345,7 +345,7 @@ def zeta_at(spec: FreeProductSpec, z: float, tol: float = 1e-13, max_iter: int =
 
     def u_over_w(an: GreenAnalytics, w: float) -> float:
         if w == 0.0:
-            return an.series[1]  # U'(0) = mass of one-step returns
+            return an.spec.series(1)[1]  # U'(0) = mass of one-step returns
         g = an.green(min(w, an.radius))
         return (1.0 - 1.0 / g) / w if math.isfinite(g) else 1.0 / w
 

@@ -78,7 +78,7 @@ def criterion_1():
     expect = {5: 0.691, 6: 0.824, 7: 0.876}
     got = {}
     for d, ref in expect.items():
-        an = analyze_factor(LatticeNN.simple(d), order=8)
+        an = analyze_factor(LatticeNN.simple(d))
         got[d] = psi_at(an, an.radius)
         if abs(got[d] - ref) > 0.002:
             return False, f"Psi_{d} = {got[d]:.5f} vs {ref} (tol 0.002)"
@@ -306,7 +306,7 @@ def criterion_8():
 
     # Psi_i strictly decreasing, Phi_i convex, on interior grids
     for f in (Z5, Z3, C3):
-        an = analyze_factor(f, order=8)
+        an = analyze_factor(f)
         zs = np.linspace(0.05, an.radius * 0.97, 9)
         psis = [psi_at(an, z) for z in zs]
         if not all(a > b for a, b in zip(psis, psis[1:])):

@@ -44,6 +44,8 @@ def run(tmp_path, capsys, config, *argv):
         {"factors": [Z3, Z5], "weights": [0.5, 0.5], "options": []},
         {"factors": [{**EXPLICIT_Z1, "sing": []}, Z5], "weights": [0.5, 0.5]},
         {"factors": [{**EXPLICIT_Z1, "sing": [0.5]}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [{**EXPLICIT_Z1, "sing": [2, 0]}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [{**EXPLICIT_Z1, "sing": [math.inf, 0]}, Z5], "weights": [0.5, 0.5]},
     ],
     ids=[
         "order-not-a-number",
@@ -56,6 +58,8 @@ def run(tmp_path, capsys, config, *argv):
         "options-not-an-object",
         "explicit-sing-empty",
         "explicit-sing-one-number",
+        "explicit-sing-analytic",
+        "explicit-sing-infinite",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, config):
@@ -64,6 +68,16 @@ def test_malformed_config_exits_2(tmp_path, capsys, config):
     assert out.err.startswith("config error:")
     assert "Traceback" not in out.err
     assert out.out == ""
+
+
+def test_analyze_has_no_csv_format(tmp_path, capsys):
+    config = {"factors": [Z5, Z6], "weights": [0.5, 0.5]}
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, capsys, config, "analyze", "--format", "csv")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'csv'" in err
+    assert "Traceback" not in err
 
 
 def test_explicit_factor_off_its_period_exits_2(tmp_path, capsys):

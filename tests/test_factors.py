@@ -23,12 +23,12 @@ from fprw.factors import (
 
 @pytest.fixture(scope="module")
 def z5():
-    return analyze_factor(LatticeNN.simple(5), order=64)
+    return analyze_factor(LatticeNN.simple(5))
 
 
 @pytest.fixture(scope="module")
 def z3():
-    return analyze_factor(LatticeNN.simple(3), order=64)
+    return analyze_factor(LatticeNN.simple(3))
 
 
 class TestSpecValidation:
@@ -74,28 +74,34 @@ class TestFiniteGroup:
 
     def test_matrix_power_oracle(self):
         spec = cyclic_group(3, (0.0, 0.5, 0.5))
-        an = analyze_factor(spec, order=32)
+        an = analyze_factor(spec)
+        series = spec.series(32)
         P = spec.matrix()
         M = np.eye(3)
         for n in range(33):
-            assert an.series[n] == pytest.approx(M[0, 0], abs=1e-14)
+            assert series[n] == pytest.approx(M[0, 0], abs=1e-14)
             M = M @ P
         assert an.period == 1  # returns at n=2 (1+2) and n=3 (1+1+1)
 
+    def test_radius_is_exactly_one(self):
+        # a stochastic matrix has spectral radius 1; an eigenvalue solver
+        # gives 1/|eig| = 1.0000000000000004 for this walk
+        assert analyze_factor(cyclic_group(3, (0.0, 0.5, 0.5))).radius == 1.0
+
     def test_radius_from_series_growth(self):
         spec = cyclic_group(4, (0.1, 0.5, 0.1, 0.3))
-        an = analyze_factor(spec, order=400)
+        an = analyze_factor(spec)
         n = np.arange(40, 401)
-        vals = an.series.coeffs[n]
+        vals = spec.series(400).coeffs[n]
         keep = vals > 0
         est = np.exp(np.max(np.log(vals[keep]) / n[keep]))
         assert abs(1.0 / est - an.radius) < 0.01
 
     def test_derivatives_match_series(self):
         spec = cyclic_group(3, (0.2, 0.3, 0.5))
-        an = analyze_factor(spec, order=600)
+        an = analyze_factor(spec)
         z = 0.7
-        c = an.series.coeffs
+        c = spec.series(600).coeffs
         n = np.arange(c.size)
         assert an.green(z, 1) == pytest.approx(float(np.sum(n[1:] * c[1:] * z ** (n[1:] - 1))), rel=1e-10)
         assert an.green(z, 2) == pytest.approx(
@@ -128,7 +134,7 @@ class TestHomTree:
 
     def test_bfs_series_oracle(self):
         # direct word enumeration on the free product of three involutions
-        an = analyze_factor(HomTree(3), order=16)
+        series = HomTree(3).series(16)
         probs = {(): 1.0}
         for n in range(1, 17):
             nxt = {}
@@ -137,7 +143,7 @@ class TestHomTree:
                     new = word[:-1] if word and word[-1] == g else word + (g,)
                     nxt[new] = nxt.get(new, 0.0) + mass / 3.0
             probs = nxt
-            assert an.series[n] == pytest.approx(probs.get((), 0.0), abs=1e-12)
+            assert series[n] == pytest.approx(probs.get((), 0.0), abs=1e-12)
 
     def test_radius_and_sqrt_singularity(self):
         an = analyze_factor(HomTree(3))
@@ -149,7 +155,7 @@ class TestHomTree:
         assert an.psi_at_radius == 0.0
 
     def test_degree_two_is_line(self):
-        an = analyze_factor(HomTree(2), order=40)
+        an = analyze_factor(HomTree(2))
         # the 2-regular tree is the line: G = 1/sqrt(1-z^2)
         assert an.green(0.6) == pytest.approx(1.0 / math.sqrt(1.0 - 0.36), rel=1e-12)
         assert an.g_at_r == math.inf
@@ -168,16 +174,16 @@ class TestHomTree:
 class TestAnalyzeLattice:
     def test_singularity_descriptors(self):
         for d, expect in ((5, (1.5, 0, 2.5, 0)), (6, (2.0, 1, 3.0, 0)), (7, (2.5, 0, 3.5, 0))):
-            an = analyze_factor(LatticeNN.simple(d), order=8)
+            an = analyze_factor(LatticeNN.simple(d))
             assert (an.sing.q, an.sing.k, an.sing.lam, an.sing.kappa) == expect
         for d in (1, 2, 3, 4):
-            assert analyze_factor(LatticeNN.simple(d), order=8).sing is None
+            assert analyze_factor(LatticeNN.simple(d)).sing is None
 
     def test_low_dimension_infinities(self, z3):
         assert math.isfinite(z3.g_at_r)
         assert z3.gprime_at_r == math.inf
         assert z3.psi_at_radius == 0.0
-        an1 = analyze_factor(LatticeNN.simple(1), order=8)
+        an1 = analyze_factor(LatticeNN.simple(1))
         assert an1.g_at_r == math.inf and an1.theta == math.inf
 
     def test_theta_product(self, z5):
@@ -250,7 +256,7 @@ class TestPhiDerivs:
             phi_at(z5, z5.radius, 2)
 
     def test_finite_second_derivative_d7_at_radius(self):
-        an = analyze_factor(LatticeNN.simple(7), order=8)
+        an = analyze_factor(LatticeNN.simple(7))
         phi, phi2 = phi_at(an, an.radius), phi_at(an, an.radius, 2)
         assert phi == pytest.approx(an.g_at_r)
         assert 0.0 < phi2 < math.inf
@@ -292,20 +298,21 @@ class TestInvertW:
 class TestExplicitSeries:
     def test_mirror_of_z5(self, z5):
         spec = ExplicitSeries(
-            coeffs=tuple(z5.series.coeffs),
+            coeffs=tuple(z5.spec.series(64).coeffs),
             radius=z5.radius,
             g_at_r=z5.g_at_r,
             gprime_at_r=z5.gprime_at_r,
             sing=(1.5, 0),
             period=2,
         )
-        an = analyze_factor(spec, order=64)
+        an = analyze_factor(spec)
         assert an.green(0.5) == pytest.approx(z5.green(0.5), rel=1e-10)
         assert psi_at(an, 1.0) == pytest.approx(psi_at(z5, 1.0), rel=1e-9)
         assert (an.sing.lam, an.sing.kappa) == (2.5, 0)
 
     def test_period_support(self, z5):
-        an = analyze_factor(LatticeNN.simple(2), order=50)
+        an = analyze_factor(LatticeNN.simple(2))
+        series = an.spec.series(50)
         for n in range(51):
-            if an.series[n] > 0:
+            if series[n] > 0:
                 assert n % an.period == 0

@@ -407,15 +407,15 @@ def test_small_z_rule_meets_the_quadrature(walk):
 
 
 def test_one_kernel_per_walk_in_a_bounded_cache():
-    lattice._kernel_cache.clear()
+    lattice._kernel.cache_clear()
     beta, p = simple(5)
-    kern = lattice._kernel(beta, p)
     for z in (0.1, 0.5, np.array([0.2, 0.9])):
         lattice.green(beta, p, z, 1)
-    assert list(lattice._kernel_cache.values()) == [kern]
-    for d in range(1, 2 * lattice._KERNEL_CACHE_SIZE):
+    info = lattice._kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    for d in range(1, 2 * info.maxsize):
         lattice.green(*simple(d), 0.5)
-    assert len(lattice._kernel_cache) == lattice._KERNEL_CACHE_SIZE
+    assert lattice._kernel.cache_info().currsize == info.maxsize
 
 
 def exact_return_series(beta, p, order):

@@ -201,7 +201,7 @@ class TestTuneAxisWeights:
 
     def test_target_half(self):
         spec = phase.tune_axis_weights(5, 0.5)
-        an = analyze_factor(spec, order=8)
+        an = analyze_factor(spec)
         assert psi_at(an, an.radius) == pytest.approx(0.5, abs=1e-4)
 
     def test_continuity_on_grid(self):
