@@ -57,10 +57,12 @@ def _parse_number(value, where: str) -> float:
 
 
 def _parse_int(value, where: str, minimum=None) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
+    """A JSON integer, or a float with an integral value; not a bool or a
+    string, and nothing that `int` would truncate."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    n = int(value)
     if minimum is not None and n < minimum:
         raise ConfigError(f"{where} must be at least {minimum}, got {n}")
     return n
@@ -114,7 +116,7 @@ def _build_factor(obj: dict, where: str):
             radius=float(obj["radius"]),
             g_at_r=_parse_number(obj["g_at_r"], f"{where}.g_at_r"),
             gprime_at_r=_parse_number(obj["gprime_at_r"], f"{where}.gprime_at_r"),
-            sing=None if sing is None else (float(sing[0]), int(sing[1])),
+            sing=None if sing is None else (float(sing[0]), _parse_int(sing[1], f"{where}.sing[1]", 0)),
             period=_parse_int(obj["period"], f"{where}.period"),
         )
     raise ConfigError(f"{where}: unknown factor type {kind!r}")

@@ -11,10 +11,12 @@ period and singularity descriptor (`invariants`), its return series
 (`series`), the same series in the variable x = z/rho (`radius_series`,
 which the product's first-visit solve uses), its Green function and
 derivatives (`green`), and the limit of Psi at the radius where G diverges
-there (`recurrent_psi_limit`).  Each fact has one source: analyze_factor
-asks the factor once and caches the result per factor.  The validity of a
-singular term (q, k) is `darboux_map`, which both the explicit factor's
-construction and `SingularityDescriptor` read.
+there (`recurrent_psi_limit`).  A finite group also gives its
+first-return kernel in closed rational form (`first_return_form`), which
+the product's solve evaluates by elimination at high orders.  Each fact has
+one source: analyze_factor asks the factor once and caches the result per
+factor.  The validity of a singular term (q, k) is `darboux_map`, which
+both the explicit factor's construction and `SingularityDescriptor` read.
 
 All evaluations are pure; a GreenAnalytics object is immutable after
 construction.
@@ -154,7 +156,9 @@ class FiniteGroup:
     """Group-invariant walk on a finite group given by its Cayley table.
 
     P[x][y] must equal mu(x^-1 y) where mu = P[id]; the table, identity and
-    invariance are all validated on construction.
+    invariance are all validated on construction.  Its return series is a
+    rational function of z, and so is its first-return kernel
+    (`first_return_form`).
     """
 
     P: tuple
@@ -275,6 +279,22 @@ class FiniteGroup:
 
     def radius_series(self, order: int):
         return 1.0, self.series(order)
+
+    def first_return_form(self, period: int):
+        """(a, r, Q, c) of the first-return kernel of the walk watched every
+        `period` steps, K(y) = a + y r^T (I - yQ)^-1 c, in closed rational
+        form.  With A = P^period, a = A(e, e), and r, Q and c are A's row of
+        e, its restriction and its column of e over the other elements that
+        A reaches from e: a first return in y^(n+1) leaves e for some x,
+        walks n - 1 steps off e and steps back.  Its coefficients are those
+        of the kernel of the decimated return series."""
+        A = np.linalg.matrix_power(self.matrix(), period)
+        reach, frontier = {self.id}, [self.id]
+        while frontier:
+            frontier = [y for x in frontier for y in np.flatnonzero(A[x]).tolist() if y not in reach]
+            reach.update(frontier)
+        off = sorted(reach - {self.id})
+        return float(A[self.id, self.id]), A[self.id, off], A[np.ix_(off, off)], A[off, self.id]
 
     def green(self, z: float, deriv: int) -> float:
         if z >= 1.0 - 1e-13:

@@ -12,7 +12,11 @@ The first-visit system is solved in y = (z/R)^d, where d is the period of
 the product walk: every return coefficient off multiples of d is an exact
 zero, so the solve runs at a d-th of the order.  It makes the same
 cancellation-free Newton passes over the nonzero coefficients alone, and its
-relative error stays near roundoff (`normalized_green_series`).
+relative error stays near roundoff (`normalized_green_series`).  Each pass
+forms its Jacobian at half the pass's order (`_zeta_series`).  A factor's
+kernel is composed with the unknowns by Brent-Kung, or for a finite group
+at high orders evaluated from its closed rational form by the same
+cancellation-free elimination as the Jacobian (`_eliminated`).
 
 Conventions for infinite values follow the ratio rules c/(c+inf) = 0 and
 inf/(inf+c) = 1; Psi_i at an infinite argument uses the factor's stored limit
@@ -47,6 +51,7 @@ from .factors import (
 )
 from .roots import brent
 from .series import (
+    _SPLIT_ORDER,
     PowerSeries,
     series_compose,
     series_derivative,
@@ -171,6 +176,16 @@ def _visit_kernel(g: PowerSeries) -> PowerSeries:
     return PowerSeries(np.maximum(-series_reciprocal(g).coeffs[1:], 0.0))
 
 
+def _pass_orders(order: int):
+    """The order each Newton pass of `_zeta_series` reaches: 2c + 2 after a
+    pass that reached c, from c = 0, up to `order`; at least one pass."""
+    cur, out = 0, []
+    while not out or cur < order:
+        cur = min(2 * cur + 2, order)
+        out.append(cur)
+    return out
+
+
 def _zeta_series(kernels, consts, period: int, order: int):
     """The first-visit series V_1..V_m of the product in y = u^d, d =
     `period`, solved by Newton.
@@ -179,74 +194,213 @@ def _zeta_series(kernels, consts, period: int, order: int):
     s_j u T_j(zeta_j) (Woess, Random Walks on Infinite Graphs and Groups,
     2000, section 9); the product's return series is 1 / (1 - sum_j V_j).
     A walk of period d returns only at multiples of d, so each factor's
-    kernel is T_j(x) = x^(d-1) K_j(x^d), where K_j (in `kernels`) is the
-    kernel of the decimated return series, and zeta_i = u Z_i(y).  The
-    unknowns are the Z_i, with Z_i (1 - P_i) = s_i and V_j = s_j y
-    Z_j^(d-1) K_j(y Z_j^d), all series in y, so every product, composition
-    and reciprocal runs at order N // d instead of N.  The Jacobian has
-    diagonal 1 - P_i and off-diagonal -Z_i W_j with W_j = s_j y Z_j^(d-2)
-    ((d-1) K_j + d y Z_j^d K_j'), which for d = 1 reads s_j y^2 K_j': no
-    power Z^0 is ever multiplied.  Gaussian elimination keeps each diagonal
-    as 1 - (nonnegative series) and each off-diagonal as -(nonnegative
-    series), so every multiplier and reciprocal has nonnegative
-    coefficients: no step cancels and every coefficient keeps its relative
-    accuracy.  For the same reason P_i is a direct sum over j != i, never
-    (sum_j V_j) - V_i.  K_j and K_j' compose with y Z_j^d on one shared
-    table of powers.  The error is that of the same sums in u with their
-    zero terms left out: on the benchmark's products the normalized
-    coefficients agree with a solve in u to 1.6e-14 relative.
+    kernel is T_j(x) = x^(d-1) K_j(x^d), where K_j is the kernel of the
+    decimated return series, and zeta_i = u Z_i(y).  The unknowns are the
+    Z_i, with Z_i (1 - P_i) = s_i and V_j = s_j y Z_j^(d-1) K_j(y Z_j^d),
+    all series in y, so every product, composition and reciprocal runs at
+    order N // d instead of N.  The Jacobian has diagonal 1 - P_i and
+    off-diagonal -Z_i W_j with W_j = s_j y Z_j^(d-2) ((d-1) K_j + d y Z_j^d
+    K_j'), which for d = 1 reads s_j y^2 K_j': no power Z^0 is ever
+    multiplied.  Gaussian elimination keeps each diagonal as 1 -
+    (nonnegative series) and each off-diagonal as -(nonnegative series), so
+    every multiplier and reciprocal has nonnegative coefficients: no step
+    cancels and every coefficient keeps its relative accuracy.  For the same
+    reason P_i is a direct sum over j != i, never (sum_j V_j) - V_i.  Each
+    `_Kernel` gives K_j(y Z_j^d) and K_j'(y Z_j^d).  The error is that of
+    the same sums in u with their zero terms left out: on the benchmark's
+    products the normalized coefficients agree with a solve in u to 1.6e-14
+    relative.
 
     The residual's quadratic part carries the factor y of V, so a pass that
-    starts from Z correct through y^c ends correct through y^(2c+2), and the
-    pass that reaches `order` is the last: its correction D is O(y^(c+1)),
-    y D^2 lies past the order, and V takes D as the first-order update
-    V - W D, exact through `order`, instead of a fresh composition.  Every
-    full-order composition, elimination and reciprocal runs once.
+    starts from Z correct through y^(lo-1) ends correct through y^cur, cur =
+    2 lo (`_pass_orders`).  Its residual f is O(y^lo), so the correction D =
+    J^-1 f needs the Jacobian only through y^h, h = cur - lo: K' is composed,
+    and W, the off-diagonals, the pivots and their reciprocals are formed,
+    at order h, while K, V, P and f are at order cur.  The elimination's
+    updates of f, the back substitution and the final V - W D run at order
+    cur on the order-h factors padded with zeros.  The residual keeps its
+    rounding-level part below y^lo, which the correction removes: cut off,
+    C2 * C2 * C2 met its closed form to 1.1e-14 relative at order 2000 and
+    2.1e-14 at 4000, against 2.5e-15 and 6.5e-15 with it.  The pass that
+    reaches `order` is the last: its correction
+    D is O(y^lo), y D^2 lies past the order, and V takes D as the
+    first-order update V - W D, exact through `order`, instead of a fresh
+    composition.
     """
     m = len(kernels)
-    slopes = [series_derivative(k).pad(order) for k in kernels]
     zs = [PowerSeries([s]) for s in consts]  # correct through y^0
-    cur = 0
-    while True:  # at least one pass, so that orders 0 and 1 get V and W too
-        cur = min(2 * cur + 2, order)
+    lo = 1
+    for cur in _pass_orders(order):  # at least one pass, so that orders 0 and 1 get V and W too
+        h = max(cur - lo, 0)
         zs = [z.truncate(cur) for z in zs]
         v, w = [], []
-        for k, kp, s, z in zip(kernels, slopes, consts, zs):
+        for kernel, s, z in zip(kernels, consts, zs):
             pw = [None, z]  # pw[e] = Z^e; None is Z^0 = 1, never multiplied
             for _ in range(2, period + 1):
                 pw.append(series_mul(pw[-1], z))
             inner = pw[period].shift()
-            kz, kpz = series_compose((k.truncate(cur), kp.truncate(cur)), inner)
+            kz, kpz = kernel.at(inner, h)
             v.append(_times(kz, pw[period - 1]).shift() * s)
             if period == 1:
                 slope = kpz.shift()
             else:
-                slope = _times((period - 1) * kz + period * series_mul(inner, kpz), pw[period - 2])
+                slope = _times((period - 1) * kz.truncate(h) + period * series_mul(inner, kpz), pw[period - 2])
             w.append(slope.shift() * s)
-        # J d = f with J_ii = 1 - p[i] and J_ij = -b[i][j]
+        # J d = f with J_ii = 1 - p[i] and J_ij = -b[i][j], J through y^h
         p = [sum(v[j] for j in range(m) if j != i) for i in range(m)]
         f = [series_mul(z, 1.0 - pi) - s for z, pi, s in zip(zs, p, consts)]
         b = [[series_mul(zs[i], w[j]) if j != i else None for j in range(m)] for i in range(m)]
-        inv = []
-        for k in range(m):
-            inv.append(series_reciprocal(1.0 - p[k]))
-            for i in range(k + 1, m):
-                lik = series_mul(b[i][k], inv[k])
-                p[i] = p[i] + series_mul(lik, b[k][i])
-                f[i] = f[i] + series_mul(lik, f[k])
-                for j in range(k + 1, m):
-                    if j != i:
-                        b[i][j] = b[i][j] + series_mul(lik, b[k][j])
-        d = [None] * m
-        for i in reversed(range(m)):
-            rhs = f[i]
-            for j in range(i + 1, m):
-                rhs = rhs + series_mul(b[i][j], d[j])
-            d[i] = series_mul(rhs, inv[i])
+        d = _solve(*_factor([pi.truncate(h) for pi in p], b), b, f)
         if cur == order:
             break
         zs = [z - di for z, di in zip(zs, d)]
-    return [vj - series_mul(wj, dj) for vj, wj, dj in zip(v, w, d)]
+        lo = cur + 1
+    return [vj - _mul(wj, dj) for vj, wj, dj in zip(v, w, d)]
+
+
+def _mul(a, b):
+    """a b, where a float stands for a constant series and two series of
+    different orders multiply as if the lower were padded with zeros."""
+    if not isinstance(a, PowerSeries) or not isinstance(b, PowerSeries):
+        return a * b
+    n = max(a.order, b.order)
+    return series_mul(a.pad(n), b.pad(n))
+
+
+def _factor(p, b):
+    """LU factors of J = diag(1 - p) - b, in place: the pivots' reciprocals
+    and the multipliers low[i][k], with U's off-diagonal left in b.
+
+    The entries are series or float constants.  With p and b nonnegative,
+    every multiplier and every update is a sum of nonnegative terms."""
+    m = len(p)
+    inv, low = [], [[None] * m for _ in range(m)]
+    for k in range(m):
+        pivot = 1.0 - p[k]
+        inv.append(series_reciprocal(pivot) if isinstance(pivot, PowerSeries) else 1.0 / pivot)
+        for i in range(k + 1, m):
+            lik = low[i][k] = _mul(b[i][k], inv[k])
+            p[i] = p[i] + _mul(lik, b[k][i])
+            for j in range(k + 1, m):
+                if j != i:
+                    b[i][j] = b[i][j] + _mul(lik, b[k][j])
+    return inv, low
+
+
+def _solve(inv, low, b, f):
+    """d with J d = f for the factors of `_factor`: forward elimination on
+    f, then back substitution."""
+    m = len(f)
+    f = list(f)
+    for k in range(m):
+        for i in range(k + 1, m):
+            f[i] = f[i] + _mul(low[i][k], f[k])
+    d = [None] * m
+    for i in reversed(range(m)):
+        rhs = f[i]
+        for j in range(i + 1, m):
+            rhs = rhs + _mul(b[i][j], d[j])
+        d[i] = _mul(rhs, inv[i])
+    return d
+
+
+def _cut(x, order: int):
+    """x through y^order, where x is a series, a float constant, None or a
+    nested list of them."""
+    if isinstance(x, list):
+        return [_cut(e, order) for e in x]
+    return x.truncate(order) if isinstance(x, PowerSeries) else x
+
+
+def _eliminated(form, inner: PowerSeries, h: int):
+    """(K(inner), K'(inner) through y^h) of a finite group's kernel in its
+    closed form (a, r, Q, c), K(y) = a + y r^T (I - yQ)^-1 c
+    (`FiniteGroup.first_return_form`).
+
+    With M = I - inner Q and x = M^-1 c, K(inner) = a + inner (r . x) and
+    K'(inner) = r^T M^-2 c = r . (M^-1 x).  M has diagonal 1 -
+    (nonnegative) and off-diagonal -(nonnegative), as the Jacobian of
+    `_zeta_series`, so the same elimination stays free of cancellation, and
+    the second solve reuses its pivots and multipliers at order h.  A zero
+    entry of Q stays a float zero and costs no product."""
+    a, r, q, c = form
+    size = len(r)
+    entry = lambda x: inner * x if x != 0.0 else 0.0
+    p = [entry(q[i, i]) for i in range(size)]
+    b = [[entry(q[i, j]) if j != i else None for j in range(size)] for i in range(size)]
+    inv, low = _factor(p, b)
+    x = _solve(inv, low, b, c.tolist())
+    kz = _mul(inner, sum(_mul(xi, ri) for xi, ri in zip(x, r.tolist()))) + a
+    x2 = _solve(_cut(inv, h), _cut(low, h), _cut(b, h), _cut(x, h))
+    kpz = PowerSeries.zero(h) + sum(_mul(xi, ri) for xi, ri in zip(x2, r.tolist()))
+    return kz, kpz
+
+
+def _product_us(n: int) -> float:
+    """Estimated microseconds of a truncated product at order n: one
+    np.convolve below the split order, about half its terms past it."""
+    return 4.0 + n * n / (16000.0 if n < _SPLIT_ORDER else 30000.0)
+
+
+def _reciprocal_us(n: int) -> float:
+    """Estimated microseconds of a reciprocal at order n: 0.9 per
+    coefficient of its dot loop, and its Newton steps past the split about
+    2.5 products at order n."""
+    loop = n
+    while loop >= _SPLIT_ORDER:
+        loop //= 2
+    return 0.9 * loop + (2.5 * _product_us(n) if n >= _SPLIT_ORDER else 0.0)
+
+
+def _eliminates(form, order: int) -> bool:
+    """Whether a pass at `order` evaluates a finite group's kernel, given
+    by its closed form `form` (None for other factors), by elimination
+    rather than by composing its series.
+
+    An operation count weighted by unit costs decides.  With k = len(r),
+    elimination takes k reciprocals (k - 1 when Q(0, 0) = 0, whose pivot
+    stays the constant 1) and about (k^3 + 3 k^2) / 3 products at `order`,
+    plus 20 k^2 us of small-series overhead; Brent-Kung takes about
+    0.75 (m + 2 nblocks) products.  The constants were fitted to both routes
+    timed on C3, the Klein four-group, C5, S3, C8, C12 and the period-2 C4
+    at orders 62-4500 (2 cores, Python 3.11, numpy 2.4), and the rule picks
+    the faster route at every one of those 30 points.  It keeps C3 on
+    Brent-Kung below order 337 (549 when Q(0, 0) > 0), the Klein four-group
+    below 930 and S3 below 1951.  A kernel that is a polynomial (Q
+    nilpotent: every walk off e is back within k steps) stays on Horner's
+    rule, which is cheaper than either."""
+    if form is None:
+        return False
+    _, r, q, _ = form
+    k = len(r)
+    if not np.linalg.matrix_power((q > 0.0).astype(float), k).any():
+        return False
+    reciprocals = k - (q[0, 0] == 0.0)
+    elimination = (
+        reciprocals * _reciprocal_us(order) + (k**3 + 3 * k * k) / 3 * _product_us(order) + 20.0 * k * k
+    )
+    m = math.isqrt(order) + 1
+    return elimination < 0.75 * (m + 2 * -(-(order + 1) // m)) * _product_us(order)
+
+
+class _Kernel:
+    """A factor's first-visit kernel K in y, composed with an inner series.
+
+    `series` is K through the order its route needs, and `at` composes K and
+    K' with one table of powers (`series_compose`).  A finite group's kernel
+    also has its closed form (`FiniteGroup.first_return_form`); past the
+    series' order `at` evaluates that form by elimination (`_eliminated`)."""
+
+    def __init__(self, series: PowerSeries, form=None):
+        self.series = series
+        self.slope = series_derivative(series)
+        self.form = form
+
+    def at(self, inner: PowerSeries, h: int):
+        """(K(inner) through the inner's order, K'(inner) through y^h)."""
+        if self.form is not None and inner.order > self.series.order:
+            return _eliminated(self.form, inner, h)
+        return series_compose((self.series.truncate(inner.order), self.slope.truncate(h)), inner)
 
 
 def _times(a: PowerSeries, power) -> PowerSeries:
@@ -272,6 +426,68 @@ def product_green_series(spec: FreeProductSpec, order: int) -> PowerSeries:
     return PowerSeries(ghat.coeffs * half * half)
 
 
+def _split(a: np.ndarray):
+    """Veltkamp's split a = hi + lo, each half of at most 26 significant
+    bits, so that a product of two halves is exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _rounding(ratios, near: float):
+    """(the largest relative rounding error of the constants q_i R~, the
+    constants), in exact rational arithmetic."""
+    exact = [q * Fraction(near) for q in ratios]
+    consts = [float(x) for x in exact]
+    return max(abs(Fraction(c) / x - 1) for c, x in zip(consts, exact)), consts
+
+
+def _near_radius(ratios, radius: float):
+    """(R~, the constants q_i R~ as floats) for the float R~ within 128 ulps
+    of `radius` whose constants round least: the smallest largest relative
+    rounding error, the first in the order 0, -1, 1, -2, ... of steps away
+    from `radius` among equals.
+
+    One numpy pass estimates every candidate's error.  Each q_i is a
+    double-double q_hi + q_lo taken from its Fraction; q_hi R~ = p + e
+    exactly, by Dekker's two-product on Veltkamp's split, and the tail t =
+    e + q_lo R~ is within 4 2^-105 p of q_i R~ - p.  The distance to the
+    nearest double changes by at most as much, and that of p + t is |(p - c)
+    + t|, with c = p + t rounded in one addition and p - c exact; divided by
+    p it is the relative error to within 2^-102.  Only
+    the candidates whose estimate lies within twice the bound `_EST_TOL` of
+    the smallest can hold the smallest error, and these are decided as in
+    `_rounding`, in the same order, stopping at the first exact zero, so
+    R~ and the constants are those the exact search over all candidates
+    gives.  Where a value leaves the range in which the two-product is exact,
+    every candidate is decided exactly."""
+    steps = np.array(sorted(range(-128, 129), key=abs), dtype=float)
+    nears = radius + steps * math.ulp(radius)
+    q_hi = np.array([float(q) for q in ratios])
+    q_lo = np.array([float(q - Fraction(h)) for q, h in zip(ratios, q_hi.tolist())])
+    p = np.multiply.outer(nears, q_hi)
+    (xh, xl), (qh, ql) = _split(nears[:, None]), _split(q_hi)
+    e = ((xh * qh - p) + xh * ql + xl * qh) + xl * ql
+    t = e + nears[:, None] * q_lo
+    est = (np.abs((p - (p + t)) + t) / p).max(axis=1)
+    if np.all((p > 2.0**-900) & (p < 2.0**900) & (q_hi > 2.0**-900) & (q_hi < 2.0**900)):
+        candidates = np.flatnonzero(est <= est.min() + 2.0 * _EST_TOL)
+    else:
+        candidates = range(steps.size)
+    best = None
+    for i in candidates:
+        near = float(nears[i])
+        err, consts = _rounding(ratios, near)
+        if best is None or err < best[0]:
+            best = (err, near, consts)
+        if err == 0:
+            break
+    return best[1], best[2]
+
+
+_EST_TOL = 2.0**-100  # bound on the error of `_near_radius`'s estimate, 4 times the derived 2^-102
+
+
 @lru_cache(maxsize=64)
 def normalized_green_series(spec: FreeProductSpec, order: int):
     """(R, G^) with R = product_radius(spec) and G^(u) = G(R u).
@@ -283,12 +499,15 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     coefficient, with exact zeros (+0.0) in between.  Each factor enters
     once, as its kernel in its own radius variable, built from the decimated
     `radius_series` G_i(rho_i x) = G~_i(x^d), with the constant s_i =
-    alpha_i R / rho_i.  All participating series have nonnegative
+    alpha_i R / rho_i.  A finite group's kernel also has a closed rational
+    form; the passes that `_eliminates` routes to it need the series only
+    through the last pass before them.  All participating series have nonnegative
     coefficients, and c^_n = c_n R^n falls only like n^-lambda, so every
     coefficient stays a normal float (Flajolet & Sedgewick, Analytic
     Combinatorics, ch. VI, for the transfer to c^_n ~ C n^-lambda).  The
     solve adds a relative error near roundoff (the 3-regular tree meets its
-    closed form to 1.3e-15 at order 2000) to that of the factor kernels; a
+    closed form to 2.5e-15 at order 2000 and 6.5e-15 at 4000) to that of
+    the factor kernels; a
     lattice factor's return series is within a few eps of exact at every n
     (`lattice.return_series`).
 
@@ -299,30 +518,26 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     the float R~ within 128 ulps of R whose m constants round least (the
     largest of their rounding errors is smallest); the best of those 257
     typically rounds by under 0.03 eps for two factors and 0.3 eps for three
-    to five.  The result is carried back to R.
+    to five.  `_near_radius` finds it in one numpy pass over all 257
+    candidates, with exact rational arithmetic only for those its error
+    bound cannot tell apart (at most 52 on the benchmark and golden
+    products).  The result is carried back to R.
     """
     # the weights as exact fractions of their sum, which is 1 only to rounding
     total = sum(map(Fraction, spec.weights))
     period = product_period(spec)
     reduced = order // period
+    passes = _pass_orders(reduced)
     kernels, ratios = [], []
     for f, a in zip(spec.factors, spec.weights):
-        # G~ through y^(reduced + 1), so that its kernel reaches y^reduced
-        rho, g = f.radius_series(period * (reduced + 1))
-        kernels.append(_visit_kernel(PowerSeries(g.coeffs[::period])))
+        form = f.first_return_form(period) if isinstance(f, FiniteGroup) else None
+        top = max((c for c in passes if not _eliminates(form, c)), default=0)
+        # G~ through y^(top + 1), so that its kernel reaches y^top
+        rho, g = f.radius_series(period * (top + 1))
+        kernels.append(_Kernel(_visit_kernel(PowerSeries(g.coeffs[::period])), form))
         ratios.append(Fraction(a) / total / Fraction(rho))
     radius, _ = product_radius(spec)
-    best = None
-    for j in sorted(range(-128, 129), key=abs):
-        near = radius + j * math.ulp(radius)
-        exact = [q * Fraction(near) for q in ratios]
-        consts = [float(x) for x in exact]
-        err = max(abs(Fraction(c) / x - 1) for c, x in zip(consts, exact))
-        if best is None or err < best[0]:
-            best = (err, near, consts)
-        if err == 0:
-            break
-    _, near, consts = best
+    near, consts = _near_radius(ratios, radius)
     g = np.zeros(order + 1)
     g[::period] = series_reciprocal(1.0 - sum(_zeta_series(kernels, consts, period, reduced))).coeffs
     # G(R u) = G(R~ (R / R~) u): coefficient n picks up (R / R~)^n; R - R~ is exact

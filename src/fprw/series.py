@@ -4,7 +4,8 @@ A series is a coefficient vector c0..cN; every binary operation truncates to
 the smaller of the two orders.  Products are direct (FFT-free) convolutions
 that form only the coefficients they keep.  Composition uses Brent-Kung block
 evaluation: about 2 sqrt(N) truncated products of O(N^2) flops each, so
-O(N^2.5) in all (Brent & Kung, JACM 1978).  An outer polynomial of degree
+O(N^2.5) in all (Brent & Kung, JACM 1978); outers that share one table of
+powers each keep their own order.  An outer polynomial of degree
 D with D^2 < N, such as the kernel T(x) = x of Z/2Z, goes by Horner's rule
 instead: D truncated products and no table of powers.  The reciprocal takes
 one dot product per coefficient below the product's split order and
@@ -196,22 +197,25 @@ def series_reciprocal(a: PowerSeries) -> PowerSeries:
 
 
 def series_compose(outer, inner: PowerSeries):
-    """outer(inner(z)) truncated to the smallest order; inner(0) must be 0.
+    """outer(inner(z)); inner(0) must be 0.
 
-    `outer` may be a sequence of series: they share one table of the powers
-    of inner, each result is bitwise the one a call of its own gives, and
-    the results come back as a tuple.  An outer of degree D (its last
+    `outer` may be a sequence of series, and the results come back as a
+    tuple.  Each result has its own order, the smaller of its outer's order
+    and the inner's, so one call can compose a kernel at full order and its
+    slope at half order.  The outers share one table of the powers of inner,
+    built to the highest order among them, so the result of that order is
+    bitwise the one a call of its own gives.  An outer of degree D (its last
     nonzero coefficient) with D^2 < N is a short polynomial: Horner's rule
     takes D truncated products and needs no table.
     """
     if inner.coeffs[0] != 0.0:
         raise NonzeroInnerConstant("composition needs inner constant term 0")
     outers = (outer,) if isinstance(outer, PowerSeries) else tuple(outer)
-    n = min(inner.order, *(f.order for f in outers))
-    g = inner.coeffs[: n + 1]
+    orders = [min(inner.order, f.order) for f in outers]
+    g = inner.coeffs
     out = [None] * len(outers)
     long = []
-    for i, f in enumerate(outers):
+    for i, (f, n) in enumerate(zip(outers, orders)):
         nz = np.flatnonzero(f.coeffs[: n + 1])
         degree = int(nz[-1]) if nz.size else 0
         if degree == 0 or degree * degree < n:
@@ -226,20 +230,22 @@ def series_compose(outer, inner: PowerSeries):
     if long:
         # Brent-Kung: split outer into sqrt-size blocks, take the block values
         # against the table of inner^0..inner^(m-1), then Horner over inner^m.
-        m = math.isqrt(n) + 1
-        pows = np.zeros((m, n + 1))
+        top = max(orders[i] for i in long)
+        m = math.isqrt(top) + 1
+        pows = np.zeros((m, top + 1))
         pows[0, 0] = 1.0
         for i in range(1, m):
-            pows[i] = _trunc_mul(pows[i - 1], g, n)
-        gm = _trunc_mul(pows[m - 1], g, n)
-        nblocks = -(-(n + 1) // m)
+            pows[i] = _trunc_mul(pows[i - 1], g, top)
+        gm = _trunc_mul(pows[m - 1], g, top)
         for i in long:
+            n = orders[i]
+            nblocks = -(-(n + 1) // m)
             fpad = np.zeros(nblocks * m)
             fpad[: n + 1] = outers[i].coeffs[: n + 1]
             # einsum, not a BLAS dgemm, whose threads spin on this shape; summed
             # from the highest power down, the order of growing terms when the
             # inner series has mass at most 1, as in the radius variable
-            blocks = np.einsum("ij,jk->ik", fpad.reshape(nblocks, m)[:, ::-1], pows[::-1])
+            blocks = np.einsum("ij,jk->ik", fpad.reshape(nblocks, m)[:, ::-1], pows[::-1, : n + 1])
             acc = blocks[-1]
             for j in range(nblocks - 2, -1, -1):
                 acc = _trunc_mul(acc, gm, n) + blocks[j]

@@ -31,6 +31,16 @@ def run(tmp_path, capsys, config, *argv):
     return code, capsys.readouterr()
 
 
+# an integer field that int() would truncate is named in the message
+NOT_INTEGRAL = {
+    "tree-degree-not-integral": "factors[0].q must be an integer",
+    "lattice-dim-not-integral": "factors[0].dim must be an integer",
+    "tree-degree-a-bool": "factors[0].q must be an integer",
+    "order-not-integral": "options.order must be an integer",
+    "explicit-sing-k-not-integral": "factors[0].sing[1] must be an integer",
+}
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -46,6 +56,11 @@ def run(tmp_path, capsys, config, *argv):
         {"factors": [{**EXPLICIT_Z1, "sing": [0.5]}, Z5], "weights": [0.5, 0.5]},
         {"factors": [{**EXPLICIT_Z1, "sing": [2, 0]}, Z5], "weights": [0.5, 0.5]},
         {"factors": [{**EXPLICIT_Z1, "sing": [math.inf, 0]}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [{"type": "tree", "q": 3.7}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [{"type": "lattice", "dim": 2.5}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [{"type": "tree", "q": True}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [Z3, Z5], "weights": [0.5, 0.5], "options": {"order": 10.9}},
+        {"factors": [{**EXPLICIT_Z1, "sing": [0.5, 1.5]}, Z5], "weights": [0.5, 0.5]},
     ],
     ids=[
         "order-not-a-number",
@@ -60,14 +75,23 @@ def run(tmp_path, capsys, config, *argv):
         "explicit-sing-one-number",
         "explicit-sing-analytic",
         "explicit-sing-infinite",
+        *NOT_INTEGRAL,
     ],
 )
-def test_malformed_config_exits_2(tmp_path, capsys, config):
+def test_malformed_config_exits_2(tmp_path, capsys, config, request):
     code, out = run(tmp_path, capsys, config, "series")
     assert code == 2
     assert out.err.startswith("config error:")
+    assert NOT_INTEGRAL.get(request.node.callspec.id, "") in out.err
     assert "Traceback" not in out.err
     assert out.out == ""
+
+
+def test_integral_floats_are_integers(tmp_path, capsys):
+    # a float with an integral value is the integer it names
+    plain = {"factors": [{"type": "tree", "q": 3}, Z5], "weights": [0.5, 0.5], "options": {"order": 10}}
+    floats = {"factors": [{"type": "tree", "q": 3.0}, Z5], "weights": [0.5, 0.5], "options": {"order": 10.0}}
+    assert run(tmp_path, capsys, plain, "series") == run(tmp_path, capsys, floats, "series")
 
 
 def test_analyze_has_no_csv_format(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -7,12 +8,12 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fprw import cli, mc, product
 from fprw.classify import estimate_radius
 from fprw.errors import ConfigError, NotAtCriticality
-from fprw.factors import ExplicitSeries, HomTree, LatticeNN, cyclic_group, flip_group
+from fprw.factors import ExplicitSeries, FiniteGroup, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import (
     FreeProductSpec,
     analyze_product,
@@ -27,7 +28,7 @@ from fprw.product import (
     theta_bar_of,
     zeta_at,
 )
-from fprw.series import series_compose
+from fprw.series import PowerSeries, series_compose
 
 
 def spec_of(*pairs):
@@ -464,3 +465,198 @@ class TestNormalizedSeries:
         with mp.workdps(30):
             want = [float(mp.mpf(float(x)) * mp.mpf(rho) ** n) for n, x in enumerate(c)]
         assert np.allclose(scaled.coeffs, want, rtol=1e-13, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# R~: the float near the radius whose constants round least
+
+
+def reference_near_radius(ratios, radius):
+    """(R~, constants) by the exact search over all 257 candidates, the loop
+    normalized_green_series ran before its numpy pass: the reference."""
+    best = None
+    for j in sorted(range(-128, 129), key=abs):
+        near = radius + j * math.ulp(radius)
+        exact = [q * Fraction(near) for q in ratios]
+        consts = [float(x) for x in exact]
+        err = max(abs(Fraction(c) / x - 1) for c, x in zip(consts, exact))
+        if best is None or err < best[0]:
+            best = (err, near, consts)
+        if err == 0:
+            break
+    _, near, consts = best
+    return near, consts
+
+
+def assert_near_radius_is_the_reference(spec):
+    total = sum(map(Fraction, spec.weights))
+    ratios = [Fraction(a) / total / Fraction(f.radius_series(0)[0]) for f, a in zip(spec.factors, spec.weights)]
+    radius, _ = product_radius(spec)
+    near, consts = product._near_radius(ratios, radius)
+    want_near, want_consts = reference_near_radius(ratios, radius)
+    assert near.hex() == want_near.hex()
+    assert [c.hex() for c in consts] == [c.hex() for c in want_consts]
+
+
+def golden_specs():
+    configs = json.loads((Path(__file__).parent / "golden" / "configs.json").read_text())
+    return {
+        name: FreeProductSpec(tuple(cli.parse_factor(f, i) for i, f in enumerate(c["factors"])), c["weights"])
+        for name, c in configs.items()
+    }
+
+
+class TestNearRadius:
+    @pytest.mark.parametrize("name", sorted(golden_specs()))
+    def test_golden_configs(self, name):
+        assert_near_radius_is_the_reference(golden_specs()[name])
+
+    def test_exact_series_workload(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "benchmark"))
+        import workloads
+
+        for seed in range(101, 111):
+            for i, op in enumerate(workloads.build("exact-series", seed)):
+                path = tmp_path / f"{seed}-{i}.json"
+                path.write_text(json.dumps(op["config"]))
+                assert_near_radius_is_the_reference(cli.load_config(str(path))[0])
+
+    def test_fraction_checks_are_few(self, monkeypatch):
+        # the numpy pass leaves few candidates to the exact arithmetic
+        checks = []
+        exact = product._rounding
+        monkeypatch.setattr(product, "_rounding", lambda r, x: checks.append(x) or exact(r, x))
+        for spec in golden_specs().values():
+            checks.clear()
+            normalized_green_series.__wrapped__(spec, 20)
+            assert 1 <= len(checks) <= 64
+
+
+@st.composite
+def any_factor(draw):
+    kind = draw(st.sampled_from(["lattice", "finite", "tree", "explicit"]))
+    if kind == "lattice":
+        d = draw(st.integers(1, 4))
+        beta = [draw(st.floats(0.1, 1.0)) for _ in range(d)]
+        beta = [b / sum(beta) for b in beta]
+        beta[-1] = 1.0 - sum(beta[:-1])
+        return LatticeNN(tuple(beta), tuple(draw(st.floats(0.05, 0.95)) for _ in range(d)))
+    if kind == "finite":
+        return draw(cyclic_walks())
+    if kind == "tree":
+        return HomTree(draw(st.integers(2, 6)))
+    q = draw(st.integers(3, 5))
+    return ExplicitSeries(
+        coeffs=tuple(HomTree(q).series(40).coeffs), radius=q / (2 * math.sqrt(q - 1)),
+        g_at_r=(q - 1) / (q - 2), gprime_at_r=math.inf, sing=None, period=2,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(any_factor(), min_size=2, max_size=4), st.data())
+@example([C2, C2, C2], None)  # equal thirds: every constant is exact at R~ = R
+def test_near_radius_is_the_exact_search(factors, data):
+    if data is None:
+        weights = [1 / 3] * 3
+    else:
+        weights = [data.draw(st.floats(0.05, 1.0)) for _ in factors]
+    spec = FreeProductSpec(tuple(factors), tuple(weights))
+    if not is_two_by_two(spec):
+        assert_near_radius_is_the_reference(spec)
+
+
+# ---------------------------------------------------------------------------
+# finite groups: the kernel by elimination on its closed form
+
+
+def symmetric_three(mu) -> FiniteGroup:
+    """S_3 with step law mu over its permutations in lexicographic order."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
+    inv = [table[x].index(0) for x in range(6)]
+    return FiniteGroup(P=[[mu[table[inv[x]][y]] for y in range(6)] for x in range(6)], id=0, table=table)
+
+
+def klein_four(mu) -> FiniteGroup:
+    table = [[x ^ y for y in range(4)] for x in range(4)]
+    return FiniteGroup(P=[[mu[x ^ y] for y in range(4)] for x in range(4)], id=0, table=table)
+
+
+S3 = symmetric_three((0.1, 0.25, 0.15, 0.2, 0.2, 0.1))
+K4 = klein_four((0.1, 0.3, 0.4, 0.2))
+C4_PERIOD_2 = cyclic_group(4, (0.0, 0.3, 0.0, 0.7))
+
+
+def all_brent_kung(monkeypatch):
+    monkeypatch.setattr(product, "_eliminates", lambda form, order: False)
+
+
+class TestFiniteKernel:
+    @pytest.mark.parametrize(
+        "group,period,below,above",
+        [(C3, 1, 300, 400), (S3, 1, 1800, 2100), (K4, 1, 800, 1000), (C4_PERIOD_2, 2, 100, 300)],
+        ids=["C3", "S3", "Klein", "C4-decimated"],
+    )
+    def test_elimination_matches_brent_kung(self, group, period, below, above):
+        # the rule routes each group to Brent-Kung below its crossover and to
+        # elimination above it; both routes give the same coefficients
+        form = group.first_return_form(period)
+        assert not product._eliminates(form, below) and product._eliminates(form, above)
+        for order in (below, above):
+            _, g = group.radius_series(period * (order + 1))
+            kernel = product._Kernel(product._visit_kernel(PowerSeries(g.coeffs[::period])))
+            c = np.arange(1.0, order + 2.0) ** -1.5
+            c[0] = 0.0
+            inner = PowerSeries(0.9 * c / c.sum())
+            h = order - order // 2
+            for got, want in zip(product._eliminated(form, inner, h), kernel.at(inner, h)):
+                assert got.order == want.order
+                nz = want.coeffs != 0.0
+                assert np.array_equal(got.coeffs != 0.0, nz) and np.all(want.coeffs[1:] > 0.0)
+                assert np.max(np.abs(got.coeffs[nz] / want.coeffs[nz] - 1.0)) <= 1e-14
+
+    def test_closed_form_is_the_decimated_kernel(self):
+        # C4 with steps +-1 watched every second step lives on {0, 2}: it
+        # stays with mass 2 (0.3)(0.7) and crosses with 0.3^2 + 0.7^2
+        a, r, q, c = C4_PERIOD_2.first_return_form(2)
+        assert (a, r.tolist(), q.tolist(), c.tolist()) == pytest.approx((0.42, [0.58], [[0.42]], [0.58]), rel=1e-15)
+        _, g = C4_PERIOD_2.radius_series(2 * 41)
+        kernel = product._visit_kernel(PowerSeries(g.coeffs[::2])).coeffs
+        want = [a] + [r[0] * q[0, 0] ** (n - 1) * c[0] for n in range(1, 41)]
+        # the kernel from the return series cancels to an absolute error
+        assert np.allclose(kernel, want, rtol=1e-14, atol=1e-15)
+        # the closed form composed with y is the kernel to rounding
+        k, kp = product._eliminated((a, r, q, c), PowerSeries.identity(40), 39)
+        assert np.allclose(k.coeffs, want, rtol=1e-14, atol=0.0)
+        assert np.allclose(kp.coeffs, [n * want[n] for n in range(1, 41)], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((C2, 0.45), (C3, 0.55)), ((Z3, 0.4), (S3, 0.6))],
+        ids=["C2*C3", "Z3*S3"],
+    )
+    def test_product_series_matches_all_brent_kung(self, pairs, monkeypatch):
+        s = spec_of(*pairs)
+        got = normalized_green_series.__wrapped__(s, 2000)[1].coeffs
+        all_brent_kung(monkeypatch)
+        want = normalized_green_series.__wrapped__(s, 2000)[1].coeffs
+        assert np.array_equal(got == 0.0, want == 0.0)
+        nz = want != 0.0
+        assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((C2, 0.45), (C3, 0.55)), ((Z3, 0.4), (S3, 0.6)), ((C4_PERIOD_2, 0.5), (Z3, 0.5)), ((K4, 0.3), (C3, 0.7))],
+        ids=["C2*C3", "Z3*S3", "C4*Z3", "K4*C3"],
+    )
+    def test_elimination_matches_word_convolution(self, pairs, monkeypatch):
+        # every pass of a finite factor by elimination, down to order 14
+        monkeypatch.setattr(product, "_eliminates", lambda form, order: form is not None)
+        s = spec_of(*pairs)
+        exact = mc.bfs_convolution(s, 14).coeffs
+        got = normalized_green_series.__wrapped__(s, 14)
+        g = got[1].scale_arg(1.0 / got[0]).coeffs
+        nz = exact != 0.0
+        assert np.array_equal(g != 0.0, nz)
+        assert np.max(np.abs(g[nz] / exact[nz] - 1.0)) <= 1e-12

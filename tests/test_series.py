@@ -334,6 +334,20 @@ class TestKernels:
         assert np.array_equal(shared[0].coeffs, series_compose(outer, inner).coeffs)
         assert np.array_equal(shared[1].coeffs, series_compose(outer_p, inner).coeffs)
 
+    @pytest.mark.parametrize("order", [40, 2 * series_mod._SPLIT_ORDER + 5])
+    def test_mixed_orders_keep_each_order(self, order):
+        # a kernel at full order and its slope at half order share one table;
+        # the full-order result is bitwise that of a call of its own
+        rng = np.random.default_rng(order)
+        inner = PowerSeries(np.concatenate([[0.0], rng.random(order) / order]))
+        outer, slope = PowerSeries(rng.random(order + 1)), PowerSeries(rng.random(order // 2 + 1))
+        full, half = series_compose((outer, slope), inner)
+        assert (full.order, half.order) == (order, order // 2)
+        assert np.array_equal(full.coeffs, series_compose(outer, inner).coeffs)
+        # the half-order result takes the full table's block size: equal to rounding
+        alone = series_compose(slope, inner.truncate(order // 2)).coeffs
+        assert np.allclose(half.coeffs, alone, rtol=1e-14, atol=0.0)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=1, max_value=1200),
