@@ -22,13 +22,6 @@ from .product import (
     sqrt_coefficient,
     zeta_at,
 )
-from .series import (
-    PowerSeries,
-    series_compose,
-    series_mul,
-    series_reciprocal,
-    series_reversion,
-    solve_implicit_green,
-)
+from .series import PowerSeries, series_compose, series_mul, series_reciprocal
 
 __version__ = "0.1.0"

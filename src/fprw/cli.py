@@ -49,11 +49,19 @@ def _reject_unknown(obj: dict, allowed, where: str):
 
 
 def _parse_number(value, where: str) -> float:
+    """A JSON number or the string "inf"; not a bool or another string."""
     if value == "inf":
         return math.inf
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"{where} must be a number or \"inf\"")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number or \"inf\", got {value!r}")
+    return float(value)
+
+
+def _parse_list(values, where: str, parse=_parse_number) -> tuple:
+    """A JSON list, each entry read by `parse` and named by its index."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list, got {values!r}")
+    return tuple(parse(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
 def _parse_int(value, where: str, minimum=None) -> int:
@@ -80,46 +88,49 @@ def parse_factor(obj: dict, idx: int):
         raise ConfigError(f"{where}: malformed {obj['type']} factor ({exc})") from None
 
 
+_FIELDS = {
+    "lattice": {"dim", "beta", "p"},
+    "cyclic": {"n", "mu"},
+    "finite": {"P", "id", "table"},
+    "tree": {"q"},
+    "explicit": {"coeffs", "radius", "g_at_r", "gprime_at_r", "sing", "period"},
+}
+
+
 def _build_factor(obj: dict, where: str):
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise ConfigError(f"{where}: unknown factor type {kind!r}")
+    _reject_unknown(obj, _FIELDS[kind] | {"type"}, where)
     if kind == "lattice":
-        _reject_unknown(obj, {"type", "dim", "beta", "p"}, where)
         if "dim" in obj:
             if "beta" in obj or "p" in obj:
                 raise ConfigError(f"{where}: give either dim or beta/p, not both")
             return LatticeNN.simple(_parse_int(obj["dim"], f"{where}.dim", 1))
-        return LatticeNN(beta=tuple(obj["beta"]), p=tuple(obj["p"]))
+        return LatticeNN(beta=_parse_list(obj["beta"], f"{where}.beta"), p=_parse_list(obj["p"], f"{where}.p"))
     if kind == "cyclic":
-        _reject_unknown(obj, {"type", "n", "mu"}, where)
-        return cyclic_group(_parse_int(obj["n"], f"{where}.n", 1), tuple(obj["mu"]))
+        return cyclic_group(_parse_int(obj["n"], f"{where}.n", 1), _parse_list(obj["mu"], f"{where}.mu"))
     if kind == "finite":
-        _reject_unknown(obj, {"type", "P", "id", "table"}, where)
         return FiniteGroup(
-            P=tuple(tuple(r) for r in obj["P"]),
+            P=_parse_list(obj["P"], f"{where}.P", _parse_list),
             id=_parse_int(obj["id"], f"{where}.id"),
-            table=tuple(tuple(r) for r in obj["table"]),
+            table=_parse_list(obj["table"], f"{where}.table", lambda r, w: _parse_list(r, w, _parse_int)),
         )
     if kind == "tree":
-        _reject_unknown(obj, {"type", "q"}, where)
         return HomTree(q=_parse_int(obj["q"], f"{where}.q"))
-    if kind == "explicit":
-        _reject_unknown(
-            obj,
-            {"type", "coeffs", "radius", "g_at_r", "gprime_at_r", "sing", "period"},
-            where,
-        )
-        sing = obj.get("sing")
-        if sing is not None and len(sing) != 2:
-            raise ConfigError(f"{where}.sing must be [q, k]")
-        return ExplicitSeries(
-            coeffs=tuple(obj["coeffs"]),
-            radius=float(obj["radius"]),
-            g_at_r=_parse_number(obj["g_at_r"], f"{where}.g_at_r"),
-            gprime_at_r=_parse_number(obj["gprime_at_r"], f"{where}.gprime_at_r"),
-            sing=None if sing is None else (float(sing[0]), _parse_int(sing[1], f"{where}.sing[1]", 0)),
-            period=_parse_int(obj["period"], f"{where}.period"),
-        )
-    raise ConfigError(f"{where}: unknown factor type {kind!r}")
+    sing = obj.get("sing")
+    if sing is not None and len(sing) != 2:
+        raise ConfigError(f"{where}.sing must be [q, k]")
+    return ExplicitSeries(
+        coeffs=_parse_list(obj["coeffs"], f"{where}.coeffs"),
+        radius=_parse_number(obj["radius"], f"{where}.radius"),
+        g_at_r=_parse_number(obj["g_at_r"], f"{where}.g_at_r"),
+        gprime_at_r=_parse_number(obj["gprime_at_r"], f"{where}.gprime_at_r"),
+        sing=None if sing is None else (
+            _parse_number(sing[0], f"{where}.sing[0]"), _parse_int(sing[1], f"{where}.sing[1]", 0)
+        ),
+        period=_parse_int(obj["period"], f"{where}.period"),
+    )
 
 
 def load_config(path: str):
@@ -138,10 +149,7 @@ def load_config(path: str):
     if not isinstance(factors, list) or not isinstance(weights, list):
         raise ConfigError("config needs 'factors' and 'weights' lists")
     specs = tuple(parse_factor(f, i) for i, f in enumerate(factors))
-    try:
-        weights = tuple(float(w) for w in weights)
-    except (TypeError, ValueError):
-        raise ConfigError(f"weights must be numbers, got {weights!r}") from None
+    weights = _parse_list(weights, "weights")
     wsum = sum(weights)
     if not (wsum > 0 and math.isfinite(wsum)):
         raise ConfigError("weights must have a positive finite sum")

@@ -21,10 +21,6 @@ class NonzeroInnerConstant(FprwError):
     """Series composition needs an inner series with zero constant term."""
 
 
-class NotInvertible(FprwError):
-    """Series reversion needs a nonzero linear coefficient."""
-
-
 class NeedsDerivative(FprwError):
     """A Green-function derivative required by the formula is infinite."""
 

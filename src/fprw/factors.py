@@ -91,7 +91,7 @@ class LatticeNN:
         object.__setattr__(self, "p", p)
         if len(beta) != len(p) or not beta:
             raise ConfigError("beta and p must be equal-length, nonempty")
-        if any(b <= 0 for b in beta) or abs(sum(beta) - 1.0) > 1e-12:
+        if not all(b > 0 for b in beta) or not abs(sum(beta) - 1.0) <= 1e-12:
             raise ConfigError("axis weights must be positive and sum to 1")
         if any(not 0.0 < x < 1.0 for x in p):
             raise ConfigError("axis up-probabilities must lie strictly in (0,1)")
@@ -178,7 +178,7 @@ class FiniteGroup:
         if not 0 <= self.id < n:
             raise ConfigError("identity index out of range")
         for row in P:
-            if any(v < 0 for v in row) or abs(sum(row) - 1.0) > 1e-12:
+            if not all(v >= 0 for v in row) or not abs(sum(row) - 1.0) <= 1e-12:
                 raise ConfigError("P must be row-stochastic")
         self._validate_group(n)
         self._validate_invariance(n)
@@ -410,12 +410,14 @@ class ExplicitSeries:
             raise ConfigError("explicit series must start with coefficient 1")
         if any(not 0.0 <= c <= 1.0 for c in coeffs):
             raise ConfigError("explicit series coefficients must be probabilities")
-        if not self.radius > 0.0:
-            raise ConfigError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ConfigError("radius must be positive and finite")
         if math.isfinite(self.gprime_at_r) and not math.isfinite(self.g_at_r):
             raise ConfigError("finite G' at the radius needs finite G")
-        if self.g_at_r < 1.0:
+        if not self.g_at_r >= 1.0:
             raise ConfigError("G at the radius is at least 1")
+        if not self.gprime_at_r >= 0.0:
+            raise ConfigError("G' at the radius is nonnegative")
         if self.sing is not None:
             try:
                 darboux_map(*self.sing)

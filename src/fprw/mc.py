@@ -294,9 +294,27 @@ def word_count_bound(spec: FreeProductSpec, order: int) -> int:
     return 1 + sum(total)
 
 
+def support_size(spec: FreeProductSpec) -> int:
+    """Steps in the product's support, counted from the factors without
+    building it: q on the q-regular tree, 2d on Z^d.  A support of S steps
+    gives the empty word _STATE_BYTES + _PAIR_BYTES S bytes in
+    bfs_convolution, so one larger than (EXACT_COLUMN_BYTES - _STATE_BYTES)
+    // _PAIR_BYTES = 1,048,574 fits no word of the exact column and is
+    refused."""
+    size = sum(
+        f.q if isinstance(f, HomTree) else 2 * f.dim if isinstance(f, LatticeNN) else len(f.step_support())
+        for f in spec.factors
+    )
+    if _STATE_BYTES + _PAIR_BYTES * size > EXACT_COLUMN_BYTES:
+        raise ConfigError(
+            f"the product's support has {size} steps, too many for one word in {EXACT_COLUMN_BYTES >> 20} MiB"
+        )
+    return size
+
+
 def exact_column_order(spec: FreeProductSpec, order: int) -> int:
     """The largest order <= `order` whose words fit EXACT_COLUMN_BYTES."""
-    per_state = _STATE_BYTES + _PAIR_BYTES * len(_support(spec))
+    per_state = _STATE_BYTES + _PAIR_BYTES * support_size(spec)
     states = EXACT_COLUMN_BYTES // per_state
     while order > 1 and word_count_bound(spec, order) > states:
         order -= 1
@@ -457,14 +475,9 @@ def simulate(spec: FreeProductSpec, steps: int, walks: int, seed: int) -> Simula
     """
     if steps < 0 or walks < 1:
         raise ConfigError("need steps >= 0 and walks >= 1")
+    support_size(spec)
     letters = _Letters(spec, reach=steps)
-    blocks = []
-    lo = 0
-    b = 0
-    while lo < walks:
-        n = min(_SIM_BLOCK, walks - lo)
-        blocks.append((letters, seed, b, n, steps))
-        lo += n
-        b += 1
+    starts = range(0, walks, _SIM_BLOCK)
+    blocks = [(letters, seed, b, min(_SIM_BLOCK, walks - lo), steps) for b, lo in enumerate(starts)]
     counts = np.sum(parallel_map(_simulate_block, blocks), axis=0)
     return SimulationResult(steps=steps, walks=walks, seed=seed, returns=tuple(int(c) for c in counts))

@@ -1,4 +1,5 @@
-"""Process-parallel map over independent tasks, sized by FPRW_THREADS.
+"""Process-parallel map over independent tasks, sized by FPRW_THREADS; its
+one user is `mc.simulate`, whose blocks of walks are independent.
 
 FPRW_THREADS (default 1) is the number of worker processes asked for.  A value
 that is not an integer of at least 1 is a configuration error.  The pool never

@@ -30,7 +30,6 @@ from .errors import (
     TargetOutOfRange,
 )
 from .factors import GreenAnalytics, LatticeNN, analyze_factor
-from .parallel import parallel_map, requested_threads
 from .product import FreeProductSpec, _WARN_TOL, factor_analytics, is_two_by_two
 from .product import psi_of, theta_bar_of
 from .roots import brent
@@ -182,36 +181,15 @@ def logistic_grid(size: int) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _sweep_chunk(args):
-    spec, alphas = args
-    an1, an2 = _two_analytics(spec)
-    return [_law_at(an1, an2, float(a)) for a in alphas]
-
-
 def sweep(spec: FreeProductSpec, grid_size: int = 512) -> PhaseDiagram:
-    """Evaluate Upsilon and the law kind across an alpha_1 grid.
-
-    Grid points are independent; FPRW_THREADS > 1 distributes chunks over
-    worker processes (each rebuilds the factor analytics), with results
-    merged back in grid order.
-    """
+    """Evaluate Upsilon and the law kind across an alpha_1 grid, point by
+    point in this process: a process pool gained only past about 16,000
+    points on 2 cores."""
     if grid_size < 3:
         raise ConfigError("grid needs at least 3 points")
     an1, an2 = _two_analytics(spec)
-    alphas = logistic_grid(grid_size)
-    threads = requested_threads()
-    nchunks = 4 * threads if threads > 1 else 1
-    chunks = [list(c) for c in np.array_split(alphas, nchunks) if c.size]
-    parts = parallel_map(_sweep_chunk, [(spec, c) for c in chunks])
-    rows = [r for part in parts for r in part]
-    low, high = phase_roots(spec)
-    return PhaseDiagram(
-        grid=tuple(rows),
-        alpha_c=critical_weight(an1.theta, an2.theta),
-        alpha_low=low,
-        alpha_high=high,
-        case=regime_case(spec),
-    )
+    rows = tuple(_law_at(an1, an2, float(a)) for a in logistic_grid(grid_size))
+    return PhaseDiagram(rows, critical_weight(an1.theta, an2.theta), *phase_roots(spec), regime_case(spec))
 
 
 def tuned_lattice(d: int, delta: float) -> LatticeNN:

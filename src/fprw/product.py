@@ -337,19 +337,22 @@ def _eliminated(form, inner: PowerSeries, h: int):
 
 
 def _product_us(n: int) -> float:
-    """Estimated microseconds of a truncated product at order n: one
-    np.convolve below the split order, about half its terms past it."""
-    return 4.0 + n * n / (16000.0 if n < _SPLIT_ORDER else 30000.0)
+    """Estimated microseconds of a truncated product at order n, as
+    `series._trunc_mul` forms it: 1.5 per np.convolve call and 16,000
+    multiply-adds per microsecond, (n + 1)^2 of them below the split order,
+    the low halves' h^2 and two products at order n - h past it."""
+    if n < _SPLIT_ORDER:
+        return 1.5 + (n + 1) ** 2 / 16000.0
+    h = n // 2 + 1
+    return 1.5 + h * h / 16000.0 + 2.0 * _product_us(n - h)
 
 
 def _reciprocal_us(n: int) -> float:
-    """Estimated microseconds of a reciprocal at order n: 0.9 per
-    coefficient of its dot loop, and its Newton steps past the split about
-    2.5 products at order n."""
-    loop = n
-    while loop >= _SPLIT_ORDER:
-        loop //= 2
-    return 0.9 * loop + (2.5 * _product_us(n) if n >= _SPLIT_ORDER else 0.0)
+    """Estimated microseconds of a reciprocal at order n: its Newton steps
+    (`series_reciprocal`), the step to order t two truncated products, at
+    orders t and t - t // 2 - 1."""
+    tops = [n >> j for j in range(n.bit_length())]
+    return sum(_product_us(t) + _product_us(t - t // 2 - 1) for t in tops)
 
 
 def _eliminates(form, order: int) -> bool:
@@ -361,14 +364,22 @@ def _eliminates(form, order: int) -> bool:
     elimination takes k reciprocals (k - 1 when Q(0, 0) = 0, whose pivot
     stays the constant 1) and about (k^3 + 3 k^2) / 3 products at `order`,
     plus 20 k^2 us of small-series overhead; Brent-Kung takes about
-    0.75 (m + 2 nblocks) products.  The constants were fitted to both routes
-    timed on C3, the Klein four-group, C5, S3, C8, C12 and the period-2 C4
-    at orders 62-4500 (2 cores, Python 3.11, numpy 2.4), and the rule picks
-    the faster route at every one of those 30 points.  It keeps C3 on
-    Brent-Kung below order 337 (549 when Q(0, 0) > 0), the Klein four-group
-    below 930 and S3 below 1951.  A kernel that is a polynomial (Q
-    nilpotent: every walk off e is back within k steps) stays on Horner's
-    rule, which is cheaper than either."""
+    0.75 (m + 2 nblocks) products.  Both routes were timed at orders 62,
+    126, 254, 510, 1022, 2000 and 4000 (2 cores, Python 3.11, numpy 2.4) on
+    C3 (steps +-1), C3 with Q(0, 0) > 0 (mu = 0.1, 0.5, 0.4), the Klein
+    four-group (0.1, 0.3, 0.4, 0.2), C5 (0, 0.3, 0.2, 0.2, 0.3), a lazy S3,
+    C8 (0, 0.3, 0.1, 0.05, 0.1, 0.05, 0.1, 0.3) and C4 (0, 0.3, 0, 0.7)
+    watched every second step, and the rule picks the faster route at all
+    49 points.  Elimination / Brent-Kung in ms at the orders around each
+    crossover: C3 0.15 / 0.10 and 0.17 / 0.26 at 126 and 254, with Q(0, 0)
+    > 0 0.19 / 0.10 and 0.24 / 0.26; Klein 0.49 / 0.26 and 0.81 / 0.89 at
+    254 and 510; C5 1.24 / 0.96 and 2.8 / 3.8 at 510 and 1022; S3 5.1 / 4.0
+    and 13.3 / 16.7 at 1022 and 2000; C8 97 / 77 at 4000; the period-2 C4
+    0.066 / 0.053 and 0.074 / 0.104 at 62 and 126.  The rule keeps on
+    Brent-Kung C3 below order 209 (237 with Q(0, 0) > 0), Klein below 400,
+    C5 below 667, S3 below 1369, C8 below 6006 and the period-2 C4 below 90.
+    A kernel that is a polynomial (Q nilpotent: every walk off e is back
+    within k steps) stays on Horner's rule, which is cheaper than either."""
     if form is None:
         return False
     _, r, q, _ = form

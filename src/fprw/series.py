@@ -7,14 +7,11 @@ evaluation: about 2 sqrt(N) truncated products of O(N^2) flops each, so
 O(N^2.5) in all (Brent & Kung, JACM 1978); outers that share one table of
 powers each keep their own order.  An outer polynomial of degree
 D with D^2 < N, such as the kernel T(x) = x of Z/2Z, goes by Horner's rule
-instead: D truncated products and no table of powers.  The reciprocal takes
-one dot product per coefficient below the product's split order and
-extends past it by Newton steps with order doubling, two truncated products
-per step.
-Reversion and the implicit Green-function solve use Newton iteration with
-order doubling too.  Direct convolution keeps the relative accuracy of every
-coefficient that is small against the coefficient sums, which FFT products
-would drown in absolute rounding noise.
+instead: D truncated products and no table of powers.  The reciprocal is
+Newton iteration with order doubling from 1/c0, two truncated products per
+step, at every order.  Direct convolution keeps the relative accuracy of
+every coefficient that is small against the coefficient sums, which FFT
+products would drown in absolute rounding noise.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import NonzeroInnerConstant, NotInvertible, ZeroConstantTerm
+from .errors import NonzeroInnerConstant, ZeroConstantTerm
 
 
 def horner(coeffs: np.ndarray, z: float) -> float:
@@ -169,26 +166,19 @@ def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 def series_reciprocal(a: PowerSeries) -> PowerSeries:
     """Multiplicative inverse: series b with a*b = 1 + O(z^{N+1}).
 
-    Below the split order, one dot product per coefficient.  Past it, b is
-    first formed that way through N >> k, the largest such order below the
-    split; each Newton step then takes b, correct through h - 1, to order
-    2h - 1 or N as b <- b - b (a b)_{>=h}, two truncated products, since
-    (a b)_k vanishes for 0 < k < h.  For a = 1 - P with P >= 0 the high part
-    (a b)_{>=h} = -(P b)_{>=h} has no cancellation and b stays a sum of
-    nonnegative terms, as in the loop.
+    Newton iteration with order doubling from b = 1/c_0: each step takes b,
+    correct through h - 1, to order 2h - 1 or N as b <- b - b (a b)_{>=h},
+    two truncated products, since (a b)_k vanishes for 0 < k < h.  For a =
+    1 - P with P >= 0 the high part (a b)_{>=h} = -(P b)_{>=h} has no
+    cancellation and b stays a sum of nonnegative terms.
     """
     c = a.coeffs
     if c[0] == 0.0:
         raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
     n = a.order
-    tops = [n]  # the order each Newton step reaches, last step first
-    while tops[-1] >= _SPLIT_ORDER:
-        tops.append(tops[-1] // 2)
     b = np.zeros(n + 1)
     b[0] = 1.0 / c[0]
-    for k in range(1, tops.pop() + 1):
-        b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
-    for top in reversed(tops):
+    for top in reversed([n >> j for j in range(n.bit_length())]):  # ..., n // 2, n
         h = top // 2 + 1  # b is correct through h - 1 and zero past it
         high = _trunc_mul(c, b, top)[h:]
         b[h : top + 1] = -_trunc_mul(b, high, top - h)
@@ -258,57 +248,3 @@ def series_derivative(a: PowerSeries) -> PowerSeries:
     if a.order == 0:
         return PowerSeries([0.0])
     return PowerSeries(a.coeffs[1:] * np.arange(1, a.order + 1))
-
-
-def series_reversion(w: PowerSeries) -> PowerSeries:
-    """Compositional inverse: v with w(v(z)) = z + O(z^{N+1}).
-
-    Kept as an oracle: it builds Phi_i = G_i o reversion(z G_i) for the
-    implicit-equation route in test_series.py::test_z2_star_z2_matches_word_convolution.
-    """
-    if w.coeffs[0] != 0.0:
-        raise NotInvertible("reversion needs w(0) = 0")
-    if w.order < 1 or w.coeffs[1] == 0.0:
-        raise NotInvertible("reversion needs a nonzero linear coefficient")
-    n = w.order
-    v = np.zeros(n + 1)
-    v[1] = 1.0 / w.coeffs[1]
-    wp = series_derivative(w).pad(n)
-    cur = 1
-    polished = False
-    while cur < n or not polished:
-        polished = cur == n  # one extra full-order pass scrubs roundoff
-        cur = min(2 * cur, n)
-        vt = PowerSeries(v[: cur + 1])
-        res = series_compose(w.truncate(cur), vt) - PowerSeries.identity(cur)
-        slope = series_compose(wp.truncate(cur), vt)
-        upd = series_mul(res, series_reciprocal(slope))
-        v[: cur + 1] -= upd.coeffs
-        v[0] = 0.0
-    return PowerSeries(v)
-
-
-def solve_implicit_green(phi: PowerSeries, order: int) -> PowerSeries:
-    """The unique series g with g = phi(z*g) through the given order.
-
-    Kept as an oracle: the implicit-equation route G = Phi(zG) to a product
-    series, checked against word convolution in
-    test_series.py::test_z2_star_z2_matches_word_convolution.
-
-    Newton iteration with order doubling; each pass fixes the already-correct
-    coefficients exactly and extends the correct range, so the result agrees
-    with the coefficient-by-coefficient fixed point.
-    """
-    g = np.zeros(order + 1)
-    g[0] = phi.coeffs[0]
-    phip = series_derivative(phi).pad(order)
-    cur = 0
-    while cur < order:
-        cur = min(2 * cur + 1, order)
-        gt = PowerSeries(g[: cur + 1])
-        zg = gt.shift()
-        res = gt - series_compose(phi.truncate(cur), zg)
-        den = 1.0 - series_compose(phip.truncate(cur), zg).shift()
-        upd = series_mul(res, series_reciprocal(den))
-        g[: cur + 1] -= upd.coeffs
-    return PowerSeries(g)

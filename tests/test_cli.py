@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,7 @@ NOT_INTEGRAL = {
         {"factors": [{"type": "tree", "q": True}, Z5], "weights": [0.5, 0.5]},
         {"factors": [Z3, Z5], "weights": [0.5, 0.5], "options": {"order": 10.9}},
         {"factors": [{**EXPLICIT_Z1, "sing": [0.5, 1.5]}, Z5], "weights": [0.5, 0.5]},
+        {"factors": [Z3, Z5], "weights": [True, 0.5]},
     ],
     ids=[
         "order-not-a-number",
@@ -76,6 +78,7 @@ NOT_INTEGRAL = {
         "explicit-sing-analytic",
         "explicit-sing-infinite",
         *NOT_INTEGRAL,
+        "weight-a-bool",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, config, request):
@@ -85,6 +88,50 @@ def test_malformed_config_exits_2(tmp_path, capsys, config, request):
     assert NOT_INTEGRAL.get(request.node.callspec.id, "") in out.err
     assert "Traceback" not in out.err
     assert out.out == ""
+
+
+NOT_FINITE_OR_BOOL = {
+    "axis-weight-nan": {"type": "lattice", "beta": [math.nan, 0.5], "p": [0.5, 0.5]},
+    "cyclic-mu-nan": {"type": "cyclic", "n": 3, "mu": [math.nan, 0.5, 0.5]},
+    "explicit-g-at-r-nan": {**EXPLICIT_Z1, "g_at_r": math.nan},
+    "explicit-radius-inf": {**EXPLICIT_Z1, "radius": "inf"},
+    "explicit-radius-a-bool": {**EXPLICIT_Z1, "radius": True},
+    "explicit-g-at-r-a-bool": {**EXPLICIT_Z1, "g_at_r": True},
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "series", "phase", "simulate"])
+@pytest.mark.parametrize("factor", NOT_FINITE_OR_BOOL.values(), ids=NOT_FINITE_OR_BOOL)
+def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, factor, command):
+    # NaN fails every range check, the radius must be finite, and a bool is
+    # not a number
+    code, out = run(tmp_path, capsys, {"factors": [factor, Z5], "weights": [0.5, 0.5]}, command)
+    assert code == 2
+    assert out.err.startswith("config error:")
+    assert "Traceback" not in out.err
+    assert out.out == ""
+
+
+def test_simulate_refuses_a_support_too_large_for_one_word(tmp_path, capsys):
+    # the 10^11-regular tree: its q steps are counted, never built
+    config = {"factors": [Z3, {"type": "tree", "q": 10**11}], "weights": [0.5, 0.5]}
+    tracemalloc.start()
+    start = time.perf_counter()
+    code, out = run(tmp_path, capsys, config, "simulate")
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2
+    assert out.err.startswith("config error: the product's support has 100000000006 steps")
+    assert elapsed < 1.0 and peak < 1 << 20
+
+
+def test_phase_reads_no_thread_count(tmp_path, capsys, monkeypatch):
+    config = {"factors": [Z3, C3], "weights": [0.5, 0.5]}
+    code, plain = run(tmp_path, capsys, config, "phase", "--grid", "8")
+    monkeypatch.setenv("FPRW_THREADS", "abc")
+    assert run(tmp_path, capsys, config, "phase", "--grid", "8") == (code, plain)
+    assert code == 0
 
 
 def test_integral_floats_are_integers(tmp_path, capsys):
@@ -212,11 +259,12 @@ def test_sqrt_coefficient_programming_error_propagates(tmp_path, capsys, monkeyp
         run(tmp_path, capsys, critical_config, "analyze")
 
 
-@pytest.mark.parametrize("command", ["simulate", "phase"])
+@pytest.mark.parametrize("command", ["simulate"])
 def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command):
+    # FPRW_THREADS sizes simulate's process pool, the only one
     monkeypatch.setenv("FPRW_THREADS", "abc")
     config = {"factors": [Z3, {"type": "cyclic", "n": 3, "mu": [0.0, 0.5, 0.5]}], "weights": [0.5, 0.5]}
-    code, out = run(tmp_path, capsys, config, command, "--steps" if command == "simulate" else "--grid", "4")
+    code, out = run(tmp_path, capsys, config, command, "--steps", "4")
     assert code == 2
     assert out.err.startswith("config error: FPRW_THREADS")
     assert "Traceback" not in out.err

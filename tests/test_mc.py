@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from fprw import mc
-from fprw.errors import StateExplosion
+from fprw.errors import ConfigError, StateExplosion
 from fprw.factors import FiniteGroup, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import FreeProductSpec, product_green_series
 
@@ -219,6 +219,24 @@ class TestExactColumn:
         finally:
             tracemalloc.stop()
         assert peak <= words * mc._STATE_BYTES + pairs * mc._PAIR_BYTES
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec_of((Z1, 0.5), (HomTree(4), 0.5)), spec_of((C3, 0.3), (LatticeNN.simple(6), 0.7)),
+         spec_of((symmetric_three((0.1, 0.25, 0.15, 0.2, 0.2, 0.1)), 0.5), (C2, 0.5))],
+        ids=["Z1*T4", "C3*Z6", "S3*C2"],
+    )
+    def test_support_is_counted_as_built(self, spec):
+        assert mc.support_size(spec) == len(mc._support(spec))
+
+    def test_support_limit_is_one_word_of_the_column(self):
+        # (64 MiB - 128) // 64 = 1,048,574 steps; C2 adds one, and the tree
+        # is counted, never built
+        limit = (mc.EXACT_COLUMN_BYTES - mc._STATE_BYTES) // mc._PAIR_BYTES
+        assert limit == 1_048_574
+        assert mc.support_size(spec_of((C2, 0.5), (HomTree(limit - 1), 0.5))) == limit
+        with pytest.raises(ConfigError, match="support has 1048575 steps"):
+            mc.support_size(spec_of((C2, 0.5), (HomTree(limit), 0.5)))
 
 
 class TestWordCountBound:

@@ -28,7 +28,7 @@ from fprw.product import (
     theta_bar_of,
     zeta_at,
 )
-from fprw.series import PowerSeries, series_compose
+from fprw.series import PowerSeries
 
 
 def spec_of(*pairs):
@@ -395,15 +395,17 @@ class TestNormalizedSeries:
 
     def test_full_order_compositions_run_once_per_factor(self, monkeypatch):
         # the solve runs in y = u^period at order N // period, and the Newton
-        # pass that reaches that order is the last one: m compositions at that
+        # pass that reaches that order is the last one: m kernel evaluations
+        # (a composition, or C3's elimination past its crossover) at that
         # order per solve, not 2m
         orders = []
+        real = product._Kernel.at
 
-        def spy(outer, inner):
+        def spy(kernel, inner, h):
             orders.append(inner.order)
-            return series_compose(outer, inner)
+            return real(kernel, inner, h)
 
-        monkeypatch.setattr(product, "series_compose", spy)
+        monkeypatch.setattr(product._Kernel, "at", spy)
         cases = (
             (((Z5, 0.5), (Z6, 0.5)), 2),
             (((Z5, 0.4), (Z6, 0.35), (HomTree(3), 0.25)), 2),
@@ -595,12 +597,13 @@ def all_brent_kung(monkeypatch):
 class TestFiniteKernel:
     @pytest.mark.parametrize(
         "group,period,below,above",
-        [(C3, 1, 300, 400), (S3, 1, 1800, 2100), (K4, 1, 800, 1000), (C4_PERIOD_2, 2, 100, 300)],
+        [(C3, 1, 190, 230), (S3, 1, 1300, 1450), (K4, 1, 380, 420), (C4_PERIOD_2, 2, 80, 100)],
         ids=["C3", "S3", "Klein", "C4-decimated"],
     )
     def test_elimination_matches_brent_kung(self, group, period, below, above):
-        # the rule routes each group to Brent-Kung below its crossover and to
-        # elimination above it; both routes give the same coefficients
+        # the rule routes each group to Brent-Kung below its crossover (C3 209,
+        # S3 1369, Klein 400, period-2 C4 90) and to elimination above it;
+        # both routes give the same coefficients
         form = group.first_return_form(period)
         assert not product._eliminates(form, below) and product._eliminates(form, above)
         for order in (below, above):
