@@ -106,7 +106,13 @@ def _build_factor(obj: dict, where: str):
         if "dim" in obj:
             if "beta" in obj or "p" in obj:
                 raise ConfigError(f"{where}: give either dim or beta/p, not both")
-            return LatticeNN.simple(_parse_int(obj["dim"], f"{where}.dim", 1))
+            dim = _parse_int(obj["dim"], f"{where}.dim", 1)
+            if 2 * dim > mc.MAX_SUPPORT:  # refused before (1/d,) * d is built
+                raise ConfigError(
+                    f"{where}.dim must be at most {mc.MAX_SUPPORT // 2}, got {dim}: Z^d has 2d "
+                    f"support steps, and more than {mc.MAX_SUPPORT} fit no word"
+                )
+            return LatticeNN.simple(dim)
         return LatticeNN(beta=_parse_list(obj["beta"], f"{where}.beta"), p=_parse_list(obj["p"], f"{where}.p"))
     if kind == "cyclic":
         return cyclic_group(_parse_int(obj["n"], f"{where}.n", 1), _parse_list(obj["mu"], f"{where}.mu"))

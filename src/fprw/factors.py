@@ -104,11 +104,8 @@ class LatticeNN:
     def dim(self) -> int:
         return len(self.beta)
 
-    # word-algebra hooks (elements are integer coordinate tuples)
-    def identity_elem(self):
-        return (0,) * self.dim
-
     def step_support(self):
+        """[(step, probability)], each step an integer coordinate tuple."""
         out = []
         for j, (b, pj) in enumerate(zip(self.beta, self.p)):
             up = tuple(1 if i == j else 0 for i in range(self.dim))
@@ -116,12 +113,6 @@ class LatticeNN:
             out.append((up, b * pj))
             out.append((dn, b * (1.0 - pj)))
         return out
-
-    def combine(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def dist_to_identity(self, e) -> int:
-        return sum(abs(x) for x in e)
 
     # analytics hooks, asked once per factor by analyze_factor
     def invariants(self):
@@ -218,18 +209,9 @@ class FiniteGroup:
     def matrix(self) -> np.ndarray:
         return np.array(self.P, dtype=float)
 
-    def identity_elem(self):
-        return self.id
-
     def step_support(self):
         mu = self.P[self.id]
         return [(g, mu[g]) for g in range(self.order) if mu[g] > 0.0]
-
-    def combine(self, a, b):
-        return self.table[a][b]
-
-    def dist_to_identity(self, e) -> int:
-        return self.dist_table[e]
 
     @cached_property
     def forward_dist(self) -> dict:
@@ -341,23 +323,9 @@ class HomTree:
         if self.q < 2:
             raise ConfigError("tree degree must be at least 2")
 
-    def identity_elem(self):
-        return ()
-
     def step_support(self):
+        """[(step, probability)], step g the one-letter reduced word (g,)."""
         return [((g,), 1.0 / self.q) for g in range(self.q)]
-
-    def combine(self, a, b):
-        out = list(a)
-        for g in b:
-            if out and out[-1] == g:
-                out.pop()
-            else:
-                out.append(g)
-        return tuple(out)
-
-    def dist_to_identity(self, e) -> int:
-        return len(e)
 
     def invariants(self):
         _validate_tree_closed_form(self.q)
@@ -433,12 +401,8 @@ class ExplicitSeries:
                 f"multiple of the period {self.period}"
             )
 
-    def identity_elem(self):  # pragma: no cover - no word algebra for data factors
+    def step_support(self):
         raise ConfigError("explicit-series factors carry no group elements")
-
-    step_support = identity_elem
-    combine = identity_elem
-    dist_to_identity = identity_elem
 
     def invariants(self):
         sing = None

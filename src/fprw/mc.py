@@ -17,8 +17,8 @@ letters, compiled once per product (`_Letters`):
 simulate advances all walks of a block together.  The state is a walks x steps
 stack of (factor, code) letters plus a depth vector, and each step is a
 vectorised push, merge or pop.  Walks are grouped in fixed-size blocks, each
-drawn from the Philox stream keyed (seed, block), so results do not depend on
-how the blocks are spread over workers.
+drawn from the Philox stream keyed (seed, block), so a walk's draws do not
+depend on how many walks run beside it.
 
 bfs_convolution propagates exact probability mass over words.  A walk that
 is back at the identity by step `order` only visits words w with
@@ -31,14 +31,11 @@ boundary goes to an escape bucket, which keeps the per-step totals at exactly
 last letter, the ball's letters numbered densely, and the levels are
 enumerated with np.unique/searchsorted.  Mass moves over a dense table of
 each word's predecessor per support step: a step adds p_k times the mass of
-the k-th predecessors, in support order, so every sum starts from 0.0 and is
-taken in the order of the tuple-word propagation.  word_count_bound counts
+the k-th predecessors, in support order, so every sum starts from 0.0 and
+matches, bit for bit, a mat-vec whose rows list the predecessors in that
+order.  word_count_bound counts
 the ball's words exactly from the factors' sphere sizes in fwd + bwd, so an
 order that does not fit is refused before anything is enumerated.
-
-word_multiply, word_is_normal and word_erase_cost work on words as tuples of
-(factor_index, element) letters.  They are kept as the oracle that the coded
-algebra is tested against.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ import numpy.random  # for the Philox streams: numpy would load it lazily, insid
 
 from .errors import ConfigError, StateExplosion
 from .factors import HomTree, LatticeNN, flip_group
-from .parallel import parallel_map
 from .product import FreeProductSpec
 from .series import PowerSeries
 
@@ -67,43 +63,15 @@ _SIM_BLOCK = 4096  # walks per RNG stream; fixed so seeding is partition-proof
 EXACT_COLUMN_BYTES = 64 << 20
 _STATE_BYTES = 128
 _PAIR_BYTES = 64
+# the most support steps that leave room for one word: 1,048,574
+MAX_SUPPORT = (EXACT_COLUMN_BYTES - _STATE_BYTES) // _PAIR_BYTES
 
 _ESCAPE = -1  # the step leaves the ball
 _IDENTITY = -2  # the step cancels the letter
 
-Word = tuple
-
 
 # ---------------------------------------------------------------------------
-# tuple words (oracle)
-
-
-def word_multiply(factors, word: Word, factor: int, g) -> Word:
-    """Right-multiply a normal-form word by group element g of one factor."""
-    spec = factors[factor]
-    if g == spec.identity_elem():
-        return word
-    if word and word[-1][0] == factor:
-        merged = spec.combine(word[-1][1], g)
-        if merged == spec.identity_elem():
-            return word[:-1]
-        return word[:-1] + ((factor, merged),)
-    return word + ((factor, g),)
-
-
-def word_is_normal(factors, word: Word) -> bool:
-    """Normal-form invariant: no identity letters, no equal adjacent factors."""
-    for idx, (i, g) in enumerate(word):
-        if g == factors[i].identity_elem():
-            return False
-        if idx > 0 and word[idx - 1][0] == i:
-            return False
-    return True
-
-
-def word_erase_cost(factors, word: Word) -> int:
-    """Lower bound on the steps needed to walk the word back to the identity."""
-    return sum(factors[i].dist_to_identity(g) for i, g in word)
+# coded letters
 
 
 def _support(spec: FreeProductSpec):
@@ -112,10 +80,6 @@ def _support(spec: FreeProductSpec):
         for g, p in f.step_support():
             out.append((i, g, a * p))
     return out
-
-
-# ---------------------------------------------------------------------------
-# coded letters
 
 
 _C2 = flip_group()
@@ -223,6 +187,12 @@ class _Letters:
         out[look] = self.table[codes[look].astype(np.int64), self.column[k[look]]]
         return out
 
+    def merge(self, codes: np.ndarray, k: np.ndarray):
+        """(products, cancelled): advance(codes, k), and where the product
+        is its factor's identity, so that the letter leaves the word."""
+        products = self.advance(codes, k)
+        return products, np.asarray(products == self.identity[self.factor[k]], dtype=bool)
+
     def ball(self, order: int):
         """Letters with fwd + bwd <= order, numbered densely by factor, then code.
 
@@ -298,14 +268,13 @@ def support_size(spec: FreeProductSpec) -> int:
     """Steps in the product's support, counted from the factors without
     building it: q on the q-regular tree, 2d on Z^d.  A support of S steps
     gives the empty word _STATE_BYTES + _PAIR_BYTES S bytes in
-    bfs_convolution, so one larger than (EXACT_COLUMN_BYTES - _STATE_BYTES)
-    // _PAIR_BYTES = 1,048,574 fits no word of the exact column and is
-    refused."""
+    bfs_convolution, so one of more than MAX_SUPPORT steps fits no word of
+    the exact column and is refused."""
     size = sum(
         f.q if isinstance(f, HomTree) else 2 * f.dim if isinstance(f, LatticeNN) else len(f.step_support())
         for f in spec.factors
     )
-    if _STATE_BYTES + _PAIR_BYTES * size > EXACT_COLUMN_BYTES:
+    if size > MAX_SUPPORT:
         raise ConfigError(
             f"the product's support has {size} steps, too many for one word in {EXACT_COLUMN_BYTES >> 20} MiB"
         )
@@ -433,15 +402,17 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-def _simulate_block(args):
-    letters, seed, block, nwalks, steps = args
+def _simulate_block(letters: _Letters, seed: int, block: int, nwalks: int, steps: int):
+    """(counts, stacks) of one block of walks: counts[n] walks are at the
+    identity after n steps, and stacks = (factor, code, depth) are the final
+    letter stacks, flat with stride nwalks per depth.  Walk w's word is the
+    letters at depths 1..depth[w]; those above it are stale."""
     rng = np.random.Generator(np.random.Philox(key=[seed, block]))
     counts = np.zeros(steps + 1, dtype=np.int64)
     counts[0] = nwalks
     draws = rng.choice(len(letters.probs), size=(nwalks, steps), p=letters.probs)
     draws = draws.T.astype(np.int32)
-    # letter stacks, flat with stride nwalks per depth; depth 0 is a bottom
-    # letter that matches no factor
+    # depth 0 is a bottom letter that matches no factor
     factor = np.full((steps + 1) * nwalks, -1, dtype=np.int32)
     code = np.zeros((steps + 1) * nwalks, dtype=letters.dtype)
     depth = np.zeros(nwalks, dtype=np.int64)
@@ -458,26 +429,25 @@ def _simulate_block(args):
         code[at] = letters.code[k[w]]
         w = np.flatnonzero(moves & same)
         at = depth[w] * nwalks + w
-        merged = letters.advance(code[at], k[w])
-        gone = np.asarray(merged == letters.identity[f[w]], dtype=bool)
+        merged, gone = letters.merge(code[at], k[w])
         depth[w[gone]] -= 1
         code[at[~gone]] = merged[~gone]
         counts[n + 1] = nwalks - np.count_nonzero(depth)
-    return counts
+    return counts, (factor, code, depth)
 
 
 def simulate(spec: FreeProductSpec, steps: int, walks: int, seed: int) -> SimulationResult:
     """Empirical return profile from `walks` seeded trajectories.
 
     Walks are grouped in fixed-size blocks, each drawn from the Philox stream
-    keyed (seed, block index); FPRW_THREADS > 1 distributes blocks over
-    processes without changing any draw.
+    keyed (seed, block index), and the blocks run one after another.
     """
     if steps < 0 or walks < 1:
         raise ConfigError("need steps >= 0 and walks >= 1")
     support_size(spec)
     letters = _Letters(spec, reach=steps)
-    starts = range(0, walks, _SIM_BLOCK)
-    blocks = [(letters, seed, b, min(_SIM_BLOCK, walks - lo), steps) for b, lo in enumerate(starts)]
-    counts = np.sum(parallel_map(_simulate_block, blocks), axis=0)
+    counts = sum(
+        _simulate_block(letters, seed, b, min(_SIM_BLOCK, walks - lo), steps)[0]
+        for b, lo in enumerate(range(0, walks, _SIM_BLOCK))
+    )
     return SimulationResult(steps=steps, walks=walks, seed=seed, returns=tuple(int(c) for c in counts))

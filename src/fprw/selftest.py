@@ -314,18 +314,15 @@ def criterion_8():
         if any(phi_at(an, z, 2) <= 0 for z in zs):
             return False, f"Phi'' not positive for {f}"
 
-    # word normal form under 1e5 random multiplications
-    facs = (Z3, C3, flip_group())
-    supports = [f.step_support() for f in facs]
-    rng = np.random.default_rng(123)
-    w = ()
-    for _ in range(100_000):
-        i = int(rng.integers(0, len(facs)))
-        g, _ = supports[i][int(rng.integers(0, len(supports[i])))]
-        w = mc.word_multiply(facs, w, i, g)
-        if w and (w[-1][1] == facs[w[-1][0]].identity_elem()):
-            return False, "identity letter survived"
-    if not mc.word_is_normal(facs, w):
+    # normal form of the coded words that simulate runs, after 100 walks x
+    # 1000 steps: no identity letter, no two adjacent letters of one factor
+    letters = mc._Letters(_spec((Z3, 1.0), (C3, 1.0), (C2, 1.0)), reach=1000)
+    _, (factor, code, depth) = mc._simulate_block(letters, 123, 0, 100, 1000)
+    factor, code = factor.reshape(1001, 100), code.reshape(1001, 100)
+    word = np.arange(1, 1001)[:, None] <= depth  # letters above a word's depth are stale
+    if np.any(word & (code[1:] == letters.identity[factor[1:]])):
+        return False, "identity letter survived"
+    if np.any(word & (factor[1:] == factor[:-1])):
         return False, "word left normal form"
 
     # BFS mass conservation is asserted inside the propagation

@@ -55,20 +55,6 @@ class PowerSeries:
     def zero(cls, order: int) -> "PowerSeries":
         return cls(np.zeros(order + 1))
 
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        c = np.zeros(order + 1)
-        c[0] = 1.0
-        return cls(c)
-
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series z."""
-        c = np.zeros(order + 1)
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
     def truncate(self, order: int) -> "PowerSeries":
         if order >= self.order:
             return self.pad(order)

@@ -1,10 +1,12 @@
 """Second routes that only tests call: series reversion and the implicit
 Green-function solve G = Phi(zG), both by Newton iteration with order
-doubling on the series kernels of `fprw.series`."""
+doubling on the series kernels of `fprw.series`; and the tuple word algebra
+that `fprw.mc`'s coded letters are tested against."""
 
 import numpy as np
 
 from fprw.errors import FprwError
+from fprw.factors import HomTree, LatticeNN
 from fprw.series import (
     PowerSeries,
     series_compose,
@@ -12,6 +14,13 @@ from fprw.series import (
     series_mul,
     series_reciprocal,
 )
+
+
+def monomial(power: int, order: int) -> PowerSeries:
+    """z^power through order `order`: the series 1 at power 0, z at power 1."""
+    c = np.zeros(order + 1)
+    c[power : power + 1] = 1.0  # nothing when power > order
+    return PowerSeries(c)
 
 
 class NotInvertible(FprwError):
@@ -38,7 +47,7 @@ def series_reversion(w: PowerSeries) -> PowerSeries:
         polished = cur == n  # one extra full-order pass scrubs roundoff
         cur = min(2 * cur, n)
         vt = PowerSeries(v[: cur + 1])
-        res = series_compose(w.truncate(cur), vt) - PowerSeries.identity(cur)
+        res = series_compose(w.truncate(cur), vt) - monomial(1, cur)
         slope = series_compose(wp.truncate(cur), vt)
         upd = series_mul(res, series_reciprocal(slope))
         v[: cur + 1] -= upd.coeffs
@@ -70,3 +79,61 @@ def solve_implicit_green(phi: PowerSeries, order: int) -> PowerSeries:
         upd = series_mul(res, series_reciprocal(den))
         g[: cur + 1] -= upd.coeffs
     return PowerSeries(g)
+
+
+# ---------------------------------------------------------------------------
+# tuple words: (factor index, element) letters.  A lattice element is an
+# integer coordinate tuple, a tree element a reduced tuple of C2 flips, a
+# finite group's element its index in the Cayley table.
+
+
+def identity_elem(factor):
+    if isinstance(factor, LatticeNN):
+        return (0,) * factor.dim
+    if isinstance(factor, HomTree):
+        return ()
+    return factor.id
+
+
+def combine(factor, a, b):
+    """The product a b of two elements of one factor."""
+    if isinstance(factor, LatticeNN):
+        return tuple(x + y for x, y in zip(a, b))
+    if isinstance(factor, HomTree):  # reduced words of flips: equal neighbours cancel
+        for g in b:
+            a = a[:-1] if a and a[-1] == g else a + (g,)
+        return a
+    return factor.table[a][b]
+
+
+def dist_to_identity(factor, e) -> int:
+    """Steps the factor's walk needs to take e back to the identity."""
+    if isinstance(factor, LatticeNN):
+        return sum(abs(x) for x in e)
+    if isinstance(factor, HomTree):
+        return len(e)
+    return factor.dist_table[e]
+
+
+def word_multiply(factors, word: tuple, factor: int, g) -> tuple:
+    """Right-multiply a normal-form word by group element g of one factor."""
+    spec = factors[factor]
+    if g == identity_elem(spec):
+        return word
+    if word and word[-1][0] == factor:
+        merged = combine(spec, word[-1][1], g)
+        if merged == identity_elem(spec):
+            return word[:-1]
+        return word[:-1] + ((factor, merged),)
+    return word + ((factor, g),)
+
+
+def word_is_normal(factors, word: tuple) -> bool:
+    """Normal-form invariant: no identity letters, no equal adjacent factors."""
+    no_identity = all(g != identity_elem(factors[i]) for i, g in word)
+    return no_identity and all(a[0] != b[0] for a, b in zip(word, word[1:]))
+
+
+def word_erase_cost(factors, word: tuple) -> int:
+    """Lower bound on the steps needed to walk the word back to the identity."""
+    return sum(dist_to_identity(factors[i], g) for i, g in word)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, rgamma
 
-from fprw import selftest
+from fprw import mc, selftest
 from fprw.factors import SingularityDescriptor
 
 
@@ -16,6 +16,21 @@ def test_criterion(criterion):
     result = criterion()
     print(selftest.format_line(result))
     assert result.passed, selftest.format_line(result)
+
+
+def test_criterion_8_fails_on_a_kept_identity_letter(monkeypatch):
+    # a merge that never cancels leaves each cancelled letter on the stack
+    # as its factor's identity code
+    merge = mc._Letters.merge
+
+    def keeps_identity(self, codes, k):
+        products, _ = merge(self, codes, k)
+        return products, np.zeros(products.size, dtype=bool)
+
+    monkeypatch.setattr(mc._Letters, "merge", keeps_identity)
+    result = selftest.criterion_8()
+    assert not result.passed
+    assert result.detail == "identity letter survived"
 
 
 def period_two_series(amplitudes, order):

@@ -97,18 +97,36 @@ NOT_FINITE_OR_BOOL = {
     "explicit-radius-inf": {**EXPLICIT_Z1, "radius": "inf"},
     "explicit-radius-a-bool": {**EXPLICIT_Z1, "radius": True},
     "explicit-g-at-r-a-bool": {**EXPLICIT_Z1, "g_at_r": True},
+    "lattice-dim-too-large": {"type": "lattice", "dim": 10**11},
 }
 
 
 @pytest.mark.parametrize("command", ["analyze", "series", "phase", "simulate"])
 @pytest.mark.parametrize("factor", NOT_FINITE_OR_BOOL.values(), ids=NOT_FINITE_OR_BOOL)
 def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, factor, command):
-    # NaN fails every range check, the radius must be finite, and a bool is
-    # not a number
+    # NaN fails every range check, the radius must be finite, a bool is not a
+    # number, and Z^d with more than 524,287 axes is refused before its axis
+    # weights are built
+    tracemalloc.start()
+    start = time.perf_counter()
     code, out = run(tmp_path, capsys, {"factors": [factor, Z5], "weights": [0.5, 0.5]}, command)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     assert code == 2
     assert out.err.startswith("config error:")
     assert "Traceback" not in out.err
+    assert out.out == ""
+    assert elapsed < 1.0 and peak < 1 << 20
+    if "dim" in factor:
+        assert "dim must be at most 524287, got 100000000000: Z^d has 2d support steps" in out.err
+
+
+def test_simulate_on_an_explicit_factor_exits_2(tmp_path, capsys):
+    # an explicit factor is a series, not a group: it has no steps to walk
+    code, out = run(tmp_path, capsys, {"factors": [EXPLICIT_Z1, C3], "weights": [0.5, 0.5]}, "simulate")
+    assert code == 2
+    assert out.err == "config error: explicit-series factors carry no group elements\n"
     assert out.out == ""
 
 
@@ -124,14 +142,6 @@ def test_simulate_refuses_a_support_too_large_for_one_word(tmp_path, capsys):
     assert code == 2
     assert out.err.startswith("config error: the product's support has 100000000006 steps")
     assert elapsed < 1.0 and peak < 1 << 20
-
-
-def test_phase_reads_no_thread_count(tmp_path, capsys, monkeypatch):
-    config = {"factors": [Z3, C3], "weights": [0.5, 0.5]}
-    code, plain = run(tmp_path, capsys, config, "phase", "--grid", "8")
-    monkeypatch.setenv("FPRW_THREADS", "abc")
-    assert run(tmp_path, capsys, config, "phase", "--grid", "8") == (code, plain)
-    assert code == 0
 
 
 def test_integral_floats_are_integers(tmp_path, capsys):
@@ -259,17 +269,6 @@ def test_sqrt_coefficient_programming_error_propagates(tmp_path, capsys, monkeyp
         run(tmp_path, capsys, critical_config, "analyze")
 
 
-@pytest.mark.parametrize("command", ["simulate"])
-def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command):
-    # FPRW_THREADS sizes simulate's process pool, the only one
-    monkeypatch.setenv("FPRW_THREADS", "abc")
-    config = {"factors": [Z3, {"type": "cyclic", "n": 3, "mu": [0.0, 0.5, 0.5]}], "weights": [0.5, 0.5]}
-    code, out = run(tmp_path, capsys, config, command, "--steps", "4")
-    assert code == 2
-    assert out.err.startswith("config error: FPRW_THREADS")
-    assert "Traceback" not in out.err
-
-
 def test_simulate_cuts_exact_column_to_budget(tmp_path, capsys):
     # order 14 on Z5*Z6 would enumerate about 3.9e8 words
     config = {"factors": [Z5, Z6], "weights": [0.5, 0.5]}
@@ -363,8 +362,7 @@ def test_commands_run_without_scipy_and_load_no_module_after_import(tmp_path):
         "C2xC3": {"factors": [C2, C3], "weights": [0.5, 0.5]},
         "Z5xT3": {"factors": [Z5, T3], "weights": [0.5, 0.5]},
     }
-    env = {k: v for k, v in os.environ.items() if k != "FPRW_THREADS"}
-    env["PYTHONPATH"] = str(Path(fprw.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(fprw.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_RUN, json.dumps(configs)],
         env=env, cwd=tmp_path, capture_output=True, text=True, check=True,

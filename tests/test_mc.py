@@ -11,6 +11,8 @@ from fprw.errors import ConfigError, StateExplosion
 from fprw.factors import FiniteGroup, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import FreeProductSpec, product_green_series
 
+from .oracles import combine, word_erase_cost, word_is_normal, word_multiply
+
 C2 = flip_group()
 C3 = cyclic_group(3, (0.0, 0.5, 0.5))
 Z1 = LatticeNN.simple(1)
@@ -54,14 +56,14 @@ def tuple_ball(spec, order):
         nxt = []
         for w in frontier:
             for i, g, _ in support:
-                t = mc.word_multiply(factors, w, i, g)
-                if t not in index and level + mc.word_erase_cost(factors, t) <= order:
+                t = word_multiply(factors, w, i, g)
+                if t not in index and level + word_erase_cost(factors, t) <= order:
                     index[t] = len(states)
                     states.append(t)
                     nxt.append(t)
         frontier = nxt
     targets = np.array(
-        [[index.get(mc.word_multiply(factors, w, i, g), -1) for w in states] for i, g, _ in support]
+        [[index.get(word_multiply(factors, w, i, g), -1) for w in states] for i, g, _ in support]
     )
     return states, targets
 
@@ -124,7 +126,7 @@ def tuple_block(spec, seed, block, nwalks, steps):
         word = ()
         for n, k in enumerate(row, start=1):
             i, g, _ = support[k]
-            word = mc.word_multiply(spec.factors, word, i, g)
+            word = word_multiply(spec.factors, word, i, g)
             counts[n] += not word
     return counts
 
@@ -284,21 +286,21 @@ class TestWordAlgebra:
         facs = (LatticeNN.simple(1), cyclic_group(3, (0.0, 0.5, 0.5)))
         w = ()
         for i, g in [(0, (1,)), (1, 1), (0, (-1,))]:
-            w = mc.word_multiply(facs, w, i, g)
+            w = word_multiply(facs, w, i, g)
         assert w == ((0, (1,)), (1, 1), (0, (-1,)))
         for i, g in [(0, (1,)), (1, 1), (0, (1,))]:
-            w = mc.word_multiply(facs, w, i, g)
+            w = word_multiply(facs, w, i, g)
         assert w == ((0, (1,)), (1, 2), (0, (1,)))
 
     def test_identity_is_noop(self):
         facs = (C2, C3)
         w = ((0, 1),)
-        assert mc.word_multiply(facs, w, 1, 0) == w
+        assert word_multiply(facs, w, 1, 0) == w
 
     def test_cancellation_to_empty(self):
         facs = (C2, C3)
-        w = mc.word_multiply(facs, (), 1, 1)
-        w = mc.word_multiply(facs, w, 1, 2)
+        w = word_multiply(facs, (), 1, 1)
+        w = word_multiply(facs, w, 1, 2)
         assert w == ()
 
     def test_normal_form_random_walk(self):
@@ -309,16 +311,16 @@ class TestWordAlgebra:
         for _ in range(4000):
             i = int(rng.integers(0, 3))
             g, _ = supports[i][int(rng.integers(0, len(supports[i])))]
-            w = mc.word_multiply(facs, w, i, g)
-            assert mc.word_is_normal(facs, w)
+            w = word_multiply(facs, w, i, g)
+            assert word_is_normal(facs, w)
 
     def test_associativity_within_factor(self):
         facs = (C3, C2)
         for a in (1, 2):
             for b in (1, 2):
-                w1 = mc.word_multiply(facs, ((1, 1),), 0, a)
-                w1 = mc.word_multiply(facs, w1, 0, b)
-                w2 = mc.word_multiply(facs, ((1, 1),), 0, facs[0].combine(a, b))
+                w1 = word_multiply(facs, ((1, 1),), 0, a)
+                w1 = word_multiply(facs, w1, 0, b)
+                w2 = word_multiply(facs, ((1, 1),), 0, combine(facs[0], a, b))
                 assert w1 == w2
 
 
