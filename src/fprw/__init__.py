@@ -1,6 +1,6 @@
 """Random-walk return-probability asymptotics on free products of groups."""
 
-from .classify import AsymptoticLaw, classify_multi, classify_two, darboux_map
+from .classify import AsymptoticLaw, classify_multi, darboux_map
 from .factors import (
     ExplicitSeries,
     FiniteGroup,
@@ -18,9 +18,6 @@ from .product import (
     analyze_product,
     normalized_green_series,
     product_green_series,
-    product_radius,
-    sqrt_coefficient,
-    zeta_at,
 )
 from .series import PowerSeries, series_compose, series_mul, series_reciprocal
 

@@ -15,14 +15,14 @@ points with `law_of_psi`, the same rule without the radius solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InsufficientData, MissingSingularity, RootNotBracketed
 # darboux_map is kept importable from here, beside the laws it feeds
-from .factors import _INT_TOL, DEFAULT_ORDER, ExplicitSeries, darboux_map
+from .factors import darboux_map
 from .product import (
     FreeProductSpec,
     ProductAnalytics,
@@ -30,8 +30,6 @@ from .product import (
     _WARN_TOL,
     analyze_product,
     factor_analytics,
-    phi_of,
-    product_green_series,
 )
 from .series import PowerSeries
 
@@ -41,14 +39,6 @@ ONE_HALF_DEGENERATE = "one-half-degenerate"
 
 EXACT = "exact"
 NEAR_CRITICAL = "near-critical-warning"
-
-
-def _inverse_darboux(lam: float, kappa: int):
-    """(q, k) of the singular term producing the law n^-lam log^kappa n."""
-    q = lam - 1.0
-    if abs(q - round(q)) < _INT_TOL:
-        return q, kappa + 1
-    return q, kappa
 
 
 @dataclass(frozen=True)
@@ -128,60 +118,13 @@ def law_of_analysis(pa: ProductAnalytics, ans) -> AsymptoticLaw:
     )
 
 
-def classify_two(spec: FreeProductSpec) -> AsymptoticLaw:
-    """Classify a two-factor product (all theorem branches)."""
-    if spec.m != 2:
-        raise ValueError("classify_two needs exactly two factors")
-    return classify_multi(spec)
-
-
-def classify_multi(
-    spec: FreeProductSpec, method: str = "direct", fold_order: int = DEFAULT_ORDER
-) -> AsymptoticLaw:
-    """Classify an m-factor product.
-
-    method="direct", the product path, applies the m-factor formula: the sign
-    of Psi(theta-bar) = 1 + sum_i (Psi_i(alpha_i theta-bar) - 1).
-    method="fold" is the reference that tests compare it with.  It follows
-    the paper's induction: classify the first m-1 factors, wrap them as an
-    explicit-series factor truncated at fold_order, and classify the
-    resulting two-factor product.
-    """
-    if spec.m == 2 or method == "direct":
-        return law_of_analysis(analyze_product(spec), factor_analytics(spec))
-    if method != "fold":
+def classify_multi(spec: FreeProductSpec, method: str = "direct") -> AsymptoticLaw:
+    """Classify an m-factor product by the m-factor formula: the sign of
+    Psi(theta-bar) = 1 + sum_i (Psi_i(alpha_i theta-bar) - 1) picks the
+    branch.  "direct" is the only `method`."""
+    if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-
-    head = FreeProductSpec(spec.factors[:-1], spec.weights[:-1])
-    head_weight = sum(spec.weights[:-1])
-    sub_law = classify_multi(head, method="fold", fold_order=fold_order)
-    sub = analyze_product(head)
-    if sub.psi_bar > _CRIT_TOL:
-        # expansion of type (I): differentiable at the radius, inherited term
-        phi1 = phi_of(factor_analytics(head), head.weights, sub.theta_bar, 1)
-        sub_gprime = phi1 * sub.g_at_radius / (1.0 - sub.radius * phi1)
-        sing = _inverse_darboux(sub_law.lam, sub_law.kappa)
-    else:
-        # expansion of type (II): square-root branch point
-        sub_gprime = math.inf
-        sing = (0.5, 0)
-    series = product_green_series(head, fold_order)
-    coeffs = np.clip(series.coeffs, 0.0, 1.0)
-    synthetic = ExplicitSeries(
-        coeffs=tuple(coeffs),
-        radius=sub.radius,
-        g_at_r=sub.g_at_radius,
-        gprime_at_r=sub_gprime,
-        sing=sing,
-        period=sub_law.period,
-    )
-    pair = FreeProductSpec((synthetic, spec.factors[-1]), (head_weight, spec.weights[-1]))
-    law = classify_two(pair)
-    if law.kind == INHERITED:
-        # map the synthetic index back to a real factor index
-        idx = sub_law.factor_index if law.factor_index == 0 else spec.m - 1
-        law = replace(law, factor_index=idx)
-    return law
+    return law_of_analysis(analyze_product(spec), factor_analytics(spec))
 
 
 def estimate_radius(series: PowerSeries, delta: int) -> float:

@@ -37,10 +37,6 @@ class NanValue(FprwError):
     """A root search's function returned NaN."""
 
 
-class NotAtCriticality(FprwError):
-    """Square-root coefficient requested away from the critical locus."""
-
-
 class MissingSingularity(FprwError):
     """An inherited law needs a singularity descriptor the factor does not carry."""
 

@@ -164,6 +164,8 @@ class FiniteGroup:
         n = len(P)
         if n < 1 or any(len(r) != n for r in P):
             raise ConfigError("P must be square")
+        if n < 2:
+            raise ConfigError("a finite group needs at least two elements: free product factors are nontrivial")
         if len(table) != n or any(len(r) != n for r in table):
             raise ConfigError("Cayley table must match the order of P")
         if not 0 <= self.id < n:

@@ -51,11 +51,10 @@ from .factors import HomTree, LatticeNN, flip_group
 from .product import FreeProductSpec
 from .series import PowerSeries
 
-DEFAULT_STATE_CAP = 50_000_000
 _SIM_BLOCK = 4096  # walks per RNG stream; fixed so seeding is partition-proof
 
-# Memory that `fprw simulate` gives its exact column.  At its peak
-# bfs_convolution holds up to _STATE_BYTES per word plus _PAIR_BYTES per (word,
+# Memory that bfs_convolution may use, `fprw simulate`'s exact column included.
+# At its peak it holds up to _STATE_BYTES per word plus _PAIR_BYTES per (word,
 # support step) pair: trie arrays, a level's candidate arrays, the target table
 # and the predecessor table.  Measured peaks (tracemalloc), word arrays
 # included, were 52-59 bytes per pair on Z5*Z6, Z2*C3, Z1*Z1, Z3*T4 and C2^3;
@@ -294,14 +293,14 @@ def exact_column_order(spec: FreeProductSpec, order: int) -> int:
 # exact convolution
 
 
-def bfs_convolution(
-    spec: FreeProductSpec, order: int, state_cap: int = DEFAULT_STATE_CAP
-) -> PowerSeries:
-    """Exact return probabilities mu^(n)(e) for n <= order by mass propagation."""
+def bfs_convolution(spec: FreeProductSpec, order: int) -> PowerSeries:
+    """Exact return probabilities mu^(n)(e) for n <= order by mass propagation.
+    An order past exact_column_order is refused before anything is enumerated."""
     bound = word_count_bound(spec, order)
-    if bound > state_cap:
+    if bound > EXACT_COLUMN_BYTES // (_STATE_BYTES + _PAIR_BYTES * support_size(spec)):
         raise StateExplosion(
-            f"up to {bound} words within reach, more than {state_cap}; lower the order"
+            f"the words of order {order} need more than {EXACT_COLUMN_BYTES >> 20} MiB; "
+            f"order {exact_column_order(spec, order)} fits"
         )
     letters = _Letters(spec, reach=order // 2 + 1)
     lfactor, lcost, merge, push = letters.ball(order)

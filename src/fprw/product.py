@@ -5,8 +5,8 @@ coefficient at criticality.
 
 Every product-level Psi or Phi value comes from `psi_of` or `phi_of`, and
 `_solve_branch` finds the branch in one pass: theta-bar, Psi there and the
-argument theta of the radius.  `analyze_product` and `product_radius` both
-call it; `classify` and `phase` read `analyze_product` and `psi_of`.
+argument theta of the radius.  `analyze_product` is its only caller and
+the one source of every product fact; `phase` reads `psi_of` alone.
 
 The first-visit system is solved in y = (z/R)^d, where d is the period of
 the product walk: every return coefficient off multiples of d is an exact
@@ -34,16 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    FprwError,
-    NoConvergence,
-    NotAtCriticality,
-    RootNotBracketed,
-)
+from .errors import ConfigError, FprwError, RootNotBracketed
 from .factors import (
     FiniteGroup,
-    GreenAnalytics,
     analyze_factor,
     invert_w,
     phi_at,
@@ -159,15 +152,6 @@ def _solve_branch(ans, weights):
                 raise RootNotBracketed("Psi is nonpositive arbitrarily close to 0")
         theta = brent(f, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=200)
     return tbar, argmin, pb, theta, phi_of(ans, weights, theta)
-
-
-def product_radius(spec: FreeProductSpec):
-    """(radius, G(radius)) of the product walk (`_solve_branch`).  The
-    degenerate (Z/2Z)*(Z/2Z) is recurrent with radius exactly 1."""
-    if is_two_by_two(spec):
-        return 1.0, math.inf
-    *_, theta, g = _solve_branch(factor_analytics(spec), spec.weights)
-    return theta / g, g
 
 
 def _visit_kernel(g: PowerSeries) -> PowerSeries:
@@ -501,7 +485,7 @@ _EST_TOL = 2.0**-100  # bound on the error of `_near_radius`'s estimate, 4 times
 
 @lru_cache(maxsize=64)
 def normalized_green_series(spec: FreeProductSpec, order: int):
-    """(R, G^) with R = product_radius(spec) and G^(u) = G(R u).
+    """(R, G^) with R = analyze_product(spec).radius and G^(u) = G(R u).
 
     The first-visit system of all m factors is solved in u = z/R, on the
     period lattice: a walk of period d = `product_period(spec)` returns only
@@ -547,7 +531,7 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
         rho, g = f.radius_series(period * (top + 1))
         kernels.append(_Kernel(_visit_kernel(PowerSeries(g.coeffs[::period])), form))
         ratios.append(Fraction(a) / total / Fraction(rho))
-    radius, _ = product_radius(spec)
+    radius = analyze_product(spec).radius
     near, consts = _near_radius(ratios, radius)
     g = np.zeros(order + 1)
     g[::period] = series_reciprocal(1.0 - sum(_zeta_series(kernels, consts, period, reduced))).coeffs
@@ -556,62 +540,14 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     return radius, PowerSeries(g * np.exp(shift * np.arange(order + 1)))
 
 
-def zeta_at(spec: FreeProductSpec, z: float, tol: float = 1e-13, max_iter: int = 20000):
-    """(zeta_1(z), zeta_2(z)) by damped monotone fixed-point iteration (m = 2).
-
-    Kept as an oracle: the second route to the zeta system, against which
-    test_product.py::TestZeta checks the series solve and the radius.
-    """
-    if spec.m != 2:
-        raise ConfigError("the zeta system is formulated for two factors")
-    if z == 0.0:
-        return 0.0, 0.0
-    a1, a2 = spec.weights
-    an1, an2 = factor_analytics(spec)
-
-    def u_over_w(an: GreenAnalytics, w: float) -> float:
-        if w == 0.0:
-            return an.spec.series(1)[1]  # U'(0) = mass of one-step returns
-        g = an.green(min(w, an.radius))
-        return (1.0 - 1.0 / g) / w if math.isfinite(g) else 1.0 / w
-
-    z1, z2 = a1 * z, a2 * z
-    damp = 1.0
-    prev_step = None
-    for _ in range(max_iter):
-        n1 = a1 * z / (1.0 - a2 * z * u_over_w(an2, z2))
-        n2 = a2 * z / (1.0 - a1 * z * u_over_w(an1, z1))
-        n1 = min(n1, an1.radius)
-        n2 = min(n2, an2.radius)
-        step = max(abs(n1 - z1), abs(n2 - z2))
-        if prev_step is not None and step > prev_step:
-            damp = 0.5  # oscillation guard
-        z1 += damp * (n1 - z1)
-        z2 += damp * (n2 - z2)
-        prev_step = step
-        if step < tol:
-            return z1, z2
-    raise NoConvergence(f"zeta iteration did not converge at z={z}")
-
-
-def sqrt_coefficient(spec: FreeProductSpec):
-    """(g0, g1) of the critical expansion G(z) = g0 + g1 sqrt(radius - z) + ...
-
-    Requires Psi(theta-bar) = 0 within tolerance.  g0 = Phi(theta-bar) and
-    g1 = -sqrt(2 G(radius) / (radius^3 Phi''(theta-bar))).
-    """
-    ans = factor_analytics(spec)
-    tbar, _ = theta_bar_of(ans, spec.weights)
-    pb = psi_of(ans, spec.weights, tbar)
-    if abs(pb) > _CRIT_TOL:
-        raise NotAtCriticality(f"Psi(theta-bar) = {pb:.3e} is not 0 within {_CRIT_TOL}")
-    phi2 = phi_of(ans, spec.weights, tbar, 2)
+def _sqrt_coefficient(ans, weights, tbar: float, g0: float):
+    """(g0, g1) of G(z) = g0 + g1 sqrt(R - z) + ... at Psi(theta-bar) = 0,
+    given g0 = Phi(theta-bar) = G(R): g1 = -sqrt(2 g0 / (R^3 Phi''(theta-bar)))."""
+    phi2 = phi_of(ans, weights, tbar, 2)
     if not phi2 > 0.0:
         raise RootNotBracketed(f"Phi''(theta-bar) = {phi2} fails the positivity guarantee")
-    g0 = phi_of(ans, spec.weights, tbar)
     rho = tbar / g0
-    g1 = -math.sqrt(2.0 * g0 / (rho**3 * phi2))
-    return g0, g1
+    return g0, -math.sqrt(2.0 * g0 / (rho**3 * phi2))
 
 
 @dataclass(frozen=True)
@@ -621,22 +557,23 @@ class ProductAnalytics:
     theta_bar: float
     argmin_set: tuple
     psi_bar: float
-    phi_bar: float
     radius: float
     g_at_radius: float
     period: int
-    sqrt_coeff: Optional[tuple]
+    sqrt_coeff: Optional[tuple]  # (g0, g1) at criticality, else None
     degenerate: bool
 
 
 def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
-    """One-stop evaluation of all product-level quantities."""
+    """Every product-level quantity from the only branch solve,
+    `_solve_branch`; the square-root coefficient where |Psi(theta-bar)| <=
+    _CRIT_TOL, so theta = theta-bar.  The degenerate (Z/2Z)*(Z/2Z) is
+    recurrent with radius exactly 1."""
     if is_two_by_two(spec):
         return ProductAnalytics(
             theta_bar=math.inf,
             argmin_set=(0, 1),
             psi_bar=0.0,
-            phi_bar=math.inf,
             radius=1.0,
             g_at_radius=math.inf,
             period=product_period(spec),
@@ -645,23 +582,16 @@ def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
         )
     ans = factor_analytics(spec)
     tbar, argmin, pb, theta, g_rho = _solve_branch(ans, spec.weights)
-    if not math.isfinite(tbar):
-        phi_bar = math.inf
-    elif theta == tbar:
-        phi_bar = g_rho
-    else:
-        phi_bar = phi_of(ans, spec.weights, tbar)
     coeff = None
     if abs(pb) <= _CRIT_TOL:
         try:
-            coeff = sqrt_coefficient(spec)
-        except FprwError:
-            coeff = None
+            coeff = _sqrt_coefficient(ans, spec.weights, tbar, g_rho)
+        except FprwError:  # a numeric failure leaves the coefficient unreported
+            pass
     return ProductAnalytics(
         theta_bar=tbar,
         argmin_set=argmin,
         psi_bar=pb,
-        phi_bar=phi_bar,
         radius=theta / g_rho,
         g_at_radius=g_rho,
         period=product_period(spec),

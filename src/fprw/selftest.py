@@ -30,10 +30,6 @@ from .product import (
     factor_analytics,
     normalized_green_series,
     product_green_series,
-    product_period,
-    product_radius,
-    sqrt_coefficient,
-    theta_bar_of,
 )
 
 
@@ -144,10 +140,10 @@ def criterion_4():
     # radius formulas are exercised
     specs.append(_spec((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5)))
     for spec in specs:
-        radius, _ = product_radius(spec)
+        pa = analyze_product(spec)
         series = product_green_series(spec, 400)
-        est = classify.estimate_radius(series, product_period(spec))
-        err = abs(est / radius - 1.0)
+        est = classify.estimate_radius(series, pa.period)
+        err = abs(est / pa.radius - 1.0)
         worst = max(worst, err)
         if err > 0.01:
             return False, f"radius mismatch {err:.2%} on {spec}"
@@ -166,9 +162,8 @@ def criterion_5():
     details = []
     for spec, _ in cases:
         law = classify.classify_multi(spec)
-        radius, _ = product_radius(spec)
         series = product_green_series(spec, 2000)
-        lam_hat = classify.fit_exponent(series, radius, law.period, (200, 2000))
+        lam_hat = classify.fit_exponent(series, law.radius, law.period, (200, 2000))
         details.append(f"{law.lam}->{lam_hat:.3f}")
         if abs(lam_hat - law.lam) > 0.25:
             return False, f"lambda-hat {lam_hat:.3f} vs {law.lam} on {spec}"
@@ -199,9 +194,9 @@ def criterion_6():
         return False, f"tuned Z5*Z6 labelled {got}, expected F"
     ans = factor_analytics(tuned)
     ac = ans[0].theta / (ans[0].theta + ans[1].theta)
-    below = classify.classify_two(_spec((f5, ac - 0.05), (f6, 1 - ac + 0.05)))
-    at = classify.classify_two(_spec((f5, ac), (f6, 1 - ac)))
-    above = classify.classify_two(_spec((f5, ac + 0.05), (f6, 1 - ac - 0.05)))
+    below = classify.classify_multi(_spec((f5, ac - 0.05), (f6, 1 - ac + 0.05)))
+    at = classify.classify_multi(_spec((f5, ac), (f6, 1 - ac)))
+    above = classify.classify_multi(_spec((f5, ac + 0.05), (f6, 1 - ac - 0.05)))
     pattern_ok = (
         (below.kind, below.lam) == (INHERITED, 3.0)
         and at.kind == THREE_HALVES
@@ -271,14 +266,15 @@ def criterion_7():
     ans = factor_analytics(_spec((f7, 0.5), (f8, 0.5)))
     ac = ans[0].theta / (ans[0].theta + ans[1].theta)
     spec = _spec((f7, ac), (f8, 1.0 - ac))
-    _, g1 = sqrt_coefficient(spec)
-    _, argmin = theta_bar_of(ans, spec.weights)
-    exponents = correction_exponents([ans[i].sing for i in argmin])
+    pa = analyze_product(spec)
+    if pa.sqrt_coeff is None:
+        return False, f"no square-root coefficient at Psi(theta-bar) = {pa.psi_bar:.3e}"
+    _, g1 = pa.sqrt_coeff
+    exponents = correction_exponents([ans[i].sing for i in pa.argmin_set])
     radius, scaled = normalized_green_series(spec, 3000)
-    period = product_period(spec)
     fits = []
     for window in SQRT_FIT_WINDOWS:
-        g1_fit, used = fit_sqrt_coefficient(scaled.coeffs, radius, period, exponents, window)
+        g1_fit, used = fit_sqrt_coefficient(scaled.coeffs, radius, pa.period, exponents, window)
         fits.append((used, g1_fit, abs(g1_fit / g1 - 1.0)))
     ok = all(err <= 0.02 for _, _, err in fits)
     basis = ", ".join(f"{e:g}" for e in exponents)
@@ -341,9 +337,9 @@ def criterion_8():
             return False, f"MC z-score exceeded 4 at n={n}"
 
     # permutation and weight-scaling invariance of the classification
-    a = classify.classify_two(_spec((Z5, 0.7), (Z6, 0.3)))
-    b = classify.classify_two(_spec((Z6, 0.3), (Z5, 0.7)))
-    c = classify.classify_two(_spec((Z5, 7.0), (Z6, 3.0)))
+    a = classify.classify_multi(_spec((Z5, 0.7), (Z6, 0.3)))
+    b = classify.classify_multi(_spec((Z6, 0.3), (Z5, 0.7)))
+    c = classify.classify_multi(_spec((Z5, 7.0), (Z6, 3.0)))
     if not ((a.lam, a.kappa, a.kind) == (b.lam, b.kappa, b.kind) == (c.lam, c.kappa, c.kind)):
         return False, "classification not permutation/scaling invariant"
     return True, "all property families hold"
@@ -353,17 +349,17 @@ def criterion_8():
 def criterion_9():
     C2 = flip_group()
     C3 = cyclic_group(3, (0.0, 0.5, 0.5))
-    law = classify.classify_two(_spec((C2, 0.5), (C2, 0.5)))
+    law = classify.classify_multi(_spec((C2, 0.5), (C2, 0.5)))
     if law.kind != ONE_HALF_DEGENERATE:
         return False, f"(Z/2Z)*(Z/2Z) classified {law.kind}"
-    law = classify.classify_two(_spec((C2, 0.5), (C3, 0.5)))
+    law = classify.classify_multi(_spec((C2, 0.5), (C3, 0.5)))
     if law.kind != THREE_HALVES:
         return False, f"finite*finite classified {law.kind}"
     for pair in (
         (LatticeNN.simple(3), LatticeNN.simple(4)),
         (LatticeNN.simple(1), LatticeNN.simple(3)),
     ):
-        law = classify.classify_two(_spec((pair[0], 0.5), (pair[1], 0.5)))
+        law = classify.classify_multi(_spec((pair[0], 0.5), (pair[1], 0.5)))
         if law.kind != THREE_HALVES:
             return False, f"both-G'-infinite pair classified {law.kind}"
     return True, "one-half degenerate and three-halves coverage verified"

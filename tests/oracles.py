@@ -1,12 +1,27 @@
 """Second routes that only tests call: series reversion and the implicit
 Green-function solve G = Phi(zG), both by Newton iteration with order
-doubling on the series kernels of `fprw.series`; and the tuple word algebra
-that `fprw.mc`'s coded letters are tested against."""
+doubling on the series kernels of `fprw.series`; the paper's induction over
+the factors (`fold_classify`) and the zeta fixed-point iteration (`zeta_at`),
+against which the m-factor classification and the series solve are checked;
+and the tuple word algebra that `fprw.mc`'s coded letters are tested
+against."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
-from fprw.errors import FprwError
-from fprw.factors import HomTree, LatticeNN
+from fprw.classify import INHERITED, classify_multi
+from fprw.errors import ConfigError, FprwError, NoConvergence
+from fprw.factors import _INT_TOL, DEFAULT_ORDER, ExplicitSeries, HomTree, LatticeNN
+from fprw.product import (
+    _CRIT_TOL,
+    FreeProductSpec,
+    analyze_product,
+    factor_analytics,
+    phi_of,
+    product_green_series,
+)
 from fprw.series import (
     PowerSeries,
     series_compose,
@@ -79,6 +94,93 @@ def solve_implicit_green(phi: PowerSeries, order: int) -> PowerSeries:
         upd = series_mul(res, series_reciprocal(den))
         g[: cur + 1] -= upd.coeffs
     return PowerSeries(g)
+
+
+# ---------------------------------------------------------------------------
+# the paper's induction and the zeta system
+
+
+def _inverse_darboux(lam: float, kappa: int):
+    """(q, k) of the singular term producing the law n^-lam log^kappa n."""
+    q = lam - 1.0
+    if abs(q - round(q)) < _INT_TOL:
+        return q, kappa + 1
+    return q, kappa
+
+
+def fold_classify(spec: FreeProductSpec, fold_order: int = DEFAULT_ORDER):
+    """The law of an m-factor product by the paper's induction (Woess, Random
+    Walks on Infinite Graphs and Groups, 2000, section 9): classify the
+    first m-1 factors, wrap them as an explicit-series factor truncated at
+    fold_order, and classify the resulting two-factor product."""
+    if spec.m == 2:
+        return classify_multi(spec)
+    head = FreeProductSpec(spec.factors[:-1], spec.weights[:-1])
+    head_weight = sum(spec.weights[:-1])
+    sub_law = fold_classify(head, fold_order)
+    sub = analyze_product(head)
+    if sub.psi_bar > _CRIT_TOL:
+        # expansion of type (I): differentiable at the radius, inherited term
+        phi1 = phi_of(factor_analytics(head), head.weights, sub.theta_bar, 1)
+        sub_gprime = phi1 * sub.g_at_radius / (1.0 - sub.radius * phi1)
+        sing = _inverse_darboux(sub_law.lam, sub_law.kappa)
+    else:
+        # expansion of type (II): square-root branch point
+        sub_gprime = math.inf
+        sing = (0.5, 0)
+    series = product_green_series(head, fold_order)
+    coeffs = np.clip(series.coeffs, 0.0, 1.0)
+    synthetic = ExplicitSeries(
+        coeffs=tuple(coeffs),
+        radius=sub.radius,
+        g_at_r=sub.g_at_radius,
+        gprime_at_r=sub_gprime,
+        sing=sing,
+        period=sub_law.period,
+    )
+    pair = FreeProductSpec((synthetic, spec.factors[-1]), (head_weight, spec.weights[-1]))
+    law = classify_multi(pair)
+    if law.kind == INHERITED:
+        # map the synthetic index back to a real factor index
+        idx = sub_law.factor_index if law.factor_index == 0 else spec.m - 1
+        law = replace(law, factor_index=idx)
+    return law
+
+
+def zeta_at(spec: FreeProductSpec, z: float, tol: float = 1e-13, max_iter: int = 20000):
+    """(zeta_1(z), zeta_2(z)) by damped monotone fixed-point iteration (m = 2):
+    the second route to the zeta system, against which
+    test_product.py::TestZeta checks the series solve and the radius."""
+    if spec.m != 2:
+        raise ConfigError("the zeta system is formulated for two factors")
+    if z == 0.0:
+        return 0.0, 0.0
+    a1, a2 = spec.weights
+    an1, an2 = factor_analytics(spec)
+
+    def u_over_w(an, w: float) -> float:
+        if w == 0.0:
+            return an.spec.series(1)[1]  # U'(0) = mass of one-step returns
+        g = an.green(min(w, an.radius))
+        return (1.0 - 1.0 / g) / w if math.isfinite(g) else 1.0 / w
+
+    z1, z2 = a1 * z, a2 * z
+    damp = 1.0
+    prev_step = None
+    for _ in range(max_iter):
+        n1 = a1 * z / (1.0 - a2 * z * u_over_w(an2, z2))
+        n2 = a2 * z / (1.0 - a1 * z * u_over_w(an1, z1))
+        n1 = min(n1, an1.radius)
+        n2 = min(n2, an2.radius)
+        step = max(abs(n1 - z1), abs(n2 - z2))
+        if prev_step is not None and step > prev_step:
+            damp = 0.5  # oscillation guard
+        z1 += damp * (n1 - z1)
+        z2 += damp * (n2 - z2)
+        prev_step = step
+        if step < tol:
+            return z1, z2
+    raise NoConvergence(f"zeta iteration did not converge at z={z}")
 
 
 # ---------------------------------------------------------------------------

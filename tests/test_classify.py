@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fprw import classify
 from fprw.classify import (
-    AsymptoticLaw,
     INHERITED,
     ONE_HALF_DEGENERATE,
     THREE_HALVES,
     classify_multi,
-    classify_two,
     darboux_map,
     fit_exponent,
 )
@@ -18,12 +15,14 @@ from fprw.errors import InsufficientData, InvalidSingularity
 from fprw.factors import DEFAULT_ORDER, ExplicitSeries, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import (
     FreeProductSpec,
+    analyze_product,
     factor_analytics,
     product_green_series,
     product_period,
-    product_radius,
 )
 from fprw.series import PowerSeries
+
+from .oracles import fold_classify
 
 C2 = flip_group()
 C3 = cyclic_group(3, (0.0, 0.5, 0.5))
@@ -95,52 +94,52 @@ def alpha_c_56():
 
 class TestClassifyTwo:
     def test_case_d_both_sides(self, alpha_c_56):
-        above = classify_two(spec_of((Z5, alpha_c_56 + 0.05), (Z6, 1 - alpha_c_56 - 0.05)))
+        above = classify_multi(spec_of((Z5, alpha_c_56 + 0.05), (Z6, 1 - alpha_c_56 - 0.05)))
         assert (above.kind, above.factor_index, above.lam, above.kappa) == (INHERITED, 0, 2.5, 0)
-        below = classify_two(spec_of((Z5, alpha_c_56 - 0.05), (Z6, 1 - alpha_c_56 + 0.05)))
+        below = classify_multi(spec_of((Z5, alpha_c_56 - 0.05), (Z6, 1 - alpha_c_56 + 0.05)))
         assert (below.kind, below.factor_index, below.lam, below.kappa) == (INHERITED, 1, 3.0, 0)
 
     def test_tie_takes_smaller_lambda(self, alpha_c_56):
-        at = classify_two(spec_of((Z5, alpha_c_56), (Z6, 1 - alpha_c_56)))
+        at = classify_multi(spec_of((Z5, alpha_c_56), (Z6, 1 - alpha_c_56)))
         assert (at.kind, at.factor_index, at.lam) == (INHERITED, 0, 2.5)
 
     def test_low_dimensions_always_three_halves(self):
         for a in (0.2, 0.5, 0.8):
-            law = classify_two(spec_of((Z3, a), (Z4, 1 - a)))
+            law = classify_multi(spec_of((Z3, a), (Z4, 1 - a)))
             assert law.kind == THREE_HALVES and law.lam == 1.5
 
     def test_finite_times_lattice(self):
         # Z/3Z * Z^5: theta_1 = inf so the lattice is always the argmin;
         # Psi stays positive for every weight here (Psi_1(inf) = 1/3)
         for a in (0.2, 0.6, 0.9):
-            law = classify_two(spec_of((C3, a), (Z5, 1 - a)))
+            law = classify_multi(spec_of((C3, a), (Z5, 1 - a)))
             assert (law.kind, law.factor_index, law.lam) == (INHERITED, 1, 2.5)
 
     def test_degenerate(self):
-        law = classify_two(spec_of((C2, 0.5), (C2, 0.5)))
+        law = classify_multi(spec_of((C2, 0.5), (C2, 0.5)))
         assert law.kind == ONE_HALF_DEGENERATE and law.lam == 0.5
         assert law.radius == 1.0
 
     def test_finite_times_finite(self):
-        law = classify_two(spec_of((C2, 0.5), (C3, 0.5)))
+        law = classify_multi(spec_of((C2, 0.5), (C3, 0.5)))
         assert law.kind == THREE_HALVES
 
     def test_both_derivatives_infinite(self):
         for pair in ((Z3, T3), (T3, T3), (Z1, Z3)):
-            law = classify_two(spec_of((pair[0], 0.5), (pair[1], 0.5)))
+            law = classify_multi(spec_of((pair[0], 0.5), (pair[1], 0.5)))
             assert law.kind == THREE_HALVES
 
     def test_permutation_invariance(self, alpha_c_56):
         a = alpha_c_56 + 0.1
-        fwd = classify_two(spec_of((Z5, a), (Z6, 1 - a)))
-        rev = classify_two(spec_of((Z6, 1 - a), (Z5, a)))
+        fwd = classify_multi(spec_of((Z5, a), (Z6, 1 - a)))
+        rev = classify_multi(spec_of((Z6, 1 - a), (Z5, a)))
         assert (fwd.lam, fwd.kappa, fwd.kind) == (rev.lam, rev.kappa, rev.kind)
         assert fwd.factor_index == 0 and rev.factor_index == 1
         assert fwd.radius == pytest.approx(rev.radius, rel=1e-10)
 
     def test_weight_scaling_invariance(self):
-        base = classify_two(spec_of((Z5, 0.3), (Z6, 0.7)))
-        scaled = classify_two(spec_of((Z5, 6.0), (Z6, 14.0)))
+        base = classify_multi(spec_of((Z5, 0.3), (Z6, 0.7)))
+        scaled = classify_multi(spec_of((Z5, 6.0), (Z6, 14.0)))
         assert (base.kind, base.factor_index, base.lam) == (
             scaled.kind,
             scaled.factor_index,
@@ -154,7 +153,7 @@ class TestClassifyTwo:
         for i, f1 in enumerate(archetypes):
             for f2 in archetypes[i:]:
                 for a in (0.35, 0.65):
-                    law = classify_two(spec_of((f1, a), (f2, 1 - a)))
+                    law = classify_multi(spec_of((f1, a), (f2, 1 - a)))
                     kinds.add(law.kind)
         assert kinds == {INHERITED, THREE_HALVES, ONE_HALF_DEGENERATE}
 
@@ -186,7 +185,7 @@ class TestClassifyMulti:
     def test_fold_matches_direct(self, pairs):
         s = spec_of(*pairs)
         fold_order = 1024 if pairs in BENCHMARK_TRIPLES.values() else DEFAULT_ORDER
-        fold = classify_multi(s, method="fold", fold_order=fold_order)
+        fold = fold_classify(s, fold_order)
         direct = classify_multi(s, method="direct")
         assert (fold.kind, fold.lam, fold.kappa) == (direct.kind, direct.lam, direct.kappa)
         if fold.kind == INHERITED:
@@ -198,11 +197,15 @@ class TestClassifyMulti:
         # but fold's radius misses direct's by 3.2e-4 at order 1024 (5.8e-4 at
         # 512): the truncated synthetic head is evaluated near its radius
         s = spec_of((X3, 0.4476), (T4, 0.3658), (LatticeNN.simple(8), 0.1866))
-        fold = classify_multi(s, method="fold", fold_order=1024)
+        fold = fold_classify(s, 1024)
         direct = classify_multi(s, method="direct")
         want = (THREE_HALVES, 1.5, 0, None)
         assert (fold.kind, fold.lam, fold.kappa, fold.factor_index) == want
         assert (direct.kind, direct.lam, direct.kappa, direct.factor_index) == want
+
+    def test_direct_is_the_only_method(self):
+        with pytest.raises(ValueError, match="unknown method 'fold'"):
+            classify_multi(spec_of((C2, 0.5), (C3, 0.5)), method="fold")
 
     def test_pi3_three_halves(self):
         law = classify_multi(spec_of((C2, 1.0), (C2, 1.0), (C2, 1.0)))
@@ -229,7 +232,7 @@ class TestFitExponent:
 
     def test_real_product_small(self):
         s = spec_of((C2, 0.5), (C3, 0.5))
-        radius, _ = product_radius(s)
+        radius = analyze_product(s).radius
         g = product_green_series(s, 600)
         lam = fit_exponent(g, radius, 1, (100, 600))
         assert lam == pytest.approx(1.5, abs=0.25)

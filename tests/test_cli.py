@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 import fprw
-from fprw import cli, factors, phase, product, selftest
+from fprw import cli, factors, product, selftest
 from fprw.errors import NoConvergence
-from fprw.product import FreeProductSpec, factor_analytics
 
 Z3 = {"type": "lattice", "dim": 3}
 Z5 = {"type": "lattice", "dim": 5}
@@ -99,17 +98,23 @@ NOT_FINITE_OR_BOOL = {
     "explicit-g-at-r-a-bool": {**EXPLICIT_Z1, "g_at_r": True},
     "lattice-dim-too-large": {"type": "lattice", "dim": 10**11},
 }
+C1 = {"type": "cyclic", "n": 1, "mu": [1.0]}
+BAD_PRODUCTS = {
+    **{name: [factor, Z5] for name, factor in NOT_FINITE_OR_BOOL.items()},
+    "trivial-group-with-C2": [C1, C2],
+    "trivial-group-with-Z3": [C1, Z3],
+}
 
 
 @pytest.mark.parametrize("command", ["analyze", "series", "phase", "simulate"])
-@pytest.mark.parametrize("factor", NOT_FINITE_OR_BOOL.values(), ids=NOT_FINITE_OR_BOOL)
-def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, factor, command):
+@pytest.mark.parametrize("factors", BAD_PRODUCTS.values(), ids=BAD_PRODUCTS)
+def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, factors, command):
     # NaN fails every range check, the radius must be finite, a bool is not a
-    # number, and Z^d with more than 524,287 axes is refused before its axis
-    # weights are built
+    # number, Z^d with more than 524,287 axes is refused before its axis
+    # weights are built, and a factor of one element makes no free product
     tracemalloc.start()
     start = time.perf_counter()
-    code, out = run(tmp_path, capsys, {"factors": [factor, Z5], "weights": [0.5, 0.5]}, command)
+    code, out = run(tmp_path, capsys, {"factors": factors, "weights": [0.5, 0.5]}, command)
     elapsed = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -118,8 +123,10 @@ def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, factor, command):
     assert "Traceback" not in out.err
     assert out.out == ""
     assert elapsed < 1.0 and peak < 1 << 20
-    if "dim" in factor:
+    if "dim" in factors[0]:
         assert "dim must be at most 524287, got 100000000000: Z^d has 2d support steps" in out.err
+    if factors[0] is C1:
+        assert "a finite group needs at least two elements" in out.err
 
 
 def test_simulate_on_an_explicit_factor_exits_2(tmp_path, capsys):
@@ -238,12 +245,7 @@ def test_series_output_round_trips_as_explicit_factor(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def critical_config():
     """Tuned Z^7 * Z^8 at its critical weight, where Psi(theta-bar) = 0."""
-    f7 = phase.tune_axis_weights(7, 0.5)
-    f8 = phase.tune_axis_weights(8, 0.5)
-    t7, t8 = (an.theta for an in factor_analytics(FreeProductSpec((f7, f8), (0.5, 0.5))))
-    ac = t7 / (t7 + t8)
-    factors = [{"type": "lattice", "beta": list(f.beta), "p": list(f.p)} for f in (f7, f8)]
-    return {"factors": factors, "weights": [ac, 1.0 - ac]}
+    return json.loads((Path(__file__).parent / "golden" / "configs.json").read_text())["Z7xZ8-critical"]
 
 
 def test_sqrt_coefficient_numeric_failure_reports_null(tmp_path, capsys, monkeypatch, critical_config):
@@ -251,20 +253,20 @@ def test_sqrt_coefficient_numeric_failure_reports_null(tmp_path, capsys, monkeyp
     assert code == 0
     assert json.loads(out.out)["sqrt_coefficient"] is not None
 
-    def fails(spec):
+    def fails(*args):
         raise NoConvergence("planted")
 
-    monkeypatch.setattr(product, "sqrt_coefficient", fails)
+    monkeypatch.setattr(product, "_sqrt_coefficient", fails)
     code, out = run(tmp_path, capsys, critical_config, "analyze")
     assert code == 0
     assert json.loads(out.out)["sqrt_coefficient"] is None
 
 
 def test_sqrt_coefficient_programming_error_propagates(tmp_path, capsys, monkeypatch, critical_config):
-    def broken(spec):
+    def broken(*args):
         raise TypeError("planted")
 
-    monkeypatch.setattr(product, "sqrt_coefficient", broken)
+    monkeypatch.setattr(product, "_sqrt_coefficient", broken)
     with pytest.raises(TypeError, match="planted"):
         run(tmp_path, capsys, critical_config, "analyze")
 

@@ -3,8 +3,8 @@
 Each case runs one command on one product from golden/configs.json and
 compares the exit code, stdout and stderr with golden/<product>.<command>.txt.
 The products cover all four factor kinds, m = 2 and m = 3, both signs of
-Psi(theta-bar), the degenerate C2*C2 and an explicit factor with a
-singularity descriptor.  A change that is meant to move a number rewrites
+Psi(theta-bar) and its zero (the critical tuned Z7*Z8, phase case F), the
+degenerate C2*C2 and an explicit factor with a singularity descriptor.  A change that is meant to move a number rewrites
 the files with
 
     PYTHONPATH=src python tests/test_golden.py

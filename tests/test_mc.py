@@ -260,13 +260,14 @@ class TestWordCountBound:
         assert [mc.word_count_bound(z5z6, n) for n in (6, 8, 10)] == [6_127, 97_089, 1_538_375]
 
     def test_state_cap_checked_before_enumerating(self, monkeypatch):
+        # Z5*Z6 at order 14: about 3.9e8 words, far past EXACT_COLUMN_BYTES
         def no_letters(*args):
             raise AssertionError("enumerated despite the bound")
 
         monkeypatch.setattr(mc, "_Letters", no_letters)
         s = spec_of((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5))
-        with pytest.raises(StateExplosion):
-            mc.bfs_convolution(s, 10, state_cap=1_000_000)
+        with pytest.raises(StateExplosion, match="64 MiB"):
+            mc.bfs_convolution(s, 14)
 
     def test_exact_column_order(self):
         z5z6 = spec_of((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5))
@@ -349,9 +350,12 @@ class TestBfsConvolution:
         assert np.all(g.coeffs >= 0.0)
 
     def test_state_cap(self):
-        s = spec_of((Z1, 0.5), (Z1, 0.5))
+        # the byte budget of exact_column_order: its order runs, the next is refused
+        s = spec_of((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5))
+        order = mc.exact_column_order(s, 14)
+        assert mc.bfs_convolution(s, order).order == order
         with pytest.raises(StateExplosion):
-            mc.bfs_convolution(s, 14, state_cap=10)
+            mc.bfs_convolution(s, order + 1)
 
 
 class TestSimulate:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fprw import cli, phase
-from fprw.classify import INHERITED, THREE_HALVES, classify_two
+from fprw.classify import INHERITED, THREE_HALVES, classify_multi
 from fprw.errors import ConfigError, DegenerateProduct, TargetOutOfRange
 from fprw.factors import LatticeNN, analyze_factor, cyclic_group, flip_group, psi_at
 from fprw.product import FreeProductSpec, analyze_product, factor_analytics
@@ -131,7 +131,7 @@ class TestSweep:
     def test_matches_classify_two(self, z56):
         diag = phase.sweep(z56, grid_size=9)
         for p in [diag.grid[1], diag.grid[4], diag.grid[7]]:
-            law = classify_two(pair(Z5, Z6, p.alpha1))
+            law = classify_multi(pair(Z5, Z6, p.alpha1))
             assert law.kind == p.kind
             assert law.lam == pytest.approx(p.lam)
 
@@ -158,7 +158,7 @@ class TestSweep:
         ac = an1.theta / (an1.theta + an2.theta)
         p = phase._law_at(an1, an2, ac)
         assert p.upsilon == pytest.approx(5e-9, rel=1e-3)
-        law = classify_two(pair(f5, f6, ac))
+        law = classify_multi(pair(f5, f6, ac))
         got = (p.kind, p.factor_index, p.lam, p.kappa)
         assert got == (law.kind, law.factor_index, law.lam, law.kappa)
         assert p.kind == THREE_HALVES

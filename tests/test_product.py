@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fprw import cli, mc, product
 from fprw.classify import estimate_radius
-from fprw.errors import ConfigError, NotAtCriticality
+from fprw.errors import ConfigError
 from fprw.factors import ExplicitSeries, FiniteGroup, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import (
     FreeProductSpec,
@@ -22,15 +22,12 @@ from fprw.product import (
     normalized_green_series,
     phi_of,
     product_green_series,
-    product_radius,
     psi_of,
-    sqrt_coefficient,
     theta_bar_of,
-    zeta_at,
 )
 from fprw.series import PowerSeries
 
-from .oracles import monomial
+from .oracles import monomial, zeta_at
 
 
 def spec_of(*pairs):
@@ -111,31 +108,27 @@ class TestPsiBar:
 
 
 class TestRadius:
-    def test_degenerate_two_by_two(self):
-        radius, g = product_radius(spec_of((C2, 0.5), (C2, 0.5)))
-        assert radius == 1.0 and g == math.inf
-
     def test_radius_exceeds_one(self):
         for s in (
             spec_of((C2, 0.5), (C3, 0.5)),
             spec_of((Z1, 0.5), (Z1, 0.5)),
             spec_of((Z5, 0.5), (Z6, 0.5)),
         ):
-            radius, g = product_radius(s)
-            assert radius > 1.0
-            assert g > 1.0 and math.isfinite(g)
+            pa = analyze_product(s)
+            assert pa.radius > 1.0
+            assert pa.g_at_radius > 1.0 and math.isfinite(pa.g_at_radius)
 
     def test_psi_positive_branch_formula(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
         assert analyze_product(s).psi_bar > 0
         tbar, _ = theta_bar_of(factor_analytics(s), s.weights)
-        radius, g = product_radius(s)
+        radius = analyze_product(s).radius
         assert radius == pytest.approx(tbar / phi_of(factor_analytics(s), s.weights, tbar), rel=1e-12)
 
     def test_series_growth_consistency_both_branches(self):
         # psi >= 0 branch and psi < 0 (root) branch against coefficient growth
         for s in (spec_of((Z5, 0.5), (Z6, 0.5)), spec_of((C2, 0.5), (C3, 0.5))):
-            radius, _ = product_radius(s)
+            radius = analyze_product(s).radius
             series = product_green_series(s, 400)
             est = estimate_radius(series, 2 if s.factors[0] is Z5 else 1)
             assert abs(est / radius - 1.0) < 0.01
@@ -234,7 +227,7 @@ class TestZeta:
 
     def test_link_identity_interior(self):
         s = spec_of((Z5, 0.6), (Z6, 0.4))
-        radius, _ = product_radius(s)
+        radius = analyze_product(s).radius
         series = product_green_series(s, 300)
         ans = factor_analytics(s)
         for z in (0.5 * radius, 0.75 * radius):
@@ -249,7 +242,7 @@ class TestZeta:
         s = spec_of((Z5, 0.8), (Z6, 0.2))
         assert analyze_product(s).psi_bar > 0
         assert theta_bar_of(factor_analytics(s), s.weights)[1] == (0,)
-        radius, _ = product_radius(s)
+        radius = analyze_product(s).radius
         z1, z2 = zeta_at(s, radius)
         ans = factor_analytics(s)
         assert z1 == pytest.approx(ans[0].radius, abs=1e-8)
@@ -262,14 +255,13 @@ class TestZeta:
 
 class TestSqrtCoefficient:
     def test_not_at_criticality(self):
-        with pytest.raises(NotAtCriticality):
-            sqrt_coefficient(spec_of((Z5, 0.5), (Z6, 0.5)))
+        assert analyze_product(spec_of((Z5, 0.5), (Z6, 0.5))).sqrt_coeff is None
 
 
 class TestAnalyzeProduct:
     def test_degenerate_flag(self):
         pa = analyze_product(spec_of((C2, 0.5), (C2, 0.5)))
-        assert pa.degenerate and pa.radius == 1.0
+        assert pa.degenerate and pa.radius == 1.0 and pa.g_at_radius == math.inf
 
     def test_summary_consistency(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
@@ -277,7 +269,8 @@ class TestAnalyzeProduct:
         assert pa.psi_bar == pytest.approx(psi_of(factor_analytics(s), s.weights, pa.theta_bar))
         assert pa.period == 2
         assert pa.psi_bar <= 1.0
-        assert pa.radius == pytest.approx(pa.theta_bar / pa.phi_bar, rel=1e-12)
+        assert pa.psi_bar > 0.0
+        assert pa.radius == pa.theta_bar / pa.g_at_radius
         assert math.isfinite(pa.g_at_radius)
 
 
@@ -424,7 +417,7 @@ class TestNormalizedSeries:
     def test_unscaled_series_is_normalized_times_radius_power(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
         radius, scaled = normalized_green_series(s, 1500)
-        assert radius == product_radius(s)[0]
+        assert radius == analyze_product(s).radius
         c = product_green_series(s, 1500).coeffs
         with mp.workdps(30):
             for n in range(0, 1501, 50):
@@ -495,7 +488,7 @@ def reference_near_radius(ratios, radius):
 def assert_near_radius_is_the_reference(spec):
     total = sum(map(Fraction, spec.weights))
     ratios = [Fraction(a) / total / Fraction(f.radius_series(0)[0]) for f, a in zip(spec.factors, spec.weights)]
-    radius, _ = product_radius(spec)
+    radius = analyze_product(spec).radius
     near, consts = product._near_radius(ratios, radius)
     want_near, want_consts = reference_near_radius(ratios, radius)
     assert near.hex() == want_near.hex()
@@ -658,6 +651,7 @@ class TestFiniteKernel:
     def test_elimination_matches_word_convolution(self, pairs, monkeypatch):
         # every pass of a finite factor by elimination, down to order 14
         monkeypatch.setattr(product, "_eliminates", lambda form, order: form is not None)
+        monkeypatch.setattr(mc, "EXACT_COLUMN_BYTES", 1 << 32)
         s = spec_of(*pairs)
         exact = mc.bfs_convolution(s, 14).coeffs
         got = normalized_green_series.__wrapped__(s, 14)
