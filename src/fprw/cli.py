@@ -82,6 +82,12 @@ def parse_factor(obj: dict, idx: int):
         raise ConfigError(f"{where} must be an object with a 'type' field")
     try:
         return _build_factor(obj, where)
+    except ConfigError as exc:
+        # a field's message names its field; one from a constructor gets
+        # the factor's index
+        if str(exc).startswith(where):
+            raise
+        raise ConfigError(f"{where}: {exc}") from None
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -261,19 +267,19 @@ def cmd_analyze(spec: FreeProductSpec, options, args) -> str:
 
 def cmd_series(spec: FreeProductSpec, options, args) -> str:
     order = args.order if args.order is not None else options["order"]
-    g = product_green_series(spec, order)
+    g = product_green_series(spec, order).coeffs.tolist()
     radius, scaled = normalized_green_series(spec, order)
     delta = product_period(spec)
     if args.format == "json":
-        payload = {
-            "radius": radius,
-            "period": delta,
-            "coefficients": list(g.coeffs),
-        }
-        return json.dumps(_present(payload), indent=2) + "\n"
+        # the text of json.dumps(_present(payload), indent=2), with the
+        # coefficients written by one join instead of the pure-Python
+        # encoder that indent selects; a series holds only finite floats,
+        # which json writes as repr does
+        head = json.dumps(_present({"radius": radius, "period": delta}), indent=2)[:-2]
+        body = ",\n    ".join(repr(float(f"{c:.12g}")) for c in g)
+        return f'{head},\n  "coefficients": [\n    {body}\n  ]\n}}\n'
     lines = [f"# radius={_fmt(radius)} period={delta}", "n,mu_n,mu_n_radius_n"]
-    for n in range(order + 1):
-        lines.append(f"{n},{_fmt(g[n])},{_fmt(scaled[n])}")
+    lines.extend(f"{n},{_fmt(a)},{_fmt(b)}" for n, (a, b) in enumerate(zip(g, scaled.coeffs.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,6 @@ construction.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
@@ -50,27 +49,10 @@ DEFAULT_ORDER = 512
 _ROOT_RTOL = 1e-13
 _EDGE_RTOL = 1e-8
 
-# Green values kept per factor evaluator, keyed on (z, deriv), analysed
-# factors kept per factor, and lattice return series kept per coupling (not
-# an lru_cache: a lower order is served from a higher one already kept)
+# Green values kept per factor evaluator, keyed on (z, deriv), and analysed
+# factors kept per factor
 _GREEN_CACHE_SIZE = 4096
 _ANALYTICS_CACHE_SIZE = 256
-_KERNEL_CACHE_SIZE = 8
-_kernel_cache: "OrderedDict[tuple, PowerSeries]" = OrderedDict()
-
-
-def _symmetric_return_series(couplings: tuple, order: int) -> PowerSeries:
-    """`lattice.return_series(couplings, (1/2, ...), order)`, kept at the
-    highest order asked for the last few coupling tuples.  Coefficient n of
-    the return series does not depend on the order, so a lower order is the
-    kept series truncated, bit for bit."""
-    kept = _kernel_cache.pop(couplings, None)
-    if kept is None or kept.order < order:
-        kept = lattice.return_series(couplings, (0.5,) * len(couplings), order)
-    _kernel_cache[couplings] = kept
-    if len(_kernel_cache) > _KERNEL_CACHE_SIZE:
-        _kernel_cache.popitem(last=False)
-    return kept.truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +112,11 @@ class LatticeNN:
         symmetric walk with axis weights proportional to c_j = beta_j
         sqrt(4 p_j (1 - p_j)): the per-axis factors (p_j (1 - p_j))^(n_j/2)
         collect into (sum_j c_j)^n.  With every p_j = 1/2, rho is 1.0 and the
-        series is `series` bit for bit."""
+        series is `series` bit for bit.  `lattice.return_series` keeps the
+        laws it builds, so the factors of one product share them."""
         c = lattice.axis_coupling(self.beta, self.p)
         rho = float(np.sum(self.beta)) / float(np.sum(c))
-        return rho, _symmetric_return_series(tuple(c.tolist()), order)
+        return rho, lattice.return_series(c, (0.5,) * len(c), order)
 
     def green(self, z: float, deriv: int) -> float:
         return lattice.green(self.beta, self.p, z, deriv)

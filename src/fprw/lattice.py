@@ -43,11 +43,15 @@ the integral representation.  Its binomial weights take Loader's
 saddle-point form, whose exponent does not cancel, and each merge sums only
 the window of the binomial that a Chernoff bound leaves: every coefficient
 is within a few eps of exact, and all n of a merge go in one array pass.
+Axes merge heaviest first, and the law of every prefix of merged axes is
+kept, keyed on its relative weights and p, so walks that share a prefix
+share its merges: Z^6 after Z^5 is one merge (`return_series`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -243,6 +247,10 @@ _STIRLERR_SMALL = (
 # 2^12..2^16 cells on the four exact-series lattice kernels
 _CELLS = 1 << 13
 _TAIL_TOL = 2.0**-60  # dropped binomial tail against the kept sum, per side
+# prefix laws of `return_series` kept, keyed on their relative weights and
+# p: the 19 of one exact-series round (Z^5 and Z^6, tuned Z^7 and Z^8) fit
+_LAWS_SIZE = 32
+_LAWS: "OrderedDict[tuple, PowerSeries]" = OrderedDict()
 
 
 def _stirlerr(order: int) -> np.ndarray:
@@ -267,19 +275,28 @@ def _bd0(x, m):
     (x - m) v + 2 x (atanh(v) - v): two terms of the sign of v^2, the second
     summed as its series v^3/3 + v^5/5 + ... where |v| < 1/10, so nothing
     cancels where the deviance is small.  Past 1/10, atanh(v) - v loses at
-    most eps/|v| <= 10 eps of the deviance.  The series runs in place, so
-    a pass allocates a few arrays, not one per operation."""
+    most eps/|v| <= 10 eps of the deviance.  Each cell evaluates only its
+    own branch, the series or `arctanh`, with the same operations in the
+    same order as a pass that formed both and picked one, so the values are
+    the same bit for bit.  The series runs in place, so a pass allocates a
+    few arrays, not one per operation."""
     d = x - m
     v = d / (x + m)
-    w = v * v
-    tail = w * (1.0 / 17.0)  # v^19 / 19 < 2^-53 v^3 / 3 for |v| < 1/10
+    small = np.abs(v) < 0.1
+    big = ~small
+    vs = v[small]
+    w = vs * vs
+    series = w * (1.0 / 17.0)  # v^19 / 19 < 2^-53 v^3 / 3 for |v| < 1/10
     for j in range(6, 0, -1):
-        tail += 1.0 / (2 * j + 3)
-        tail *= w
-    tail += 1.0 / 3.0
-    tail *= w
-    tail *= v
-    tail = np.where(np.abs(v) < 0.1, tail, np.arctanh(v) - v)
+        series += 1.0 / (2 * j + 3)
+        series *= w
+    series += 1.0 / 3.0
+    series *= w
+    series *= vs
+    vb = v[big]
+    tail = np.empty(v.shape)
+    tail[small] = series
+    tail[big] = np.arctanh(vb) - vb
     tail *= x
     tail *= 2.0
     d *= v
@@ -402,29 +419,68 @@ def _merge_axis(acc, axis, b, c, stir):
     return out
 
 
+def _kept(key: tuple, order: int):
+    """The law kept under `key`, truncated to `order`, or None where none
+    is kept through `order`."""
+    law = _LAWS.get(key)
+    if law is None or law.order < order:
+        return None
+    _LAWS.move_to_end(key)
+    return law.truncate(order)
+
+
+def _keep(key: tuple, law: PowerSeries) -> PowerSeries:
+    _LAWS[key] = law
+    _LAWS.move_to_end(key)
+    if len(_LAWS) > _LAWS_SIZE:
+        _LAWS.popitem(last=False)
+    return law
+
+
 def return_series(beta, p, order: int) -> PowerSeries:
     """Exact return-probability series of the d-dimensional walk.
 
-    Axes are merged one at a time: conditioning on how many of the n steps
-    fall on the new axis gives a binomial mixture of the two return laws.
-    Everything stays a probability, so nothing overflows, and the mixture is
-    a sum of nonnegative terms over a window of the binomial that a Chernoff
-    bound shows holds all but 2^-60 of it per side (`_merge_axis`).  The
-    binomial weights and the axis laws, built once per distinct p, are in
+    Axes are merged one at a time, heaviest first (ties in the order
+    given): conditioning on how many of the n steps fall on the new axis
+    gives a binomial mixture of the two return laws, the new axis taken
+    with probability b, its weight over that of the axes merged so far and
+    itself.  b and 1 - b are exact ratios of the float axis weights, each
+    rounded once.  Everything stays a probability, so nothing overflows,
+    and the mixture is a sum of nonnegative terms over a window of the
+    binomial that a Chernoff bound shows holds all but 2^-60 of it per side
+    (`_merge_axis`).  The binomial weights and the axis laws are in
     Loader's saddle-point form, accurate to an eps or two each.  Against
     exact rationals the error is at most 2.5 eps on Z^2 and 3.2 eps on Z^3
-    through n = 3000, and 4.6 eps on Z^5 and 5.7 eps on a biased Z^5
-    through n = 200.  Coefficient n does not depend on `order`: its window
-    and its sum see only n.
+    through n = 3000, and 4.6 eps on Z^5, 5.7 eps on a biased Z^5 and 9.0
+    and 5.0 eps on the tuned Z^7 and Z^8 of delta = 0.3 through n = 200.
+    Coefficient n does not depend on `order`: its window and its sum see
+    only n.
+
+    The law of the first k axes depends only on their relative weights and
+    their p.  It is kept under the exact ratios of their weights to the
+    first axis's and their p values, at the highest order built, for the
+    last `_LAWS_SIZE` prefixes, and a lower order is its truncation, bit
+    for bit.  A walk starts from its longest kept prefix, so Z^6 after Z^5
+    is one merge.  A tuned family, heavy axis first, merges its light axes
+    into it with small b, whose windows are narrow.
     """
-    beta = np.asarray(beta, dtype=float)
-    p = np.asarray(p, dtype=float)
+    axes = sorted(zip(map(Fraction, beta), map(float, p)), key=lambda a: -a[0])
+    key = tuple((*(w / axes[0][0]).as_integer_ratio(), pj) for w, pj in axes)
     stir = _stirlerr(order)
-    laws = {pj: _axis_return_probs(pj, order, stir) for pj in set(p.tolist())}
-    acc = laws[float(p[0])]
-    wsum = float(beta[0])
-    for j in range(1, len(beta)):
-        bj = float(beta[j])
-        acc = _merge_axis(acc, laws[float(p[j])], bj / (wsum + bj), wsum / (wsum + bj), stir)
-        wsum += bj
-    return PowerSeries(acc)
+
+    def axis_law(pj):  # the prefix of one axis
+        law = _kept(((1, 1, pj),), order)
+        return law if law is not None else _keep(((1, 1, pj),), PowerSeries(_axis_return_probs(pj, order, stir)))
+
+    k = len(key)
+    while k > 1 and (acc := _kept(key[:k], order)) is None:
+        k -= 1
+    if k == 1:
+        acc = axis_law(axes[0][1])
+    total = sum(w for w, _ in axes[:k])
+    for j in range(k, len(axes)):
+        w, pj = axes[j]
+        b, c = float(w / (total + w)), float(total / (total + w))
+        acc = _keep(key[: j + 1], PowerSeries(_merge_axis(acc.coeffs, axis_law(pj).coeffs, b, c, stir)))
+        total += w
+    return acc

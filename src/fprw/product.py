@@ -161,13 +161,16 @@ def _visit_kernel(g: PowerSeries) -> PowerSeries:
 
 
 def _pass_orders(order: int):
-    """The order each Newton pass of `_zeta_series` reaches: 2c + 2 after a
-    pass that reached c, from c = 0, up to `order`; at least one pass."""
-    cur, out = 0, []
-    while not out or cur < order:
-        cur = min(2 * cur + 2, order)
-        out.append(cur)
-    return out
+    """The order each Newton pass of `_zeta_series` reaches, at least one
+    pass.  A pass after one that reached c may reach up to 2c + 2, and the
+    first up to 2.  The orders are built backwards from `order` by c <- (c -
+    1) // 2, the lowest order that reaches c, so the last pass doubles.  A
+    schedule built forwards from 0 (2, 6, 14, ...) can end 1022 -> 1500 and
+    pay for a pass at nearly the full order."""
+    out = [order]
+    while out[-1] > 2:
+        out.append((out[-1] - 1) // 2)
+    return out[::-1]
 
 
 def _zeta_series(kernels, consts, period: int, order: int):
@@ -494,7 +497,9 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     coefficient, with exact zeros (+0.0) in between.  Each factor enters
     once, as its kernel in its own radius variable, built from the decimated
     `radius_series` G_i(rho_i x) = G~_i(x^d), with the constant s_i =
-    alpha_i R / rho_i.  A finite group's kernel also has a closed rational
+    alpha_i R / rho_i.  Factors are frozen and hashable, so a factor that
+    appears more than once, as each C2 of C2 * C2 * C2, has its kernel
+    built once and shared.  A finite group's kernel also has a closed rational
     form; the passes that `_eliminates` routes to it need the series only
     through the last pass before them.  All participating series have nonnegative
     coefficients, and c^_n = c_n R^n falls only like n^-lambda, so every
@@ -523,14 +528,15 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     period = product_period(spec)
     reduced = order // period
     passes = _pass_orders(reduced)
-    kernels, ratios = [], []
-    for f, a in zip(spec.factors, spec.weights):
+    built = {}
+    for f in dict.fromkeys(spec.factors):  # each distinct factor once
         form = f.first_return_form(period) if isinstance(f, FiniteGroup) else None
         top = max((c for c in passes if not _eliminates(form, c)), default=0)
         # G~ through y^(top + 1), so that its kernel reaches y^top
         rho, g = f.radius_series(period * (top + 1))
-        kernels.append(_Kernel(_visit_kernel(PowerSeries(g.coeffs[::period])), form))
-        ratios.append(Fraction(a) / total / Fraction(rho))
+        built[f] = rho, _Kernel(_visit_kernel(PowerSeries(g.coeffs[::period])), form)
+    kernels = [built[f][1] for f in spec.factors]
+    ratios = [Fraction(a) / total / Fraction(built[f][0]) for f, a in zip(spec.factors, spec.weights)]
     radius = analyze_product(spec).radius
     near, consts = _near_radius(ratios, radius)
     g = np.zeros(order + 1)

@@ -42,7 +42,7 @@ class PowerSeries:
         arr = np.array(coeffs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coeffs must be finite")
         arr.flags.writeable = False
         self.coeffs = arr

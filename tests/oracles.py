@@ -3,14 +3,18 @@ Green-function solve G = Phi(zG), both by Newton iteration with order
 doubling on the series kernels of `fprw.series`; the paper's induction over
 the factors (`fold_classify`) and the zeta fixed-point iteration (`zeta_at`),
 against which the m-factor classification and the series solve are checked;
-and the tuple word algebra that `fprw.mc`'s coded letters are tested
-against."""
+the tuple word algebra that `fprw.mc`'s coded letters are tested
+against; and the lattice return law's deviance with both of its branches
+evaluated in every cell, and its axes merged in the order given with no
+kept prefix laws."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
+from fprw import lattice
 from fprw.classify import INHERITED, classify_multi
 from fprw.errors import ConfigError, FprwError, NoConvergence
 from fprw.factors import _INT_TOL, DEFAULT_ORDER, ExplicitSeries, HomTree, LatticeNN
@@ -68,6 +72,49 @@ def series_reversion(w: PowerSeries) -> PowerSeries:
         v[: cur + 1] -= upd.coeffs
         v[0] = 0.0
     return PowerSeries(v)
+
+
+def bd0_both_branches(x, m):
+    """Loader's deviance x log(x/m) + m - x as `lattice._bd0` formed it
+    before each cell took one branch: the series and `arctanh` in every
+    cell, one of them picked by np.where."""
+    d = x - m
+    v = d / (x + m)
+    w = v * v
+    tail = w * (1.0 / 17.0)
+    for j in range(6, 0, -1):
+        tail += 1.0 / (2 * j + 3)
+        tail *= w
+    tail += 1.0 / 3.0
+    tail *= w
+    tail *= v
+    tail = np.where(np.abs(v) < 0.1, tail, np.arctanh(v) - v)
+    tail *= x
+    tail *= 2.0
+    d *= v
+    d += tail
+    return d
+
+
+def in_order_return_series(beta, p, order: int, exact_b: bool = True) -> np.ndarray:
+    """The lattice return law merged axis by axis in the order given, each
+    law built afresh.  With `exact_b` each merge takes b and 1 - b as exact
+    ratios of the weights, rounded once, as `lattice.return_series` does;
+    without, from a running float sum of the weights, as it did before it
+    merged heaviest first."""
+    stir = lattice._stirlerr(order)
+    acc = lattice._axis_return_probs(float(p[0]), order, stir)
+    wsum, total = float(beta[0]), Fraction(float(beta[0]))
+    for bj, pj in zip(map(float, beta[1:]), p[1:]):
+        if exact_b:
+            w = Fraction(bj)
+            b, c = float(w / (total + w)), float(total / (total + w))
+            total += w
+        else:
+            b, c = bj / (wsum + bj), wsum / (wsum + bj)
+            wsum += bj
+        acc = lattice._merge_axis(acc, lattice._axis_return_probs(float(pj), order, stir), b, c, stir)
+    return acc
 
 
 def solve_implicit_green(phi: PowerSeries, order: int) -> PowerSeries:

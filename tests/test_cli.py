@@ -174,8 +174,60 @@ def test_explicit_factor_off_its_period_exits_2(tmp_path, capsys):
     code, out = run(tmp_path, capsys, {"factors": [explicit, Z5], "weights": [0.5, 0.5]}, "series")
     assert code == 2
     assert out.err == (
-        "config error: explicit series coefficient 3 is nonzero, but 3 is not a multiple of the period 2\n"
+        "config error: factors[0]: explicit series coefficient 3 is nonzero, but 3 is not a multiple of the period 2\n"
     )
+    assert out.out == ""
+
+
+KLEIN_TABLE = [[x ^ y for y in range(4)] for x in range(4)]
+C4_TABLE = [[(x + y) % 4 for y in range(4)] for x in range(4)]
+C3_P = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+C3_TABLE = [[(x + y) % 3 for y in range(3)] for x in range(3)]
+# every message a factor's construction raises, with a factor that raises it
+CONSTRUCTION_ERRORS = {
+    "P must be square": {"type": "finite", "P": [[1.0, 0.0]], "id": 0, "table": [[0, 1]]},
+    "a finite group needs at least two elements": C1,
+    "Cayley table must match the order of P": {"type": "finite", "P": C3_P, "id": 0, "table": [[0, 1], [1, 0]]},
+    "identity index out of range": {"type": "finite", "P": C3_P, "id": 3, "table": C3_TABLE},
+    "P must be row-stochastic": {"type": "finite", "P": [[0.0, 0.5, 0.4], *C3_P[1:]], "id": 0, "table": C3_TABLE},
+    "identity row/column malformed": {"type": "finite", "P": C3_P, "id": 1, "table": C3_TABLE},
+    "Cayley table rows/columns must be permutations": {
+        "type": "finite", "P": C3_P, "id": 0, "table": [[0, 1, 2], [1, 1, 0], [2, 0, 1]]},
+    "Cayley table is not associative": {  # a Latin square with identity 0 that is no group
+        "type": "finite", "P": [[0.2] * 5] * 5, "id": 0,
+        "table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]},
+    "P is not group-invariant": {
+        "type": "finite", "P": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.25, 0.75, 0.0]], "id": 0, "table": C3_TABLE},
+    "support of the walk must generate the group": {
+        "type": "finite", "P": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
+        "id": 0, "table": KLEIN_TABLE},
+    "mu must list a probability per residue": {"type": "cyclic", "n": 3, "mu": [0.5, 0.5]},
+    "tree degree must be at least 2": {"type": "tree", "q": 1},
+    "beta and p must be equal-length, nonempty": {"type": "lattice", "beta": [0.5, 0.5], "p": [0.5]},
+    "axis weights must be positive and sum to 1": {"type": "lattice", "beta": [0.5, 0.6], "p": [0.5, 0.5]},
+    "axis up-probabilities must lie strictly in (0,1)": {"type": "lattice", "beta": [0.5, 0.5], "p": [0.5, 1.0]},
+    "explicit series must start with coefficient 1": {**EXPLICIT_Z1, "coeffs": [0.5, 0.0, 0.5]},
+    "explicit series coefficients must be probabilities": {**EXPLICIT_Z1, "coeffs": [1.0, 0.0, 1.5]},
+    "radius must be positive and finite": {**EXPLICIT_Z1, "radius": 0.0},
+    "finite G' at the radius needs finite G": {**EXPLICIT_Z1, "gprime_at_r": 1.0},
+    "G at the radius is at least 1": {**EXPLICIT_Z1, "g_at_r": 0.5, "gprime_at_r": 1.0},
+    "G' at the radius is nonnegative": {**EXPLICIT_Z1, "g_at_r": 2.0, "gprime_at_r": -1.0},
+    "singularity descriptor:": {**EXPLICIT_Z1, "sing": [1.0, 0]},
+    "period must be a positive integer": {**EXPLICIT_Z1, "period": 0},
+    "explicit series coefficient 3 is nonzero": {**EXPLICIT_Z1, "coeffs": [1.0, 0.0, 0.5, 0.125]},
+}
+
+
+@pytest.mark.parametrize("factor", CONSTRUCTION_ERRORS.values(), ids=CONSTRUCTION_ERRORS)
+def test_construction_error_names_its_factor(tmp_path, capsys, factor, request):
+    # the message of a factor's own check comes with the factor's index, as
+    # a field's message does
+    message = request.node.callspec.id
+    code, out = run(tmp_path, capsys, {"factors": [Z3, factor], "weights": [0.5, 0.5]}, "analyze")
+    assert code == 2
+    assert out.err.startswith(f"config error: factors[1]: {message}")
+    assert out.err.count("factors[1]") == 1
+    assert "Traceback" not in out.err
     assert out.out == ""
 
 
@@ -242,10 +294,32 @@ def test_series_output_round_trips_as_explicit_factor(tmp_path, capsys):
     assert "Traceback" not in out.err
 
 
+GOLDEN_CONFIGS = json.loads((Path(__file__).parent / "golden" / "configs.json").read_text())
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+def test_series_text_matches_the_reference_encoders(tmp_path, capsys, name):
+    # JSON as json.dumps(_present(payload), indent=2) writes it, and CSV as
+    # a row per n from PowerSeries.__getitem__
+    config = GOLDEN_CONFIGS[name]
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    spec, _ = cli.load_config(str(tmp_path / "c.json"))
+    g = product.product_green_series(spec, 200)
+    radius, scaled = product.normalized_green_series(spec, 200)
+    period = product.product_period(spec)
+    payload = {"radius": radius, "period": period, "coefficients": list(g.coeffs)}
+    code, out = run(tmp_path, capsys, config, "series", "--order", "200", "--format", "json")
+    assert code == 0 and out.out == json.dumps(cli._present(payload), indent=2) + "\n"
+    rows = [f"# radius={cli._fmt(radius)} period={period}", "n,mu_n,mu_n_radius_n"]
+    rows += [f"{n},{cli._fmt(g[n])},{cli._fmt(scaled[n])}" for n in range(201)]
+    code, out = run(tmp_path, capsys, config, "series", "--order", "200")
+    assert code == 0 and out.out == "\n".join(rows) + "\n"
+
+
 @pytest.fixture(scope="module")
 def critical_config():
     """Tuned Z^7 * Z^8 at its critical weight, where Psi(theta-bar) = 0."""
-    return json.loads((Path(__file__).parent / "golden" / "configs.json").read_text())["Z7xZ8-critical"]
+    return GOLDEN_CONFIGS["Z7xZ8-critical"]
 
 
 def test_sqrt_coefficient_numeric_failure_reports_null(tmp_path, capsys, monkeypatch, critical_config):

@@ -1,10 +1,8 @@
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from fprw import factors, lattice
 from fprw.errors import ConfigError, NeedsDerivative, OutOfDomain
 from fprw.factors import (
     ExplicitSeries,
@@ -188,33 +186,6 @@ class TestAnalyzeLattice:
     def test_theta_product(self, z5):
         assert z5.theta == pytest.approx(z5.radius * z5.g_at_r)
         assert z5.period == 2
-
-
-class TestKernelCache:
-    def test_lower_order_first_rebuilds_once_at_the_higher(self, monkeypatch):
-        # the exact-series benchmark's order of requests on some seeds:
-        # Z5*Z6*T3 at order 1000 (kernels to 1001) before Z5*Z6 at 1500 (1501)
-        calls = []
-        real = lattice.return_series
-
-        def counted(beta, p, order):
-            calls.append((len(beta), order))
-            return real(beta, p, order)
-
-        monkeypatch.setattr(lattice, "return_series", counted)
-        monkeypatch.setattr(factors, "_kernel_cache", OrderedDict())
-        z5, z6 = LatticeNN.simple(5), LatticeNN.simple(6)
-        low = [f.radius_series(1001)[1] for f in (z5, z6)]
-        high = [f.radius_series(1501)[1] for f in (z5, z6)]
-        assert calls == [(5, 1001), (6, 1001), (5, 1501), (6, 1501)]
-        # both orders are now served from the kept order-1501 kernels, which
-        # truncate bitwise to the order-1001 builds
-        again = [f.radius_series(order)[1] for f in (z5, z6) for order in (1001, 1501)]
-        assert len(calls) == 4
-        assert np.array_equal(again[0].coeffs, low[0].coeffs)
-        assert np.array_equal(again[2].coeffs, low[1].coeffs)
-        assert np.array_equal(again[1].coeffs, high[0].coeffs)
-        assert np.array_equal(again[3].coeffs, high[1].coeffs)
 
 
 class TestPsi:

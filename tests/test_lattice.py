@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,11 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from fprw import lattice
 from fprw.errors import OutOfDomain
+from fprw.factors import LatticeNN
 from fprw.phase import tuned_lattice
+from tests import oracles
 
 
 def simple(d):
     return np.full(d, 1.0 / d), np.full(d, 0.5)
+
+
+@pytest.fixture
+def fresh_laws(monkeypatch):
+    """return_series with no prefix law kept from earlier tests."""
+    monkeypatch.setattr(lattice, "_LAWS", OrderedDict())
+    return lattice._LAWS
 
 
 EXACT_EPS = 16  # relative error of return_series against exact rationals, in eps
@@ -461,11 +470,19 @@ def test_exact_reference_matches_multinomial_sum():
 
 @pytest.mark.parametrize(
     "beta,p",
-    [simple(5), ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5))],
-    ids=["Z5", "biased-Z5"],
+    [
+        simple(5),
+        ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5)),
+        (tuned_lattice(7, 0.3).beta, (0.5,) * 7),
+        (tuned_lattice(8, 0.3).beta, (0.5,) * 8),
+    ],
+    ids=["Z5", "biased-Z5", "tuned-Z7", "tuned-Z8"],
 )
 def test_matches_exact_rationals_at_order_200(beta, p):
-    # measured: 4.6 eps on Z5 and 5.7 eps on biased-Z5
+    # measured: 4.6 eps on Z5, 5.7 eps on biased-Z5, 9.0 on tuned-Z7 and 5.0
+    # on tuned-Z8.  With b from a running float sum of the weights, tuned-Z7
+    # was 15.8 eps off and tuned-Z8 28.3: an error in b + c of a few ulps
+    # grows like n
     got = lattice.return_series(beta, p, 200).coeffs
     want = exact_return_series(beta, p, 200)
     assert np.all(got[1::2] == 0.0)
@@ -478,22 +495,146 @@ def test_matches_exact_rationals_at_order_200(beta, p):
     [simple(5), ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5)), (tuned_lattice(8, 0.3).beta, (0.5,) * 8)],
     ids=["Z5", "biased-Z5", "tuned-Z8"],
 )
-def test_coefficients_do_not_depend_on_order(beta, p):
-    # factors._symmetric_return_series serves a lower order by truncation
+def test_coefficients_do_not_depend_on_order(beta, p, fresh_laws):
+    # the kept prefix laws serve a lower order by truncation; each order
+    # here is built afresh
     top = lattice.return_series(beta, p, 1501).coeffs
     for order in (0, 1, 2, 3, 4, 37, 200, 1001, 1500):
+        fresh_laws.clear()
         assert np.array_equal(lattice.return_series(beta, p, order).coeffs, top[: order + 1])
+
+
+TUNED = {d: tuned_lattice(d, 0.3) for d in (7, 8)}
+MERGE_ORDER_CASES = {
+    "Z5": simple(5),
+    "Z6": simple(6),
+    "tuned-Z7": (TUNED[7].beta, TUNED[7].p),
+    "tuned-Z8": (TUNED[8].beta, TUNED[8].p),
+    "biased-Z5": ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5)),
+}
+
+
+@pytest.mark.parametrize("beta,p", MERGE_ORDER_CASES.values(), ids=MERGE_ORDER_CASES)
+def test_kept_prefixes_match_a_fresh_merge_bitwise(beta, p, fresh_laws):
+    # these axes come heaviest first already, so the merges are those of
+    # a fresh in-order merge with the same b; Z6 starts from the kept Z5
+    lattice.return_series(*simple(5), 1501)
+    got = lattice.return_series(beta, p, 1501).coeffs
+    assert np.array_equal(got, oracles.in_order_return_series(beta, p, 1501))
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_heaviest_first_matches_the_float_weight_merge(d, fresh_laws):
+    # against in-order merges with b from a running float sum of the
+    # weights: measured 4.4e-16 on Z5 and on Z6
+    beta, p = simple(d)
+    got = lattice.return_series(beta, p, 1501).coeffs
+    want = oracles.in_order_return_series(beta, p, 1501, exact_b=False)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    nz = want > 0.0
+    assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 1e-15
+
+
+def test_heaviest_first_reorders_within_roundoff(fresh_laws):
+    # the lightest axis given first: merged last here; measured 3.8e-15
+    # through n = 1500, and both orders were within 4.3 eps of exact
+    # rationals through n = 240
+    beta, p = (0.1, 0.3, 0.2, 0.4), (0.3, 0.5, 0.6, 0.5)
+    got = lattice.return_series(beta, p, 1501).coeffs
+    want = oracles.in_order_return_series(beta, p, 1501)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    nz = want > 0.0
+    assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 1e-14
+    again = lattice.return_series((0.4, 0.3, 0.2, 0.1), (0.5, 0.5, 0.6, 0.3), 1501).coeffs
+    assert np.array_equal(got, again)
+
+
+class TestKeptLaws:
+    @pytest.fixture
+    def merges(self, monkeypatch, fresh_laws):
+        calls = []
+        real = lattice._merge_axis
+
+        def counted(acc, axis, b, c, stir):
+            calls.append(acc.size - 1)
+            return real(acc, axis, b, c, stir)
+
+        monkeypatch.setattr(lattice, "_merge_axis", counted)
+        return calls
+
+    def test_z6_is_one_merge_past_z5(self, merges):
+        z5, z6 = LatticeNN.simple(5), LatticeNN.simple(6)
+        z5.radius_series(1501)
+        assert merges == [1501] * 4
+        z6.radius_series(1501)
+        assert merges == [1501] * 5
+
+    def test_lower_order_first_rebuilds_once_at_the_higher(self, merges, fresh_laws):
+        # the exact-series benchmark's order of requests on some seeds:
+        # Z5*Z6*T3 at order 1000 (kernels to 1001) before Z5*Z6 at 1500 (1501)
+        z5, z6 = LatticeNN.simple(5), LatticeNN.simple(6)
+        low = [f.radius_series(1001)[1] for f in (z5, z6)]
+        high = [f.radius_series(1501)[1] for f in (z5, z6)]
+        assert merges == [1001] * 5 + [1501] * 5
+        # both orders are now served from the kept order-1501 laws, which
+        # truncate bitwise to the order-1001 builds
+        again = [f.radius_series(order)[1] for f in (z5, z6) for order in (1001, 1501)]
+        assert len(merges) == 10
+        assert np.array_equal(again[0].coeffs, low[0].coeffs)
+        assert np.array_equal(again[2].coeffs, low[1].coeffs)
+        assert np.array_equal(again[1].coeffs, high[0].coeffs)
+        assert np.array_equal(again[3].coeffs, high[1].coeffs)
+        # a truncated law is bitwise a fresh build at its order
+        fresh_laws.clear()
+        assert np.array_equal(z6.radius_series(1001)[1].coeffs, low[1].coeffs)
+
+    def test_key_is_relative_weights_and_p(self, merges):
+        # Z^2 with weights (2, 2) is Z^2 with (1/2, 1/2); a second axis of
+        # another p is another law
+        a = lattice.return_series((0.5, 0.5), (0.5, 0.5), 300)
+        b = lattice.return_series((2.0, 2.0), (0.5, 0.5), 300)
+        assert np.array_equal(a.coeffs, b.coeffs) and len(merges) == 1
+        c = lattice.return_series((0.5, 0.5), (0.5, 0.6), 300)
+        assert len(merges) == 2
+        assert np.array_equal(c.coeffs, oracles.in_order_return_series((0.5, 0.5), (0.5, 0.6), 300))
+
+    def test_cache_is_bounded(self, fresh_laws):
+        for d in range(1, 2 * lattice._LAWS_SIZE):
+            lattice.return_series((1.0 / d,) * d, (0.5,) * d, 20)
+            assert len(fresh_laws) <= lattice._LAWS_SIZE
+
+
+def test_bd0_takes_one_branch_bitwise():
+    # against the formula that evaluated both branches in every cell, on
+    # random cells shaped as `_merge_axis` forms them and on both sides of
+    # |v| = 1/10, where the branch changes, one ulp at a time
+    rng = np.random.default_rng(7)
+    x = rng.integers(1, 5000, (300, 64)).astype(float)
+    m = rng.uniform(0.5, 5000.0, (300, 1))
+    assert np.array_equal(lattice._bd0(x.copy(), m), oracles.bd0_both_branches(x.copy(), m))
+    x = np.exp(rng.uniform(-30.0, 30.0, 4000))
+    m = x * np.exp(rng.uniform(-3.0, 3.0, 4000))
+    assert np.array_equal(lattice._bd0(x, m), oracles.bd0_both_branches(x, m))
+    m = rng.uniform(1.0, 1000.0, 20000)
+    for edge in (11.0 / 9.0, 9.0 / 11.0):  # v = +1/10 and -1/10
+        x = m * edge * (1.0 + rng.uniform(-1e-15, 1e-15, m.size))
+        v = np.abs((x - m) / (x + m))
+        for near in (np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0)):
+            assert np.any(v == near)
+        assert np.array_equal(lattice._bd0(x, m), oracles.bd0_both_branches(x, m))
 
 
 def full_sum_series(beta, p, order):
     """return_series with every binomial term summed, one n at a time:
-    Loader's weights for 0 < k < n and the exact powers at the ends."""
+    Loader's weights for 0 < k < n and the exact powers at the ends, the
+    axes merged heaviest first with the exact b of return_series."""
     stir = lattice._stirlerr(order)
-    acc = lattice._axis_return_probs(p[0], order, stir)
-    wsum = beta[0]
-    for bj, pj in zip(beta[1:], p[1:]):
+    axes = sorted(zip(map(Fraction, beta), p), key=lambda a: -a[0])
+    acc = lattice._axis_return_probs(axes[0][1], order, stir)
+    wsum = axes[0][0]
+    for bj, pj in axes[1:]:
         axis = lattice._axis_return_probs(pj, order, stir)
-        b, c = bj / (wsum + bj), wsum / (wsum + bj)
+        b, c = float(bj / (wsum + bj)), float(wsum / (wsum + bj))
         merged = np.zeros(order + 1)
         merged[0] = 1.0
         for n in range(2, order + 1, 2):
@@ -515,7 +656,7 @@ def full_sum_series(beta, p, order):
     order=st.integers(40, 700),
 )
 def test_window_matches_full_binomial_sum(d, small, rest, p, order):
-    # the second axis enters with ratio b = small / (1 + small) < 0.1
+    # the light axis enters last, with ratio b < small / (1 + small) < 0.1
     beta = [1.0, small, *rest][:d]
     got = lattice.return_series(beta, p[:d], order).coeffs
     full = full_sum_series(beta, p[:d], order)
@@ -537,7 +678,7 @@ def test_stirlerr_table_against_mpmath():
             assert abs(mp.mpf(table[n]) - want) <= np.finfo(float).eps / 2  # measured: 0.48 eps
 
 
-def test_tuned_z8_at_order_10001_keeps_temporaries_bounded():
+def test_tuned_z8_at_order_10001_keeps_temporaries_bounded(fresh_laws):
     # chunked at _CELLS window cells per pass; unchunked, each temporary of a
     # merge would hold its 5,000 rows x 250 window cells, 10 MB
     spec = tuned_lattice(8, 0.3)
@@ -549,4 +690,4 @@ def test_tuned_z8_at_order_10001_keeps_temporaries_bounded():
     finally:
         tracemalloc.stop()
     assert np.all(s.coeffs[::2] > 0.0)
-    assert peak <= 4 * 2**20  # measured: 1.6 MB, of which 0.7 MB are the order-10^4 arrays
+    assert peak <= 4 * 2**20  # measured: 1.6 MB, of which 0.7 MB are the order-10^4 arrays, with 0.6 MB of kept prefix laws

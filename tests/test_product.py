@@ -414,6 +414,34 @@ class TestNormalizedSeries:
                 assert orders.count(order // period) == len(pairs)
                 assert max(orders) == order // period
 
+    def test_one_kernel_per_distinct_factor(self, monkeypatch):
+        # factors are frozen and hashable: C2 * C2 * C2 builds one C2
+        # kernel, and Z5 * Z6 * Z5 one for Z5 and one for Z6
+        built = []
+        real = product._Kernel.__init__
+
+        def spy(kernel, series, form=None):
+            built.append(series.order)
+            real(kernel, series, form)
+
+        monkeypatch.setattr(product._Kernel, "__init__", spy)
+        for pairs, kernels in ((((C2, 1.0),) * 3, 1), (((Z5, 0.3), (Z6, 0.3), (Z5, 0.4)), 2)):
+            built.clear()
+            normalized_green_series.__wrapped__(spec_of(*pairs), 300)
+            assert len(built) == kernels
+
+    def test_pass_orders_end_on_a_doubling(self):
+        # each pass reaches at most 2c + 2 after one that reached c, the
+        # first at most 2, and the last starts from (order - 1) // 2
+        for order in range(3000):
+            passes = product._pass_orders(order)
+            assert passes[-1] == order and passes[0] <= 2
+            assert all(a < b <= 2 * a + 2 for a, b in zip(passes, passes[1:]))
+            if order > 2:
+                assert passes[-2] == (order - 1) // 2
+        assert product._pass_orders(1500) == [1, 4, 10, 22, 45, 92, 186, 374, 749, 1500]
+        assert product._pass_orders(1000) == [2, 6, 14, 30, 61, 124, 249, 499, 1000]
+
     def test_unscaled_series_is_normalized_times_radius_power(self):
         s = spec_of((Z5, 0.5), (Z6, 0.5))
         radius, scaled = normalized_green_series(s, 1500)
