@@ -40,7 +40,7 @@ from .errors import (
     RootNotBracketed,
 )
 from .roots import brent
-from .series import PowerSeries, horner, series_reciprocal
+from .series import PowerSeries, horner, serial_dot, series_reciprocal
 
 DEFAULT_ORDER = 512
 
@@ -326,14 +326,18 @@ class HomTree:
 
     def _series(self, order: int, rho: float) -> PowerSeries:
         """G(rho x).  F = z/q + ((q-1)/q) z F^2 is the first passage from a
-        neighbour to the root; in x = z/rho each z brings a factor rho."""
+        neighbour to the root; in x = z/rho each z brings a factor rho.
+
+        Coefficient n of F^2 is a dot of n - 2 terms, taken by `serial_dot`:
+        a BLAS dot would split it across threads past 10,000 terms, and the
+        coefficients from n = 10,003 on would depend on the core count."""
         q = self.q
         f = np.zeros(order + 1)
         if order >= 1:
             f[1] = rho / q
         step = (q - 1.0) / q * rho
         for n in range(3, order + 1, 2):
-            f[n] = step * np.dot(f[1 : n - 1], f[n - 2 : 0 : -1])
+            f[n] = step * serial_dot(f[1 : n - 1], f[n - 2 : 0 : -1])
         u = np.zeros(order + 1)
         u[1:] = rho * f[:-1]  # U = z F
         return series_reciprocal(PowerSeries(np.concatenate([[1.0], np.zeros(order)])) - PowerSeries(u))

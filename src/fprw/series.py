@@ -12,6 +12,12 @@ Newton iteration with order doubling from 1/c0, two truncated products per
 step, at every order.  Direct convolution keeps the relative accuracy of
 every coefficient that is small against the coefficient sums, which FFT
 products would drown in absolute rounding noise.
+
+No kernel here hands a long sum to BLAS: a BLAS dot past 10,000 terms runs on
+OpenBLAS's thread pool, whose split of the sum depends on the core count and
+whose helper thread then busy-waits for about 130 ms.  A dot that may be long
+goes through `serial_dot`, and block evaluation uses einsum (see
+`series_compose`).
 """
 
 from __future__ import annotations
@@ -31,6 +37,25 @@ def horner(coeffs: np.ndarray, z: float) -> float:
     for a in reversed(c[:-1]):
         acc = a + acc * z
     return float(acc)
+
+
+# terms per np.dot in serial_dot: below OpenBLAS's 10,000-term threshold for
+# a threaded ddot (0.3.31; a 10,001-term dot left about 47 ms of helper-thread
+# CPU behind it on 2 cores, a 9,999-term one none)
+_DOT_CHUNK = 8192
+
+
+def serial_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two 1-d arrays, on the calling thread.
+
+    np.dot over chunks of at most _DOT_CHUNK terms, summed in order.  Up to
+    _DOT_CHUNK terms it is np.dot, bit for bit; longer sums do not depend on
+    the number of BLAS threads, and leave no helper thread spinning.
+    """
+    total = float(np.dot(a[:_DOT_CHUNK], b[:_DOT_CHUNK]))
+    for lo in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
+        total += float(np.dot(a[lo : lo + _DOT_CHUNK], b[lo : lo + _DOT_CHUNK]))
+    return total
 
 
 class PowerSeries:

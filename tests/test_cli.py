@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -448,3 +449,50 @@ def test_commands_run_without_scipy_and_load_no_module_after_import(tmp_path):
     for line in lines:
         name, command, code, loaded = line.split(" ", 3)
         assert (code, loaded) == ("0", "[]"), line
+
+
+HELPER_CPU_RUN = """
+import contextlib, io, resource, sys, time
+import fprw.cli
+time.sleep(0.5)  # let the spin after numpy's import end
+
+def others():
+    s, t = resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_THREAD)
+    return s.ru_utime + s.ru_stime - t.ru_utime - t.ru_stime
+
+for argv in (["simulate", "--steps", "14", "--walks", "4096", "--config", sys.argv[1]],
+             ["series", "--order", "12000", "--config", sys.argv[2]]):
+    before = others()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fprw.cli.main(argv)
+    end = time.perf_counter() + 0.05  # busy, so that a spin after the call is counted
+    while time.perf_counter() < end:
+        pass
+    print(argv[0], code, others() - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread CPU times")
+def test_commands_leave_no_helper_thread_cpu(tmp_path):
+    # a BLAS dot past 10,000 terms runs on OpenBLAS's thread pool, whose helper
+    # thread then spins for about 130 ms of CPU.  As np.dot, bfs_convolution's
+    # escape sum over the 26,739 words of Z2*C3 left 53 ms behind `simulate`,
+    # and the tree recurrence 199 ms behind `series --order 12000` on T3*C3
+    T3 = {"type": "tree", "q": 3}
+    configs = [
+        {"factors": [{"type": "lattice", "dim": 2}, C3], "weights": [0.5, 0.5]},
+        {"factors": [T3, C3], "weights": [0.5, 0.5]},
+    ]
+    paths = []
+    for i, config in enumerate(configs):
+        paths.append(tmp_path / f"config{i}.json")
+        paths[-1].write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(Path(fprw.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", HELPER_CPU_RUN, *map(str, paths)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    lines = [line.split() for line in out.stdout.splitlines()]
+    assert [line[:2] for line in lines] == [["simulate", "0"], ["series", "0"]]
+    for command, _, seconds in lines:
+        assert float(seconds) < 0.005, command

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fprw
 from fprw.errors import ConfigError, NeedsDerivative, OutOfDomain
 from fprw.factors import (
     ExplicitSeries,
@@ -157,6 +162,21 @@ class TestHomTree:
         assert an.green(0.6) == pytest.approx(1.0 / math.sqrt(1.0 - 0.36), rel=1e-12)
         assert an.g_at_r == math.inf
         assert an.sing is None
+
+    def test_series_does_not_depend_on_blas_threads(self):
+        # coefficient n of F^2 is a dot of n - 2 terms; as one np.dot, OpenBLAS
+        # split it across its threads past 10,000 terms, and the coefficients
+        # from n = 10,022 on differed between 1 and 2 threads, by up to 1.1e-15
+        run = "import sys; from fprw.factors import HomTree; " \
+              "sys.stdout.buffer.write(HomTree(3).radius_series(20001)[1].coeffs.tobytes())"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(fprw.__file__).parents[1])
+        outs = [
+            subprocess.run([sys.executable, "-c", run], env=e, capture_output=True, check=True).stdout
+            for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+        ]
+        assert len(outs[0]) == 8 * 20002
+        assert outs[0] == outs[1]
 
     def test_derivative_matches_finite_difference(self):
         an = analyze_factor(HomTree(4))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_array
 
 from fprw import mc
@@ -390,3 +391,47 @@ class TestSimulate:
         big = mc.simulate(s, steps=6, walks=8192, seed=9)
         second = tuple_block(s, seed=9, block=1, nwalks=4096, steps=6)
         assert np.array_equal(np.subtract(big.returns, small.returns), second)
+
+
+def philox(key):
+    return np.random.Generator(np.random.Philox(key=list(key)))
+
+
+class TestDraw:
+    # weights from 1e-12 to 1, zeros among them (a cdf with ties), on
+    # supports on both sides of _COMPARE_MAX
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=mc._COMPARE_MAX + 40
+        ).filter(any),
+        shape=st.lists(st.integers(0, 40), max_size=3).map(tuple),
+        key=st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)),
+    )
+    @example(weights=[1.0] * (mc._COMPARE_MAX + 1), shape=(50, 3), key=(0, 0))
+    @example(weights=[1e-12, 1.0, 1e-12, 0.0, 1e-12], shape=(4096, 14), key=(7, 1))
+    def test_equals_choice(self, weights, shape, key):
+        probs = np.array(weights) / math.fsum(weights)
+        a, b = philox(key), philox(key)
+        want = a.choice(probs.size, size=shape, p=probs)
+        got = mc._draw(b, probs, shape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert a.random() == b.random()  # the same draws consumed
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, 0.6], [1.2, -0.2], [0.5, 0.5 - 1e-7], [math.nan, 1.0], [0.0, 0.0]],
+        ids=["sum-high", "negative", "sum-low", "nan", "all-zero"],
+    )
+    def test_invalid_probabilities_raise_as_choice_does(self, probs):
+        probs = np.array(probs)
+        with pytest.raises(ValueError):
+            philox((1, 2)).choice(probs.size, size=5, p=probs)
+        with pytest.raises(ValueError):
+            mc._draw(philox((1, 2)), probs, (5,))
+
+    def test_sum_within_tolerance_is_accepted_as_by_choice(self):
+        probs = np.array([0.5, 0.5 + 1e-9])
+        want = philox((1, 2)).choice(2, size=(3, 4), p=probs)
+        assert np.array_equal(mc._draw(philox((1, 2)), probs, (3, 4)), want)

@@ -11,6 +11,7 @@ from fprw.errors import NonzeroInnerConstant, ZeroConstantTerm
 from fprw.factors import LatticeNN
 from fprw.series import (
     PowerSeries,
+    serial_dot,
     series_compose,
     series_derivative,
     series_mul,
@@ -461,3 +462,16 @@ def test_horner_matches_numpy_polyval_exactly(coeffs, z, deriv):
     c = np.array(coeffs)
     assert series_mod.horner(c, z) == float(poly.polyval(z, c))
     assert _poly_value(c, z, deriv) == float(poly.polyval(z, poly.polyder(c, deriv)))
+
+
+class TestSerialDot:
+    def test_np_dot_up_to_one_chunk(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 17, series_mod._DOT_CHUNK):
+            a, b = rng.random(n), rng.random(2 * n)[::-2]
+            assert serial_dot(a, b) == float(np.dot(a, b))
+
+    def test_long_dot_is_accurate(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.random(2 * series_mod._DOT_CHUNK + 5), rng.random(2 * series_mod._DOT_CHUNK + 5)
+        assert serial_dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-14)
