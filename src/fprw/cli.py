@@ -10,7 +10,9 @@ with more than two factors.
 number of words it enumerates grows geometrically with n (about 16-fold per
 two steps on Z5*Z6), so the column stops at the largest n whose words fit
 mc.EXACT_COLUMN_BYTES; a shorter column is reported on stderr, and the exit
-code stays 0.
+code stays 0.  Where the ball of words of order --steps fits that budget,
+the walks run on its transition table and the exact column reads the same
+ball; longer walks run on letter stacks.  Both give the same counts.
 """
 
 from __future__ import annotations
@@ -426,7 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
         f"probabilities from word convolution for n <= {_EXACT_COLUMN_ORDER}.  The exact column stops "
         "earlier, with a warning on stderr, where the words to enumerate would not "
         f"fit {mc.EXACT_COLUMN_BYTES >> 20} MiB: their number grows geometrically "
-        "with n, fastest on high-dimensional lattices.",
+        "with n, fastest on high-dimensional lattices.  Where the words of order "
+        "--steps fit that budget, each walk steps by one lookup in their transition "
+        "table, and a walk that leaves them stays out (it cannot return within "
+        "--steps); past it, each walk multiplies out a stack of letters.  Both give "
+        "the same counts.",
     )
     common(p)
     p.add_argument("--steps", type=_count, default=None)

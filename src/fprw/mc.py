@@ -14,14 +14,26 @@ letters, compiled once per product (`_Letters`):
   becomes q C2 factors, one per tree step.  The support order is kept, and so
   are the draws.
 
-simulate advances all walks of a block together.  The state is a walks x steps
-stack of (factor, code) letters plus a depth vector, and each step is a
-vectorised push, merge or pop.  Walks are grouped in fixed-size blocks, each
-drawn from the Philox stream keyed (seed, block), so a walk's draws do not
-depend on how many walks run beside it.  A block's steps are all drawn up
-front by `_draw`, which gives Generator.choice's draws bit for bit but counts
-cdf entries by comparisons on a short support, where choice runs a binary
-search per draw.
+simulate advances all walks of a block together, on one of two
+representations of their words, chosen by the budget test that
+bfs_convolution applies (exact_column_order):
+
+- where the ball of order `steps` (below) fits EXACT_COLUMN_BYTES, a walk's
+  state is its word's id in the ball's trie, and a step is one lookup in the
+  ball's table of (word, step) -> word.  A step out of the ball goes to an
+  absorbing escape state.  This loses no return: a walk that is at the
+  identity at step n <= steps only visits words of the ball of order n, so
+  one that has left the ball of order `steps` does not return within it;
+- past the budget, a walk's word is a stack of (factor, code) letters, a
+  walks x steps array plus a depth vector, and each step is a vectorised
+  push, merge or pop.
+
+Both give the same counts, walk for walk.  Walks are grouped in fixed-size
+blocks, each drawn from the Philox stream keyed (seed, block), so a walk's
+draws do not depend on how many walks run beside it.  A block's steps are
+all drawn up front by `_tally`, which gives Generator.choice's draws bit for
+bit but counts cdf entries by comparisons on a short support, where choice
+runs a binary search per draw.
 
 bfs_convolution propagates exact probability mass over words.  A walk that
 is back at the identity by step `order` only visits words w with
@@ -30,23 +42,27 @@ bwd(w) the steps needed to walk it back; both add up over the word's letters.
 Only that ball of words is enumerated (for a support closed under inverses
 fwd = bwd, and the ball is erase cost <= order // 2); mass crossing its
 boundary goes to an escape bucket, which keeps the per-step totals at exactly
-1.  The words form a trie: each is keyed by the state id of its prefix and its
-last letter, the ball's letters numbered densely, and the levels are
-enumerated with np.unique/searchsorted.  Mass moves over a dense table of
-each word's predecessor per support step: a step adds p_k times the mass of
-the k-th predecessors, in support order, so every sum starts from 0.0 and
-matches, bit for bit, a mat-vec whose rows list the predecessors in that
-order.  The mass that escapes per step is a dot over all words, summed on
-the calling thread by `series.serial_dot`: as one BLAS dot past 10,000 words
-it would wake OpenBLAS's thread pool.  word_count_bound counts the ball's
-words exactly from the factors' sphere sizes in fwd + bwd, so an order that
-does not fit is refused before anything is enumerated.
+1.  The words form a trie (`_word_ball`, which keeps the last ball built for
+simulate and bfs_convolution to share): each is keyed by the state id of its
+prefix and its last letter, the ball's letters numbered densely, and the
+levels are enumerated with np.unique/searchsorted.  Mass moves over a dense
+table of each word's predecessor per support step: a step adds p_k times the
+mass of the k-th predecessors, in support order, so every sum starts from
+0.0 and matches, bit for bit, a mat-vec whose rows list the predecessors in
+that order.  The mass that escapes per step is a dot over all words, summed
+on the calling thread by `series.serial_dot`: as one BLAS dot past 10,000
+words it would wake OpenBLAS's thread pool.  The ball's words are counted
+level by level from the factors' sphere sizes in fwd + bwd (_level_sizes),
+and the count stops at the first level past the budget, so an order that
+does not fit is refused before anything is enumerated, and at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.random  # for the Philox streams: numpy would load it lazily, inside the first simulate
@@ -109,21 +125,19 @@ def _round_trip(group) -> np.ndarray:
     return np.array(group.dist_table) + np.array(fwd)
 
 
-def _sphere_sizes(group, order: int) -> list:
-    """s[c], the number of elements with fwd + bwd = c, for c = 0..order.
+def _sphere_sizes(group):
+    """s(c), the number of elements with fwd + bwd = c, as a function of c >= 1.
 
     On Z^d both are the L1 norm: a point of norm k has j nonzero axes, j
     signs and a composition of k into j positive parts.
     """
     if isinstance(group, LatticeNN):
         d = group.dim
-        l1 = [
-            sum(2**j * math.comb(d, j) * math.comb(k - 1, j - 1) for j in range(1, min(d, k) + 1))
-            for k in range(1, order // 2 + 1)
-        ]
-        return [1] + [0 if c % 2 else l1[c // 2 - 1] for c in range(1, order + 1)]
-    hist = np.bincount(_round_trip(group), minlength=order + 1)
-    return [int(c) for c in hist[: order + 1]]
+        return lambda c: 0 if c % 2 else sum(
+            2**j * math.comb(d, j) * math.comb(c // 2 - 1, j - 1) for j in range(1, min(d, c // 2) + 1)
+        )
+    hist = np.bincount(_round_trip(group)).tolist()
+    return lambda c: hist[c] if c < len(hist) else 0
 
 
 def _locate(ordered: np.ndarray, values: np.ndarray):
@@ -251,21 +265,33 @@ class _Letters:
         return factor, cost, merge, push
 
 
-def word_count_bound(spec: FreeProductSpec, order: int) -> int:
-    """Normal-form words with fwd + bwd <= order, the empty word included.
+def _level_sizes(spec: FreeProductSpec):
+    """W(0), W(1), ...: the normal-form words with fwd + bwd = c, one c at a time.
 
     W_i(c), the words of cost c that start with a letter of factor i, is
     s_i(c) + sum_k s_i(k) sum_{j != i} W_j(c - k), with s_i(k) the factor's
-    sphere sizes.  This is bfs_convolution's state count at `order`.
+    sphere sizes; the sum runs over the k < c with s_i(k) > 0, so a level
+    costs a few operations per sphere of each factor met so far.
     """
-    spheres = [_sphere_sizes(g, order) for g, _ in _free_factors(spec)]
-    words = [[0] * (order + 1) for _ in spheres]
-    total = [0] * (order + 1)
-    for c in range(1, order + 1):
+    spheres = [_sphere_sizes(g) for g, _ in _free_factors(spec)]
+    met = [[] for _ in spheres]  # factor i's (k, s_i(k)) with s_i(k) > 0
+    words = [[0] for _ in spheres]
+    total = [1]
+    yield 1
+    for c in itertools.count(1):
         for i, s in enumerate(spheres):
-            words[i][c] = s[c] + sum(s[k] * (total[c - k] - words[i][c - k]) for k in range(1, c))
-        total[c] = sum(w[c] for w in words)
-    return 1 + sum(total)
+            sc = s(c)
+            words[i].append(sc + sum(n * (total[c - k] - words[i][c - k]) for k, n in met[i]))
+            if sc:
+                met[i].append((c, sc))
+        total.append(sum(w[c] for w in words))
+        yield total[c]
+
+
+def word_count_bound(spec: FreeProductSpec, order: int) -> int:
+    """Normal-form words with fwd + bwd <= order, the empty word included:
+    bfs_convolution's state count at `order`."""
+    return sum(itertools.islice(_level_sizes(spec), order + 1))
 
 
 def support_size(spec: FreeProductSpec) -> int:
@@ -286,11 +312,18 @@ def support_size(spec: FreeProductSpec) -> int:
 
 
 def exact_column_order(spec: FreeProductSpec, order: int) -> int:
-    """The largest order <= `order` whose words fit EXACT_COLUMN_BYTES."""
-    per_state = _STATE_BYTES + _PAIR_BYTES * support_size(spec)
-    states = EXACT_COLUMN_BYTES // per_state
-    while order > 1 and word_count_bound(spec, order) > states:
-        order -= 1
+    """The largest order <= `order` whose words fit EXACT_COLUMN_BYTES.
+
+    The words are counted level by level, and the count stops at the first
+    level past the budget; orders 0 and 1 hold only the empty word, which
+    support_size has made sure fits.
+    """
+    states = EXACT_COLUMN_BYTES // (_STATE_BYTES + _PAIR_BYTES * support_size(spec))
+    count = 0
+    for c, size in enumerate(itertools.islice(_level_sizes(spec), order + 1)):
+        count += size
+        if count > states:
+            return c - 1
     return order
 
 
@@ -298,24 +331,22 @@ def exact_column_order(spec: FreeProductSpec, order: int) -> int:
 # exact convolution
 
 
-def bfs_convolution(spec: FreeProductSpec, order: int) -> PowerSeries:
-    """Exact return probabilities mu^(n)(e) for n <= order by mass propagation.
-    An order past exact_column_order is refused before anything is enumerated.
+@lru_cache(maxsize=1)
+def _word_ball(spec: FreeProductSpec, order: int):
+    """(table, probs): the transitions of the words with fwd + bwd <= order.
 
-    The escaped mass, summed on the calling thread by serial_dot, only feeds
-    the check that the per-step totals stay at 1; mu^(n)(e) is the mass on
-    the empty word."""
+    table[w, k] is the state id of word w times support step k, where state
+    0 is the empty word, and probs[k] is that step's probability.  A step
+    that leaves the ball goes to _ESCAPE, and the last row, table[_ESCAPE],
+    is the escape state: every step keeps it there.  Both arrays are
+    read-only, and the last ball built is kept for the next call, so that
+    `fprw simulate` walks and convolves on one ball.  Callers check the
+    budget first (exact_column_order).
+    """
     bound = word_count_bound(spec, order)
-    if bound > EXACT_COLUMN_BYTES // (_STATE_BYTES + _PAIR_BYTES * support_size(spec)):
-        raise StateExplosion(
-            f"the words of order {order} need more than {EXACT_COLUMN_BYTES >> 20} MiB; "
-            f"order {exact_column_order(spec, order)} fits"
-        )
     letters = _Letters(spec, reach=order // 2 + 1)
     lfactor, lcost, merge, push = letters.ball(order)
     nletters = lfactor.size
-    probs = letters.probs
-    nsteps = probs.size
     moves = letters.live
 
     # trie of words: prefix state and last letter; the root is the empty word.
@@ -356,8 +387,29 @@ def bfs_convolution(spec: FreeProductSpec, order: int) -> PowerSeries:
         target[grow] = ids[inverse]
         levels.append(target)
     del parent, last, cost, keys, key_ids
-    target = np.concatenate(levels)
-    del levels
+    levels.append(np.full((1, moves.size), _ESCAPE, dtype=np.int64))
+    table = np.concatenate(levels)
+    probs = letters.probs
+    table.flags.writeable = probs.flags.writeable = False
+    return table, probs
+
+
+def bfs_convolution(spec: FreeProductSpec, order: int) -> PowerSeries:
+    """Exact return probabilities mu^(n)(e) for n <= order by mass propagation
+    over the ball of `order` (_word_ball).  An order past exact_column_order
+    is refused before anything is enumerated.
+
+    The escaped mass, summed on the calling thread by serial_dot, only feeds
+    the check that the per-step totals stay at 1; mu^(n)(e) is the mass on
+    the empty word."""
+    fits = exact_column_order(spec, order)
+    if fits < order:
+        raise StateExplosion(
+            f"the words of order {order} need more than {EXACT_COLUMN_BYTES >> 20} MiB; order {fits} fits"
+        )
+    table, probs = _word_ball(spec, order)
+    target = table[:-1]  # without the escape state
+    nstates, nsteps = target.shape
 
     # source[k, w]: the word that support step k takes to w, or -1 for none,
     # which indexes the trailing 0.0 of `padded`
@@ -366,7 +418,6 @@ def bfs_convolution(spec: FreeProductSpec, order: int) -> PowerSeries:
         stays = np.flatnonzero(target[:, k] >= 0)
         source[k, target[stays, k]] = stays
     escape = np.where(target < 0, probs, 0.0).sum(axis=1)
-    del target
 
     padded = np.zeros(nstates + 1)
     padded[0] = 1.0
@@ -418,8 +469,9 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 _COMPARE_MAX = 128
 
 
-def _draw(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarray:
-    """rng.choice(probs.size, size=shape, p=probs), bit for bit.
+def _tally(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarray:
+    """rng.choice(probs.size, size=shape, p=probs)'s values, bit for bit:
+    uint8 on a support of at most _COMPARE_MAX steps, int64 past it.
 
     choice checks the probabilities, builds cdf = cumsum(probs) / its last
     entry, draws u = rng.random(shape) and returns the number of cdf entries
@@ -438,7 +490,33 @@ def _draw(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarr
     count = np.zeros(shape, dtype=np.uint8)
     for c in cdf[:-1].tolist():
         count += u >= c
-    return count.astype(np.int64)
+    return count
+
+
+def _draw(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarray:
+    """rng.choice(probs.size, size=shape, p=probs), bit for bit (`_tally`)."""
+    return _tally(rng, probs, shape).astype(np.int64, copy=False)
+
+
+def _ball_block(table: np.ndarray, probs: np.ndarray, seed: int, block: int, nwalks: int, steps: int):
+    """counts[n], the walks of one block at the identity after n steps, on
+    the table of a ball (_word_ball) of order at least `steps`.
+
+    The steps are drawn as _simulate_block draws them, and each step is one
+    lookup state = table[state, k]; a walk that leaves the ball stays in
+    the escape state."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, block]))
+    draws = _tally(rng, probs, (nwalks, steps)).T
+    # a flat gather: 0.16 ms a block against table[state, k]'s 0.36 ms (Z2*C3,
+    # 4,096 walks x 14 steps, 2 cores)
+    flat, width = table.ravel(), table.shape[1]
+    counts = np.zeros(steps + 1, dtype=np.int64)
+    counts[0] = nwalks
+    state = np.zeros(nwalks, dtype=np.int64)
+    for n in range(steps):
+        state = flat[state * width + draws[n]]
+        counts[n + 1] = nwalks - np.count_nonzero(state)
+    return counts
 
 
 def _simulate_block(letters: _Letters, seed: int, block: int, nwalks: int, steps: int):
@@ -481,14 +559,19 @@ def simulate(spec: FreeProductSpec, steps: int, walks: int, seed: int) -> Simula
     """Empirical return profile from `walks` seeded trajectories.
 
     Walks are grouped in fixed-size blocks, each drawn from the Philox stream
-    keyed (seed, block index), and the blocks run one after another.
+    keyed (seed, block index), and the blocks run one after another.  Where
+    the ball of order `steps` fits EXACT_COLUMN_BYTES the walks run on its
+    table (_ball_block), elsewhere on letter stacks (_simulate_block); both
+    give the same counts.
     """
     if steps < 0 or walks < 1:
         raise ConfigError("need steps >= 0 and walks >= 1")
     support_size(spec)
-    letters = _Letters(spec, reach=steps)
-    counts = sum(
-        _simulate_block(letters, seed, b, min(_SIM_BLOCK, walks - lo), steps)[0]
-        for b, lo in enumerate(range(0, walks, _SIM_BLOCK))
-    )
+    blocks = [(b, min(_SIM_BLOCK, walks - lo)) for b, lo in enumerate(range(0, walks, _SIM_BLOCK))]
+    if exact_column_order(spec, steps) == steps:
+        table, probs = _word_ball(spec, steps)
+        counts = sum(_ball_block(table, probs, seed, b, n, steps) for b, n in blocks)
+    else:
+        letters = _Letters(spec, reach=steps)
+        counts = sum(_simulate_block(letters, seed, b, n, steps)[0] for b, n in blocks)
     return SimulationResult(steps=steps, walks=walks, seed=seed, returns=tuple(int(c) for c in counts))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fprw
-from fprw import cli, factors, product, selftest
+from fprw import cli, factors, mc, product, selftest
 from fprw.errors import NoConvergence
 
 Z3 = {"type": "lattice", "dim": 3}
@@ -361,6 +361,17 @@ def test_simulate_cuts_exact_column_to_budget(tmp_path, capsys):
     assert 1 <= cut < 14
     assert all(r[2] != "" for r in rows[:cut]) and all(r[2] == r[3] == "" for r in rows[cut:])
     assert f"n = {cut}," in out.err
+
+
+def test_simulate_walks_and_convolves_on_one_ball(tmp_path, capsys):
+    # at --steps 14 the ball of Z2*C3 (26,739 words) fits the budget: the
+    # walks run on it, and the exact column reads the same cached ball
+    mc._word_ball.cache_clear()
+    config = {"factors": [{"type": "lattice", "dim": 2}, C3], "weights": [0.5, 0.5]}
+    code, out = run(tmp_path, capsys, config, "simulate", "--steps", "14", "--walks", "100")
+    assert code == 0 and out.err == ""
+    info = mc._word_ball.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_analyze_solves_the_psi_root_once(tmp_path, capsys, monkeypatch):

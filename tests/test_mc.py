@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -132,9 +133,12 @@ def tuple_block(spec, seed, block, nwalks, steps):
     return counts
 
 
+def block_sizes(walks):
+    return [min(mc._SIM_BLOCK, walks - lo) for lo in range(0, walks, mc._SIM_BLOCK)]
+
+
 def tuple_simulate(spec, steps, walks, seed):
-    sizes = [min(mc._SIM_BLOCK, walks - lo) for lo in range(0, walks, mc._SIM_BLOCK)]
-    parts = [tuple_block(spec, seed, b, n, steps) for b, n in enumerate(sizes)]
+    parts = [tuple_block(spec, seed, b, n, steps) for b, n in enumerate(block_sizes(walks))]
     return tuple(int(c) for c in np.sum(parts, axis=0))
 
 
@@ -155,6 +159,9 @@ ASYMMETRIC_SPECS = {
 }
 
 
+WALK_SPECS = {**ORACLE_SPECS, **ASYMMETRIC_SPECS}
+
+
 class TestCodedAgainstTuples:
     @pytest.mark.parametrize("name", list(ORACLE_SPECS))
     def test_simulate_returns_identical(self, monkeypatch, name):
@@ -162,6 +169,33 @@ class TestCodedAgainstTuples:
         spec = ORACLE_SPECS[name]
         got = mc.simulate(spec, steps=12, walks=2500, seed=31)
         assert got.returns == tuple_simulate(spec, 12, 2500, 31)
+
+    # simulate walks on the ball where it fits the budget and on letter
+    # stacks past it; both block walkers are driven directly here, the stack
+    # walker also where the ball would fit
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(WALK_SPECS)),
+        steps=st.integers(0, 14),
+        walks=st.sampled_from([1, 4095, 4096, 4097, 9000]),
+        seed=st.integers(-(2**63), 2**63 - 1),
+    )
+    @example(name="C4-identity-steps*C3", steps=14, walks=4097, seed=-(2**63))  # identity steps stay put
+    @example(name="tunedZ3*T3", steps=11, walks=4096, seed=2**63 - 1)  # T3 as three C2s, on the ball
+    @example(name="Z1*C3*T4", steps=14, walks=9000, seed=0)  # past the budget: stacks only
+    @example(name="C3-rotation*C2", steps=0, walks=1, seed=-1)
+    def test_ball_and_stack_walks_match_tuples(self, name, steps, walks, seed):
+        spec = WALK_SPECS[name]
+        want = tuple_simulate(spec, steps, walks, seed)
+        blocks = list(enumerate(block_sizes(walks)))
+        letters = mc._Letters(spec, reach=steps)
+        stack = sum(mc._simulate_block(letters, seed, b, n, steps)[0] for b, n in blocks)
+        assert tuple(stack.tolist()) == want
+        if mc.exact_column_order(spec, steps) == steps:
+            table, probs = mc._word_ball(spec, steps)
+            ball = sum(mc._ball_block(table, probs, seed, b, n, steps) for b, n in blocks)
+            assert tuple(ball.tolist()) == want
+        assert mc.simulate(spec, steps, walks, seed).returns == want
 
     def test_simulate_wide_lattice_codes(self, monkeypatch):
         # radix 201 at 100 steps: 201**9 overflows int64, so codes are Python ints
@@ -215,6 +249,7 @@ class TestExactColumn:
         order = mc.exact_column_order(spec, 14)
         words = mc.word_count_bound(spec, order)
         pairs = words * len(mc._support(spec))
+        mc._word_ball.cache_clear()  # measure the build, not a cached ball
         tracemalloc.start()
         try:
             mc.bfs_convolution(spec, order)
@@ -222,6 +257,35 @@ class TestExactColumn:
         finally:
             tracemalloc.stop()
         assert peak <= words * mc._STATE_BYTES + pairs * mc._PAIR_BYTES
+
+    @pytest.mark.parametrize("name", list(COLUMN_SPECS))
+    def test_simulate_on_the_ball_within_budget(self, name):
+        # the ball outlives the walk in _word_ball's cache, so the walk's own
+        # arrays come on top of it: per draw the uniform (8 bytes), its count
+        # and a comparison mask (1 each), per walk its state, the flat index
+        # and the gathered state (8 each)
+        spec = COLUMN_SPECS[name]
+        order = mc.exact_column_order(spec, 14)
+        words = mc.word_count_bound(spec, order)
+        pairs = words * len(mc._support(spec))
+        walk = mc._SIM_BLOCK * (10 * order + 24)
+        mc._word_ball.cache_clear()
+        tracemalloc.start()
+        try:
+            mc.simulate(spec, order, walks=9000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mc._word_ball.cache_info().currsize == 1
+        assert peak <= words * mc._STATE_BYTES + pairs * mc._PAIR_BYTES + walk
+
+    def test_ball_is_read_only(self):
+        table, probs = mc._word_ball(COLUMN_SPECS["C2^3"], 8)
+        assert table.shape == (mc.word_count_bound(COLUMN_SPECS["C2^3"], 8) + 1, 3)
+        assert (table[-1] == -1).all()  # the escape state keeps every step
+        for a in (table, probs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
     @pytest.mark.parametrize(
         "spec",
@@ -280,6 +344,24 @@ class TestWordCountBound:
         assert mc.word_count_bound(z5z6, order + 1) * per_state > mc.EXACT_COLUMN_BYTES
         assert mc.exact_column_order(z2c3, 14) == 14
         assert mc.exact_column_order(z5z6, 3) == 3
+
+    @pytest.mark.parametrize("name", ["Z5*Z6", *COLUMN_SPECS])
+    def test_exact_column_order_is_the_largest_fitting_order(self, name):
+        z5z6 = spec_of((LatticeNN.simple(5), 0.5), (LatticeNN.simple(6), 0.5))
+        spec = z5z6 if name == "Z5*Z6" else COLUMN_SPECS[name]
+        states = mc.EXACT_COLUMN_BYTES // (mc._STATE_BYTES + mc._PAIR_BYTES * mc.support_size(spec))
+        for order in range(20):
+            fitting = [o for o in range(order + 1) if mc.word_count_bound(spec, o) <= states]
+            assert mc.exact_column_order(spec, order) == max(fitting)
+
+    def test_over_budget_order_refused_within_a_second(self):
+        # recounting the words anew for every candidate order took
+        # 0.41 s to refuse order 200, and the cost grew like order^3
+        z2c3 = spec_of((LatticeNN.simple(2), 0.5), (C3, 0.5))
+        start = time.perf_counter()
+        with pytest.raises(StateExplosion, match="order 1000 need more than 64 MiB; order 17 fits"):
+            mc.bfs_convolution(z2c3, 1000)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestWordAlgebra:
