@@ -10,9 +10,10 @@ with more than two factors.
 number of words it enumerates grows geometrically with n (about 16-fold per
 two steps on Z5*Z6), so the column stops at the largest n whose words fit
 mc.EXACT_COLUMN_BYTES; a shorter column is reported on stderr, and the exit
-code stays 0.  Where the ball of words of order --steps fits that budget,
-the walks run on its transition table and the exact column reads the same
-ball; longer walks run on letter stacks.  Both give the same counts.
+code stays 0.  Where the ball of words of order --steps fits that budget
+and enough walk steps run to pay for building it, the walks run on its
+transition table, and at --steps <= 14 the exact column reads the same
+ball; elsewhere the walks run on letter stacks.  Both give the same counts.
 """
 
 from __future__ import annotations
@@ -429,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
         "earlier, with a warning on stderr, where the words to enumerate would not "
         f"fit {mc.EXACT_COLUMN_BYTES >> 20} MiB: their number grows geometrically "
         "with n, fastest on high-dimensional lattices.  Where the words of order "
-        "--steps fit that budget, each walk steps by one lookup in their transition "
-        "table, and a walk that leaves them stays out (it cannot return within "
-        "--steps); past it, each walk multiplies out a stack of letters.  Both give "
-        "the same counts.",
+        "--steps fit that budget and enough walk steps run to pay for building "
+        "their transition table, each walk steps by one lookup in it, and a walk "
+        "that leaves them stays out (it cannot return within --steps); elsewhere "
+        "each walk multiplies out a stack of letters.  Both give the same counts.",
     )
     common(p)
     p.add_argument("--steps", type=_count, default=None)

@@ -15,20 +15,22 @@ letters, compiled once per product (`_Letters`):
   are the draws.
 
 simulate advances all walks of a block together, on one of two
-representations of their words, chosen by the budget test that
-bfs_convolution applies (exact_column_order):
+representations of their words:
 
-- where the ball of order `steps` (below) fits EXACT_COLUMN_BYTES, a walk's
-  state is its word's id in the ball's trie, and a step is one lookup in the
-  ball's table of (word, step) -> word.  A step out of the ball goes to an
-  absorbing escape state.  This loses no return: a walk that is at the
-  identity at step n <= steps only visits words of the ball of order n, so
-  one that has left the ball of order `steps` does not return within it;
-- past the budget, a walk's word is a stack of (factor, code) letters, a
+- on the ball of order `steps` (below), a walk's state is its word's id in
+  the ball's trie, and a step is one lookup in the ball's table of
+  (word, step) -> word.  A step out of the ball goes to an absorbing escape
+  state.  This loses no return: a walk that is at the identity at step
+  n <= steps only visits words of the ball of order n, so one that has left
+  the ball of order `steps` does not return within it;
+- on letter stacks, a walk's word is a stack of (factor, code) letters, a
   walks x steps array plus a depth vector, and each step is a vectorised
   push, merge or pop.
 
-Both give the same counts, walk for walk.  Walks are grouped in fixed-size
+The ball is taken where it fits EXACT_COLUMN_BYTES, by the budget test that
+bfs_convolution applies, and where building it costs less than the walk
+time it saves (_ball_pays); elsewhere the walks run on letter stacks.  Both
+give the same counts, walk for walk.  Walks are grouped in fixed-size
 blocks, each drawn from the Philox stream keyed (seed, block), so a walk's
 draws do not depend on how many walks run beside it.  A block's steps are
 all drawn up front by `_tally`, which gives Generator.choice's draws bit for
@@ -43,18 +45,19 @@ Only that ball of words is enumerated (for a support closed under inverses
 fwd = bwd, and the ball is erase cost <= order // 2); mass crossing its
 boundary goes to an escape bucket, which keeps the per-step totals at exactly
 1.  The words form a trie (`_word_ball`, which keeps the last ball built for
-simulate and bfs_convolution to share): each is keyed by the state id of its
-prefix and its last letter, the ball's letters numbered densely, and the
-levels are enumerated with np.unique/searchsorted.  Mass moves over a dense
-table of each word's predecessor per support step: a step adds p_k times the
-mass of the k-th predecessors, in support order, so every sum starts from
-0.0 and matches, bit for bit, a mat-vec whose rows list the predecessors in
-that order.  The mass that escapes per step is a dot over all words, summed
-on the calling thread by `series.serial_dot`: as one BLAS dot past 10,000
-words it would wake OpenBLAS's thread pool.  The ball's words are counted
-level by level from the factors' sphere sizes in fwd + bwd (_level_sizes),
-and the count stops at the first level past the budget, so an order that
-does not fit is refused before anything is enumerated, and at once.
+simulate and bfs_convolution to share, and drops it before building
+another): each is keyed by the state id of its prefix and its last letter,
+the ball's letters numbered densely, and the levels are enumerated with
+np.unique/searchsorted.  Mass moves over a dense table of each word's
+predecessor per support step: a step adds p_k times the mass of the k-th
+predecessors, in support order, so every sum starts from 0.0 and matches,
+bit for bit, a mat-vec whose rows list the predecessors in that order.  The
+mass that escapes per step is a dot over all words, summed on the calling
+thread by `series.serial_dot`: as one BLAS dot past 10,000 words it would
+wake OpenBLAS's thread pool.  The ball's words are counted level by level
+from the factors' sphere sizes in fwd + bwd (_level_sizes), and the count
+stops at the first level past the budget, so an order that does not fit is
+refused before anything is enumerated, and at once.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import numpy.random  # for the Philox streams: numpy would load it lazily, inside the first simulate
@@ -311,8 +313,9 @@ def support_size(spec: FreeProductSpec) -> int:
     return size
 
 
-def exact_column_order(spec: FreeProductSpec, order: int) -> int:
-    """The largest order <= `order` whose words fit EXACT_COLUMN_BYTES.
+def _fitting_ball(spec: FreeProductSpec, order: int) -> tuple[int, int]:
+    """(n, words): the largest order n <= `order` whose words fit
+    EXACT_COLUMN_BYTES, and the number of those words.
 
     The words are counted level by level, and the count stops at the first
     level past the budget; orders 0 and 1 hold only the empty word, which
@@ -321,17 +324,24 @@ def exact_column_order(spec: FreeProductSpec, order: int) -> int:
     states = EXACT_COLUMN_BYTES // (_STATE_BYTES + _PAIR_BYTES * support_size(spec))
     count = 0
     for c, size in enumerate(itertools.islice(_level_sizes(spec), order + 1)):
+        if count + size > states:
+            return c - 1, count
         count += size
-        if count > states:
-            return c - 1
-    return order
+    return order, count
+
+
+def exact_column_order(spec: FreeProductSpec, order: int) -> int:
+    """The largest order <= `order` whose words fit EXACT_COLUMN_BYTES."""
+    return _fitting_ball(spec, order)[0]
 
 
 # ---------------------------------------------------------------------------
 # exact convolution
 
 
-@lru_cache(maxsize=1)
+_last_ball = {}  # {(spec, order): (table, probs)} of the last ball built
+
+
 def _word_ball(spec: FreeProductSpec, order: int):
     """(table, probs): the transitions of the words with fwd + bwd <= order.
 
@@ -339,10 +349,21 @@ def _word_ball(spec: FreeProductSpec, order: int):
     0 is the empty word, and probs[k] is that step's probability.  A step
     that leaves the ball goes to _ESCAPE, and the last row, table[_ESCAPE],
     is the escape state: every step keeps it there.  Both arrays are
-    read-only, and the last ball built is kept for the next call, so that
-    `fprw simulate` walks and convolves on one ball.  Callers check the
-    budget first (exact_column_order).
+    read-only.  The last ball built is kept for the next call, so that
+    `fprw simulate` walks and convolves on one ball, and it is dropped
+    before another is built, so that two balls are never held at once.
+    Callers check the budget first
+    (exact_column_order).
     """
+    key = (spec, order)
+    if key not in _last_ball:
+        _last_ball.clear()
+        _last_ball[key] = _build_ball(spec, order)
+    return _last_ball[key]
+
+
+def _build_ball(spec: FreeProductSpec, order: int):
+    """_word_ball's arrays, built anew."""
     bound = word_count_bound(spec, order)
     letters = _Letters(spec, reach=order // 2 + 1)
     lfactor, lcost, merge, push = letters.ball(order)
@@ -493,11 +514,6 @@ def _tally(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndar
     return count
 
 
-def _draw(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarray:
-    """rng.choice(probs.size, size=shape, p=probs), bit for bit (`_tally`)."""
-    return _tally(rng, probs, shape).astype(np.int64, copy=False)
-
-
 def _ball_block(table: np.ndarray, probs: np.ndarray, seed: int, block: int, nwalks: int, steps: int):
     """counts[n], the walks of one block at the identity after n steps, on
     the table of a ball (_word_ball) of order at least `steps`.
@@ -519,6 +535,27 @@ def _ball_block(table: np.ndarray, probs: np.ndarray, seed: int, block: int, nwa
     return counts
 
 
+# simulate walks on a ball that fits only where building it costs less than
+# the walk time it saves.  Thread CPU on 2 cores (Python 3.11.7, numpy 2.4.6),
+# on C2*C2, C2*C3, C2^3, Z1*Z1, Z1*C2 and Z2*C3 at orders 8 to 10,000, blocks
+# of 64 and 4,096 walks: a build took 170-250 ns per (word, support step)
+# pair plus about 80 us per order (one trie level per letter), and a step on
+# the ball in place of the letter stacks saved 44-107 us per block plus
+# 45-122 ns per walk
+_BUILD_NS_PER_PAIR = 200
+_BUILD_NS_PER_ORDER = 80_000
+_SAVED_NS_PER_BLOCK_STEP = 50_000
+_SAVED_NS_PER_WALK_STEP = 70
+
+
+def _ball_pays(pairs: int, steps: int, walks: int) -> bool:
+    """Whether a ball of order `steps` and `pairs` (word, support step)
+    pairs costs less to build than walking `walks` walks on it saves."""
+    blocks = -(-walks // _SIM_BLOCK)
+    build = _BUILD_NS_PER_PAIR * pairs + _BUILD_NS_PER_ORDER * steps
+    return build <= steps * (_SAVED_NS_PER_BLOCK_STEP * blocks + _SAVED_NS_PER_WALK_STEP * walks)
+
+
 def _simulate_block(letters: _Letters, seed: int, block: int, nwalks: int, steps: int):
     """(counts, stacks) of one block of walks: counts[n] walks are at the
     identity after n steps, and stacks = (factor, code, depth) are the final
@@ -526,11 +563,11 @@ def _simulate_block(letters: _Letters, seed: int, block: int, nwalks: int, steps
     letters at depths 1..depth[w]; those above it are stale.
 
     The steps of every walk are drawn first, as rng.choice would draw them
-    (`_draw`); the loop then advances all walks one step at a time."""
+    (`_tally`); the loop then advances all walks one step at a time."""
     rng = np.random.Generator(np.random.Philox(key=[seed, block]))
     counts = np.zeros(steps + 1, dtype=np.int64)
     counts[0] = nwalks
-    draws = _draw(rng, letters.probs, (nwalks, steps)).T.astype(np.int32)
+    draws = _tally(rng, letters.probs, (nwalks, steps)).T.astype(np.int32)
     # depth 0 is a bottom letter that matches no factor
     factor = np.full((steps + 1) * nwalks, -1, dtype=np.int32)
     code = np.zeros((steps + 1) * nwalks, dtype=letters.dtype)
@@ -560,15 +597,16 @@ def simulate(spec: FreeProductSpec, steps: int, walks: int, seed: int) -> Simula
 
     Walks are grouped in fixed-size blocks, each drawn from the Philox stream
     keyed (seed, block index), and the blocks run one after another.  Where
-    the ball of order `steps` fits EXACT_COLUMN_BYTES the walks run on its
-    table (_ball_block), elsewhere on letter stacks (_simulate_block); both
-    give the same counts.
+    the ball of order `steps` fits EXACT_COLUMN_BYTES and building it pays
+    for itself (_ball_pays), the walks run on its table (_ball_block),
+    elsewhere on letter stacks (_simulate_block); both give the same counts.
     """
     if steps < 0 or walks < 1:
         raise ConfigError("need steps >= 0 and walks >= 1")
-    support_size(spec)
+    support = support_size(spec)
     blocks = [(b, min(_SIM_BLOCK, walks - lo)) for b, lo in enumerate(range(0, walks, _SIM_BLOCK))]
-    if exact_column_order(spec, steps) == steps:
+    order, words = _fitting_ball(spec, steps)
+    if order == steps and _ball_pays(words * support, steps, walks):
         table, probs = _word_ball(spec, steps)
         counts = sum(_ball_block(table, probs, seed, b, n, steps) for b, n in blocks)
     else:

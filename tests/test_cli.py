@@ -363,15 +363,47 @@ def test_simulate_cuts_exact_column_to_budget(tmp_path, capsys):
     assert f"n = {cut}," in out.err
 
 
-def test_simulate_walks_and_convolves_on_one_ball(tmp_path, capsys):
-    # at --steps 14 the ball of Z2*C3 (26,739 words) fits the budget: the
-    # walks run on it, and the exact column reads the same cached ball
-    mc._word_ball.cache_clear()
+@pytest.mark.parametrize("walks, walked_on_ball", [(40_000, True), (100, False)])
+def test_simulate_builds_one_ball(tmp_path, capsys, monkeypatch, walks, walked_on_ball):
+    # at --steps 14 the ball of Z2*C3 (26,739 words) fits the budget; 40,000
+    # walks pay for building it, and the exact column reads the same cached
+    # ball, while 100 walks run on letter stacks and only the exact column
+    # builds the ball
+    builds = []
+    build = mc._build_ball
+    monkeypatch.setattr(mc, "_build_ball", lambda *args: builds.append(args) or build(*args))
+    walked = []
+    ball_block = mc._ball_block
+    monkeypatch.setattr(mc, "_ball_block", lambda *args: walked.append(args) or ball_block(*args))
+    mc._last_ball.clear()
     config = {"factors": [{"type": "lattice", "dim": 2}, C3], "weights": [0.5, 0.5]}
-    code, out = run(tmp_path, capsys, config, "simulate", "--steps", "14", "--walks", "100")
+    code, out = run(tmp_path, capsys, config, "simulate", "--steps", "14", "--walks", str(walks))
     assert code == 0 and out.err == ""
-    info = mc._word_ball.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert [order for _, order in builds] == [14]
+    assert bool(walked) is walked_on_ball
+
+
+def test_simulate_on_a_ball_past_the_exact_column_within_budget(tmp_path, capsys, monkeypatch):
+    # --steps 17 on Z2*C3, walked on the ball of order 17 (forced: 64 walks
+    # do not pay for it), then the exact column on the ball of order 14: the
+    # peak stays within the larger ball's bound, plus one block's walk arrays
+    # (as in tests/test_mc.py's bound for simulate on the ball)
+    monkeypatch.setattr(mc, "_ball_pays", lambda *args: True)
+    config = {"factors": [{"type": "lattice", "dim": 2}, C3], "weights": [0.5, 0.5]}
+    (tmp_path / "spec.json").write_text(json.dumps(config))
+    spec, _ = cli.load_config(str(tmp_path / "spec.json"))
+    words = mc.word_count_bound(spec, 17)
+    bound = words * mc._STATE_BYTES + words * 6 * mc._PAIR_BYTES + mc._SIM_BLOCK * (10 * 17 + 24)
+    mc._last_ball.clear()
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, capsys, config, "simulate", "--steps", "17", "--walks", "64")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.err == ""
+    assert list(mc._last_ball) == [(spec, 14)]
+    assert peak <= bound
 
 
 def test_analyze_solves_the_psi_root_once(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ class TestExactColumn:
         order = mc.exact_column_order(spec, 14)
         words = mc.word_count_bound(spec, order)
         pairs = words * len(mc._support(spec))
-        mc._word_ball.cache_clear()  # measure the build, not a cached ball
+        mc._last_ball.clear()  # measure the build, not a cached ball
         tracemalloc.start()
         try:
             mc.bfs_convolution(spec, order)
@@ -259,25 +260,83 @@ class TestExactColumn:
         assert peak <= words * mc._STATE_BYTES + pairs * mc._PAIR_BYTES
 
     @pytest.mark.parametrize("name", list(COLUMN_SPECS))
-    def test_simulate_on_the_ball_within_budget(self, name):
+    def test_simulate_on_the_ball_within_budget(self, monkeypatch, name):
         # the ball outlives the walk in _word_ball's cache, so the walk's own
         # arrays come on top of it: per draw the uniform (8 bytes), its count
         # and a comparison mask (1 each), per walk its state, the flat index
         # and the gathered state (8 each)
+        monkeypatch.setattr(mc, "_ball_pays", lambda *args: True)
         spec = COLUMN_SPECS[name]
         order = mc.exact_column_order(spec, 14)
         words = mc.word_count_bound(spec, order)
         pairs = words * len(mc._support(spec))
         walk = mc._SIM_BLOCK * (10 * order + 24)
-        mc._word_ball.cache_clear()
+        mc._last_ball.clear()
         tracemalloc.start()
         try:
             mc.simulate(spec, order, walks=9000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mc._word_ball.cache_info().currsize == 1
+        assert list(mc._last_ball) == [(spec, order)]
         assert peak <= words * mc._STATE_BYTES + pairs * mc._PAIR_BYTES + walk
+
+    def test_last_ball_is_dropped_before_the_next_build(self, monkeypatch):
+        # `fprw simulate --steps 17` on Z2*C3 walks on the ball of order 17
+        # and reads the exact column from the ball of order 14: the first
+        # must not stay alive through the second's build
+        spec = COLUMN_SPECS["Z2*C3"]
+        old = weakref.ref(mc._word_ball(spec, 17)[0])
+        alive = []
+        build = mc._build_ball
+
+        def watched(*args):
+            alive.append(old() is not None)
+            return build(*args)
+
+        monkeypatch.setattr(mc, "_build_ball", watched)
+        mc._word_ball(spec, 14)
+        assert alive == [False]
+        mc._word_ball(spec, 14)  # a hit builds nothing
+        assert alive == [False]
+
+    @pytest.mark.parametrize(
+        "name, steps, walks, ball",
+        [
+            ("Z2*C3", 14, 40_000, True),  # oracle-profile's runs
+            ("Z2*C3", 14, 100, False),
+            ("Z2*C3", 17, 64, False),
+            ("Z2*C3", 17, 40_000, False),  # a build of 0.10 s saves 0.08 s
+            ("C2^3", 33, 4096, False),
+            ("C2^3", 14, 4096, True),
+        ],
+    )
+    def test_ball_built_only_where_it_pays(self, monkeypatch, name, steps, walks, ball):
+        spec = COLUMN_SPECS[name]
+        pairs = mc.word_count_bound(spec, steps) * mc.support_size(spec)
+        assert mc._ball_pays(pairs, steps, walks) is ball
+        walkers = []
+
+        def walker(name):
+            def walk(*args):
+                walkers.append(name)
+                counts = np.zeros(steps + 1, dtype=np.int64)
+                return counts if name == "ball" else (counts, None)
+            return walk
+
+        monkeypatch.setattr(mc, "_ball_block", walker("ball"))
+        monkeypatch.setattr(mc, "_simulate_block", walker("stacks"))
+        mc.simulate(spec, steps, walks, seed=1)
+        assert set(walkers) == {"ball" if ball else "stacks"}
+
+    def test_ball_never_pays_for_one_block_of_long_walks_on_a_line(self):
+        # C2*C2 at order 10,000: 10,001 words, whose build (0.78 s) is one
+        # trie level per letter and outweighs the 0.53 s a block saves
+        c2c2 = spec_of((C2, 0.5), (C2, 0.5))
+        assert mc.exact_column_order(c2c2, 10_000) == 10_000
+        pairs = mc.word_count_bound(c2c2, 10_000) * 2
+        assert not mc._ball_pays(pairs, 10_000, 64)
+        assert mc._ball_pays(pairs, 10_000, 2 * mc._SIM_BLOCK)
 
     def test_ball_is_read_only(self):
         table, probs = mc._word_ball(COLUMN_SPECS["C2^3"], 8)
@@ -496,8 +555,8 @@ class TestDraw:
         probs = np.array(weights) / math.fsum(weights)
         a, b = philox(key), philox(key)
         want = a.choice(probs.size, size=shape, p=probs)
-        got = mc._draw(b, probs, shape)
-        assert got.dtype == want.dtype and got.shape == want.shape
+        got = mc._tally(b, probs, shape)
+        assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert a.random() == b.random()  # the same draws consumed
 
@@ -511,9 +570,9 @@ class TestDraw:
         with pytest.raises(ValueError):
             philox((1, 2)).choice(probs.size, size=5, p=probs)
         with pytest.raises(ValueError):
-            mc._draw(philox((1, 2)), probs, (5,))
+            mc._tally(philox((1, 2)), probs, (5,))
 
     def test_sum_within_tolerance_is_accepted_as_by_choice(self):
         probs = np.array([0.5, 0.5 + 1e-9])
         want = philox((1, 2)).choice(2, size=(3, 4), p=probs)
-        assert np.array_equal(mc._draw(philox((1, 2)), probs, (3, 4)), want)
+        assert np.array_equal(mc._tally(philox((1, 2)), probs, (3, 4)), want)
