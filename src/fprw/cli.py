@@ -333,7 +333,8 @@ def cmd_simulate(spec: FreeProductSpec, options, args) -> str:
     seed = args.seed if args.seed is not None else options["seed"]
     if not -(2**63) <= seed < 2**63:
         raise ConfigError(f"seed must lie in [-2^63, 2^63) for the Philox key, got {seed}")
-    result = mc.simulate(spec, steps=steps, walks=walks, seed=seed)
+    # the exact column first: at --steps <= 14 its ball is the one the walks
+    # would need, and `simulate` walks on a ball it finds already built
     wanted = min(steps, _EXACT_COLUMN_ORDER)
     exact_order = mc.exact_column_order(spec, wanted)
     if exact_order < wanted:
@@ -343,6 +344,7 @@ def cmd_simulate(spec: FreeProductSpec, options, args) -> str:
             file=sys.stderr,
         )
     exact = mc.bfs_convolution(spec, exact_order) if steps > 0 else None
+    result = mc.simulate(spec, steps=steps, walks=walks, seed=seed)
     freq = result.frequencies()
     rows = []
     for n in range(1, steps + 1):
@@ -430,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
         "earlier, with a warning on stderr, where the words to enumerate would not "
         f"fit {mc.EXACT_COLUMN_BYTES >> 20} MiB: their number grows geometrically "
         "with n, fastest on high-dimensional lattices.  Where the words of order "
-        "--steps fit that budget and enough walk steps run to pay for building "
-        "their transition table, each walk steps by one lookup in it, and a walk "
+        "--steps fit that budget, and the exact column builds their transition "
+        f"table (--steps <= {_EXACT_COLUMN_ORDER}) or enough walk steps run to pay for "
+        "building it, each walk steps by one lookup in it, and a walk "
         "that leaves them stays out (it cannot return within --steps); elsewhere "
         "each walk multiplies out a stack of letters.  Both give the same counts.",
     )

@@ -42,10 +42,18 @@ programme in probability space, which doubles as an independent oracle for
 the integral representation.  Its binomial weights take Loader's
 saddle-point form, whose exponent does not cancel, and each merge sums only
 the window of the binomial that a Chernoff bound leaves: every coefficient
-is within a few eps of exact, and all n of a merge go in one array pass.
-Axes merge heaviest first, and the law of every prefix of merged axes is
-kept, keyed on its relative weights and p, so walks that share a prefix
-share its merges: Z^6 after Z^5 is one merge (`return_series`).
+is within a few eps of exact.  A merge is a convolution over blocks of
+about 0.7 sqrt(a) even rows n around an anchor row a, by the exact identity
+
+    bd0(k, n b) + bd0(n - k, n c)
+        = bd0(k, a b) + bd0(n - k, a c) - bd0(n, a) + (b + c - 1)(n - a)
+
+for Loader's deviance bd0: the factors of k and of n - k are formed once
+per block, and a row's sum is one sum of products (`_block_sums`), with no
+deviance or exp per term.  The blocks are laid out by n alone, so no coefficient depends on the order asked for.  Axes
+merge heaviest first, and the law of every prefix of merged axes is kept,
+keyed on its relative weights and p, so walks that share a prefix share its
+merges: Z^6 after Z^5 is one merge (`return_series`).
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfDomain
 from .series import PowerSeries
@@ -247,6 +256,7 @@ _STIRLERR_SMALL = (
 # 2^12..2^16 cells on the four exact-series lattice kernels
 _CELLS = 1 << 13
 _TAIL_TOL = 2.0**-60  # dropped binomial tail against the kept sum, per side
+_BLOCK_ROWS = 0.7  # rows of a merge block per sqrt of its first row
 # prefix laws of `return_series` kept, keyed on their relative weights and
 # p: the 19 of one exact-series round (Z^5 and Z^6, tuned Z^7 and Z^8) fit
 _LAWS_SIZE = 32
@@ -353,6 +363,23 @@ def _chernoff_window(n, target, b):
     return np.where(keep_all, ends, far)
 
 
+def _blocks(order: int):
+    """(heads, anchors) of the merge blocks that hold the even rows n <= order.
+
+    A block holds the 1 + floor(_BLOCK_ROWS sqrt(head)) even rows from its
+    head on, and its anchor is its middle row.  Blocks are laid out from
+    n = 2 by n alone, so a row's block, and with it the row's sum, does not
+    depend on `order`."""
+    heads, anchors = [], []
+    n = 2
+    while n <= order:
+        rows = 1 + int(_BLOCK_ROWS * math.sqrt(n))
+        heads.append(n)
+        anchors.append(n + 2 * (rows // 2))
+        n += 2 * rows
+    return np.array(heads), np.array(anchors)
+
+
 def _merge_axis(acc, axis, b, c, stir):
     """Return probabilities of the walk on one more axis, taken with
     probability b = 1 - c per step.
@@ -361,9 +388,8 @@ def _merge_axis(acc, axis, b, c, stir):
     axis and acc are probabilities, so term k is at most Binomial(n, b)(k).
     Only the window of k whose Chernoff bound on the rest, per side, is at
     most _TAIL_TOL of one kept term, the one at k ~ n b, is summed, so the
-    dropped mass is below 2 _TAIL_TOL of the kept sum.  All even n go in one
-    array pass: rows grouped by window width, in chunks of at most _CELLS
-    cells, so every temporary has a fixed size."""
+    dropped mass is below 2 _TAIL_TOL of the kept sum.  The window sums go
+    by blocks of rows (`_block_sums`)."""
     order = acc.size - 1
     out = np.zeros(order + 1)
     out[0] = 1.0
@@ -373,25 +399,23 @@ def _merge_axis(acc, axis, b, c, stir):
     # nonnegative, so the exponent does not cancel.  The factors of k and of
     # n - k go into the two laws once, lk_k = axis_k e^-stirlerr(k) / sqrt(k)
     # and lj_j = acc_j e^-stirlerr(j) / sqrt(j), so term k is
-    # row_n e^-(bd0 + bd0) lk_k lj_(n-k)
+    # row_n e^-(bd0 + bd0) lk_k lj_(n-k); lk is 0 past `order`, where the
+    # padding of a row's window reads it
     j = np.arange(1, order + 1)
-    lk = np.zeros(order + 1)
+    lk = np.zeros(order + 32)
     lj = np.zeros(order + 1)
-    lk[1:] = axis[1:] * np.exp(-stir[1:]) / np.sqrt(j)
+    lk[1 : order + 1] = axis[1:] * np.exp(-stir[1:]) / np.sqrt(j)
     lj[1:] = acc[1:] * np.exp(-stir[1:]) / np.sqrt(j)
     n = np.arange(2, order + 1, 2)
     row_n = np.exp(stir[n]) * np.sqrt(n / (2.0 * math.pi))
 
-    def inner(nn, k):  # term k / row_n for 2 <= k <= n - 2
-        rest = nn - k
-        dev = _bd0(k.astype(float), nn * b)
-        dev += _bd0(rest.astype(float), nn * c)
-        return np.exp(-dev) * lk[k] * lj[rest]
-
     # a kept term bounds the kept sum from below; n = 2 keeps both its ends
     mid = np.clip(2 * np.round(n * b / 2).astype(np.int64), 2, np.maximum(n - 2, 2))
     kept = np.zeros(n.size)
-    kept[1:] = row_n[1:] * inner(n[1:], mid[1:])
+    nn, k = n[1:], mid[1:]
+    dev = _bd0(k.astype(float), nn * b)
+    dev += _bd0((nn - k).astype(float), nn * c)
+    kept[1:] = row_n[1:] * (np.exp(-dev) * lk[k] * lj[nn - k])
     with np.errstate(divide="ignore"):
         target = -np.log(kept) - math.log(_TAIL_TOL)
     nf = n.astype(float)
@@ -405,17 +429,93 @@ def _merge_axis(acc, axis, b, c, stir):
     out[n] = np.where(lo == 0, c**n * acc[n], 0.0) + np.where(hi == n, b**n * axis[n], 0.0)
     lo, hi = np.maximum(lo, 2), np.minimum(hi, n - 2)
     # a row sums its window padded to a multiple of 16 cells, so its sum, and
-    # so coefficient n, does not depend on which rows share its chunk
+    # so coefficient n, does not depend on which rows share its pass
     cols = -(-((hi - lo) // 2 + 1) // 16) * 16
-    for width in sorted(set(cols[1:].tolist())):
-        rows = 1 + np.flatnonzero(cols[1:] == width)
-        step = max(1, _CELLS // width)
-        for first in range(0, rows.size, step):
-            chunk = rows[first : first + step]
-            nn, top = n[chunk, None], hi[chunk, None]
-            k = lo[chunk, None] + 2 * np.arange(width)
-            terms = inner(nn, np.minimum(k, top))
-            out[n[chunk]] += row_n[chunk] * np.where(k <= top, terms, 0.0).sum(axis=1)
+    if n.size > 1:  # n = 2 has no k strictly inside
+        _block_sums(out, lk, lj, n[1:], lo[1:], cols[1:], row_n[1:], b, c)
+    return out
+
+
+def _block_sums(out, lk, lj, n, lo, cols, row_n, b, c):
+    """Add to out[n] row n's window sum: Loader's weights times lk_k
+    lj_(n-k) for k = lo, lo + 2, ..., `cols` cells, as a convolution over
+    blocks of rows.
+
+    With a the anchor of n's block (`_blocks`), Loader's pair of deviances
+    splits exactly:
+
+        bd0(k, n b) + bd0(n - k, n c)
+            = bd0(k, a b) + bd0(n - k, a c) - bd0(n, a) + (b + c - 1)(n - a),
+
+    so term k is row_n e^(bd0(n, a) - (b + c - 1)(n - a)) f_k g_(n-k), with
+    f_k = lk_k e^-bd0(k, a b) and g_j = lj_j e^-bd0(j, a c) formed once per
+    block, over the union of its rows' windows (`_anchored`).  A row's sum
+    is the pairwise sum of the products of f from its window's low end and
+    g run backwards, `cols` cells of each; the padding past the window adds
+    terms beyond it, or zeros past k = n - 2.  (einsum's dot product sums
+    its products in a few running lanes, and took Z^2 and Z^3 from 2.6 and
+    3.0 eps to 4.6 and 4.7 eps off exact through n = 3000.)  Within a block |n - a| <= 0.82 sqrt(a),
+    so bd0(n, a) <= 0.38, and the exponents stay as small as in the
+    cell-wise form.
+    b + c - 1 is summed exactly, and a b and a c go in with their rounding
+    errors, so the terms are those of Loader's form at the exact float b
+    and c, to first order in the rounding of the means: closer than the
+    cell-wise form, which rounds n b per row.  The blocks' f and g are formed
+    a group at a time, at most about _CELLS cells, and the rows summed in
+    chunks of at most _CELLS cells, so every temporary has a bounded size."""
+    heads, anchors = _blocks(int(n[-1]))
+    block = np.searchsorted(heads, n, side="right") - 1
+    starts = np.flatnonzero(np.diff(block, prepend=-1))  # the first row of each block
+    own = np.repeat(np.arange(starts.size), np.diff(np.append(starts, n.size)))
+    a = anchors[block[starts]]
+    nf, an = n.astype(float), a[own].astype(float)
+    scale = row_n * np.exp(_bd0(nf, an) - math.fsum((b, c, -1.0)) * (nf - an))
+    # per block, f from the lowest k of its rows to the last padded cell, and
+    # g from the highest j = n - k down to the lowest, in steps of 2
+    top = lo + 2 * cols - 2
+    kb, jt = np.minimum.reduceat(lo, starts), np.maximum.reduceat(n - lo, starts)
+    fsize = (np.maximum.reduceat(top, starts) - kb) // 2 + 1
+    gsize = (jt - np.minimum.reduceat(n - top, starts)) // 2 + 1
+    foff, goff = np.cumsum(fsize) - fsize, np.cumsum(gsize) - gsize
+    fs = foff[own] + (lo - kb[own]) // 2  # a row's first cell in f and in g
+    gs = goff[own] + (jt[own] - (n - lo)) // 2
+    ends = np.append(starts, n.size)
+    cells = np.cumsum(fsize + gsize)
+    first = 0
+    while first < starts.size:
+        # the blocks of one group: at least one, at most about _CELLS cells
+        last = max(first + 1, int(np.searchsorted(cells, cells[first] - fsize[first] - gsize[first] + _CELLS, "right")))
+        group, rows = slice(first, last), slice(ends[first], ends[last])
+        wide = int(cols[rows].max())
+        f = sliding_window_view(_anchored(lk, kb[group], fsize[group], 2, a[group], b, wide), wide)
+        g = sliding_window_view(_anchored(lj, jt[group], gsize[group], -2, a[group], c, wide), wide)
+        for width in sorted(set(cols[rows].tolist())):
+            pick = rows.start + np.flatnonzero(cols[rows] == width)
+            step = max(1, _CELLS // width)
+            for i in range(0, pick.size, step):
+                p = pick[i : i + step]
+                sums = (f[fs[p] - foff[first], :width] * g[gs[p] - goff[first], :width]).sum(axis=1)
+                out[n[p]] += scale[p] * sums
+        first = last
+
+
+def _anchored(law, top, size, step, anchor, p, pad):
+    """law_i e^-bd0(i, a p) for i = top, top + step, ..., `size` cells per
+    block of anchor a, the blocks laid end to end and followed by `pad`
+    zeros; 0 where i < 2.
+
+    a p is rounded to m; its rounding error e comes from Dekker's split of p
+    (a p_hi and a p_lo are exact for a < 2^26) and goes in to first order,
+    bd0(i, m + e) = bd0(i, m) + (m - i) e / m."""
+    split = 134217729.0 * p  # 2^27 + 1
+    high = split - (split - p)
+    mean = anchor * p
+    slip = ((anchor * high - mean) + anchor * (p - high)) / mean
+    i = np.repeat(top - step * (np.cumsum(size) - size), size) + step * np.arange(int(size.sum()))
+    out = np.zeros(i.size + pad)
+    ok = np.flatnonzero(i >= 2)
+    x, m = i[ok].astype(float), np.repeat(mean, size)[ok]
+    out[ok] = law[i[ok]] * np.exp(-(_bd0(x, m) + (m - x) * np.repeat(slip, size)[ok]))
     return out
 
 
@@ -448,13 +548,14 @@ def return_series(beta, p, order: int) -> PowerSeries:
     rounded once.  Everything stays a probability, so nothing overflows,
     and the mixture is a sum of nonnegative terms over a window of the
     binomial that a Chernoff bound shows holds all but 2^-60 of it per side
-    (`_merge_axis`).  The binomial weights and the axis laws are in
-    Loader's saddle-point form, accurate to an eps or two each.  Against
-    exact rationals the error is at most 2.5 eps on Z^2 and 3.2 eps on Z^3
-    through n = 3000, and 4.6 eps on Z^5, 5.7 eps on a biased Z^5 and 9.0
-    and 5.0 eps on the tuned Z^7 and Z^8 of delta = 0.3 through n = 200.
-    Coefficient n does not depend on `order`: its window and its sum see
-    only n.
+    (`_merge_axis`), as a convolution over blocks of rows, each with its
+    own anchor row (`_block_sums`).  The binomial weights and the axis laws
+    are in Loader's saddle-point form, accurate to an eps or two each.
+    Against exact rationals the error is at most 2.6 eps on Z^2 and 3.0 eps
+    on Z^3 through n = 3000, and 4.0 eps on Z^5, 7.2 eps on a biased Z^5 and
+    8.8 and 5.0 eps on the tuned Z^7 and Z^8 of delta = 0.3 through n = 400.
+    Coefficient n does not depend on `order`: its window, its block and its
+    sum see only n.
 
     The law of the first k axes depends only on their relative weights and
     their p.  It is kept under the exact ratios of their weights to the

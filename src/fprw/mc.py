@@ -28,8 +28,9 @@ representations of their words:
   push, merge or pop.
 
 The ball is taken where it fits EXACT_COLUMN_BYTES, by the budget test that
-bfs_convolution applies, and where building it costs less than the walk
-time it saves (_ball_pays); elsewhere the walks run on letter stacks.  Both
+bfs_convolution applies, and where it is already built (`fprw simulate`
+takes its exact column first) or building it costs less than the walk time
+it saves (_ball_pays); elsewhere the walks run on letter stacks.  Both
 give the same counts, walk for walk.  Walks are grouped in fixed-size
 blocks, each drawn from the Philox stream keyed (seed, block), so a walk's
 draws do not depend on how many walks run beside it.  A block's steps are
@@ -597,16 +598,17 @@ def simulate(spec: FreeProductSpec, steps: int, walks: int, seed: int) -> Simula
 
     Walks are grouped in fixed-size blocks, each drawn from the Philox stream
     keyed (seed, block index), and the blocks run one after another.  Where
-    the ball of order `steps` fits EXACT_COLUMN_BYTES and building it pays
-    for itself (_ball_pays), the walks run on its table (_ball_block),
-    elsewhere on letter stacks (_simulate_block); both give the same counts.
+    the ball of order `steps` fits EXACT_COLUMN_BYTES and is already built
+    (`_last_ball`) or building it pays for itself (_ball_pays), the walks run
+    on its table (_ball_block), elsewhere on letter stacks (_simulate_block);
+    both give the same counts.
     """
     if steps < 0 or walks < 1:
         raise ConfigError("need steps >= 0 and walks >= 1")
     support = support_size(spec)
     blocks = [(b, min(_SIM_BLOCK, walks - lo)) for b, lo in enumerate(range(0, walks, _SIM_BLOCK))]
     order, words = _fitting_ball(spec, steps)
-    if order == steps and _ball_pays(words * support, steps, walks):
+    if order == steps and ((spec, steps) in _last_ball or _ball_pays(words * support, steps, walks)):
         table, probs = _word_ball(spec, steps)
         counts = sum(_ball_block(table, probs, seed, b, n, steps) for b, n in blocks)
     else:

@@ -350,21 +350,25 @@ def _eliminates(form, order: int) -> bool:
     An operation count weighted by unit costs decides.  With k = len(r),
     elimination takes k reciprocals (k - 1 when Q(0, 0) = 0, whose pivot
     stays the constant 1) and about (k^3 + 3 k^2) / 3 products at `order`,
-    plus 20 k^2 us of small-series overhead; Brent-Kung takes about
-    0.75 (m + 2 nblocks) products.  Both routes were timed at orders 62,
-    126, 254, 510, 1022, 2000 and 4000 (2 cores, Python 3.11, numpy 2.4) on
-    C3 (steps +-1), C3 with Q(0, 0) > 0 (mu = 0.1, 0.5, 0.4), the Klein
-    four-group (0.1, 0.3, 0.4, 0.2), C5 (0, 0.3, 0.2, 0.2, 0.3), a lazy S3,
-    C8 (0, 0.3, 0.1, 0.05, 0.1, 0.05, 0.1, 0.3) and C4 (0, 0.3, 0, 0.7)
-    watched every second step, and the rule picks the faster route at all
-    49 points.  Elimination / Brent-Kung in ms at the orders around each
-    crossover: C3 0.15 / 0.10 and 0.17 / 0.26 at 126 and 254, with Q(0, 0)
-    > 0 0.19 / 0.10 and 0.24 / 0.26; Klein 0.49 / 0.26 and 0.81 / 0.89 at
-    254 and 510; C5 1.24 / 0.96 and 2.8 / 3.8 at 510 and 1022; S3 5.1 / 4.0
-    and 13.3 / 16.7 at 1022 and 2000; C8 97 / 77 at 4000; the period-2 C4
-    0.066 / 0.053 and 0.074 / 0.104 at 62 and 126.  The rule keeps on
-    Brent-Kung C3 below order 209 (237 with Q(0, 0) > 0), Klein below 400,
-    C5 below 667, S3 below 1369, C8 below 6006 and the period-2 C4 below 90.
+    plus 20 k^2 us of small-series overhead; Brent-Kung takes its products
+    one by one, each at its own order (`_composition_us`).  Both routes were
+    timed at orders 62, 126, 254, 510, 1022, 2000 and 4000 (2 cores, Python
+    3.11.7, numpy 2.4.6, median of three runs) on C3 (steps +-1), C3 with
+    Q(0, 0) > 0 (mu = 0.1, 0.5, 0.4), the Klein four-group (0.1, 0.3, 0.4,
+    0.2), C5 (0, 0.3, 0.2, 0.2, 0.3), a lazy S3 (mu = 1/2 at the identity,
+    1/10 elsewhere), C8 (0, 0.3, 0.1, 0.05, 0.1, 0.05, 0.1, 0.3) and C4 (0,
+    0.3, 0, 0.7) watched every second step, and the rule picks the faster
+    route at all 49 points; it does so for any per-product overhead from 1.0
+    to 1.9 us (the timed machine ran both routes about 2.2 times slower
+    than their unit costs).  Elimination / Brent-Kung in ms at the orders around each
+    crossover: C3 0.235 / 0.208 and 0.309 / 0.481 at 126 and 254, with
+    Q(0, 0) > 0 0.322 / 0.208 and 0.426 / 0.503; Klein 1.62 / 1.43 and
+    3.47 / 5.54 at 510 and 1022; C5 5.85 / 5.62 and 15.0 / 22.9 at 1022 and
+    2000; S3 29.8 / 23.6 and 97.6 / 104 at 2000 and 4000; C8 223 / 105 at
+    4000; the period-2 C4 0.122 / 0.133 at 62.  The rule keeps on
+    Brent-Kung C3 below order 173 (216 with Q(0, 0) > 0), Klein below 544,
+    C5 below 1238, S3 below 3660, C8 below 19798 and the period-2 C4 below
+    35 (between 28 and 35 the choice flips with the block size).
     A kernel that is a polynomial (Q nilpotent: every walk off e is back
     within k steps) stays on Horner's rule, which is cheaper than either."""
     if form is None:
@@ -377,8 +381,19 @@ def _eliminates(form, order: int) -> bool:
     elimination = (
         reciprocals * _reciprocal_us(order) + (k**3 + 3 * k * k) / 3 * _product_us(order) + 20.0 * k * k
     )
-    m = math.isqrt(order) + 1
-    return elimination < 0.75 * (m + 2 * -(-(order + 1) // m)) * _product_us(order)
+    return elimination < _composition_us(order)
+
+
+def _composition_us(n: int) -> float:
+    """Estimated microseconds of `series_compose` of a kernel at order n
+    and its slope at n // 2, as `_Kernel.at` runs them on an inner series
+    of valuation 1: the m products at order n of the table of powers, then
+    one Horner step per block of each outer, block j's a product at order t
+    - j m, plus 1.5 us per product for the rest of its step (the block's
+    einsum, slicing and sum)."""
+    m = math.isqrt(n // 3) + 4
+    steps = [t - j * m for t in (n, n // 2) for j in range(1, t // m + 1)]
+    return m * _product_us(n) + sum(map(_product_us, steps)) + 1.5 * (m + len(steps))
 
 
 class _Kernel:
@@ -507,9 +522,14 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     Combinatorics, ch. VI, for the transfer to c^_n ~ C n^-lambda).  The
     solve adds a relative error near roundoff (the 3-regular tree meets its
     closed form to 2.5e-15 at order 2000 and 6.5e-15 at 4000) to that of
-    the factor kernels; a
-    lattice factor's return series is within a few eps of exact at every n
-    (`lattice.return_series`).
+    the factor kernels; a lattice factor's return series is within a few
+    eps of exact at every n (`lattice.return_series`).  That holds for the
+    series in u = z / R.  The printed mu_n R^n also carries R's own error:
+    a relative error d in R moves coefficient n by about n d.  R is off by
+    71 to about 21,000 ulps on the products checked against 30-digit
+    references (ROADMAP item 13): on T4*T6, with R off by 4.9e-13, the
+    normalized column differed from that of the same walk written as
+    C2^(*10), whose R is within 7e-16, by 2.0e-9 at n = 4000.
 
     A relative error e in a constant s_i or in the weights' sum acts like a
     change e of the walk's mass: it moves the radius by about e and

@@ -3,9 +3,13 @@
 A series is a coefficient vector c0..cN; every binary operation truncates to
 the smaller of the two orders.  Products are direct (FFT-free) convolutions
 that form only the coefficients they keep.  Composition uses Brent-Kung block
-evaluation: about 2 sqrt(N) truncated products of O(N^2) flops each, so
-O(N^2.5) in all (Brent & Kung, JACM 1978); outers that share one table of
-powers each keep their own order.  An outer polynomial of degree
+evaluation (Brent & Kung, JACM 1978) with blocks of m, about sqrt(N/3): a
+table of m powers at order N, then Horner's rule over the blocks, whose
+step j is needed only through N - j m v, v the valuation of the inner
+series.  That is m products at order N and N/(m v) products of falling
+order, together worth about 2 sqrt(N/3) = 1.15 sqrt(N) products at order N
+for v = 1, each of O(N^2) flops, so O(N^2.5) in all; outers that share
+one table of powers each keep their own order.  An outer polynomial of degree
 D with D^2 < N, such as the kernel T(x) = x of Z/2Z, goes by Horner's rule
 instead: D truncated products and no table of powers.  The reciprocal is
 Newton iteration with order doubling from 1/c0, two truncated products per
@@ -207,7 +211,13 @@ def series_compose(outer, inner: PowerSeries):
     built to the highest order among them, so the result of that order is
     bitwise the one a call of its own gives.  An outer of degree D (its last
     nonzero coefficient) with D^2 < N is a short polynomial: Horner's rule
-    takes D truncated products and needs no table.
+    takes D truncated products and needs no table.  A longer outer goes by
+    blocks of m = floor(sqrt(N/3)) + 4 coefficients (the + 4 spares short
+    compositions some Horner steps; past order 500 any m near sqrt(N/3) is
+    as fast): m products at order N for the table of powers, then one Horner
+    step per block, the step at block j a product at order N - (j + 1) m v,
+    v the valuation of the inner series.  For v = 1 that is about
+    2 sqrt(N/3) products at order N in all.
     """
     if inner.coeffs[0] != 0.0:
         raise NonzeroInnerConstant("composition needs inner constant term 0")
@@ -229,27 +239,36 @@ def series_compose(outer, inner: PowerSeries):
         else:
             long.append(i)
     if long:
-        # Brent-Kung: split outer into sqrt-size blocks, take the block values
+        # Brent-Kung: split outer into blocks of m, take the block values
         # against the table of inner^0..inner^(m-1), then Horner over inner^m.
+        # With v the valuation of inner, block j enters times inner^(j m),
+        # which starts at y^(j m v), so Horner's partial sum at block j is
+        # needed only through n - j m v, and each step multiplies by inner^m
+        # with its m v leading zeros stripped
         top = max(orders[i] for i in long)
-        m = math.isqrt(top) + 1
+        m = math.isqrt(top // 3) + 4
         pows = np.zeros((m, top + 1))
         pows[0, 0] = 1.0
         for i in range(1, m):
             pows[i] = _trunc_mul(pows[i - 1], g, top)
-        gm = _trunc_mul(pows[m - 1], g, top)
+        shift = m * int(np.flatnonzero(g)[0]) if g.any() else top + 1
+        gm = _trunc_mul(pows[m - 1], g, top)[shift:]
         for i in long:
             n = orders[i]
-            nblocks = -(-(n + 1) // m)
-            fpad = np.zeros(nblocks * m)
-            fpad[: n + 1] = outers[i].coeffs[: n + 1]
-            # einsum, not a BLAS dgemm, whose threads spin on this shape; summed
-            # from the highest power down, the order of growing terms when the
-            # inner series has mass at most 1, as in the radius variable
-            blocks = np.einsum("ij,jk->ik", fpad.reshape(nblocks, m)[:, ::-1], pows[::-1, : n + 1])
-            acc = blocks[-1]
-            for j in range(nblocks - 2, -1, -1):
-                acc = _trunc_mul(acc, gm, n) + blocks[j]
+            nblocks = min(-(-(n + 1) // m), n // shift + 1)
+            coef = np.zeros(nblocks * m)
+            used = min(n + 1, coef.size)
+            coef[:used] = outers[i].coeffs[:used]
+            coef, table = coef.reshape(nblocks, m)[:, ::-1], pows[::-1]
+            for j in range(nblocks - 1, -1, -1):
+                # einsum, not a BLAS dgemv, whose threads spin on this shape;
+                # summed from the highest power down, the order of growing
+                # terms when the inner series has mass at most 1, as in the
+                # radius variable
+                block = np.einsum("j,jk->k", coef[j], table[:, : n - j * shift + 1])
+                if j < nblocks - 1:
+                    block[shift:] += _trunc_mul(acc, gm, n - (j + 1) * shift)
+                acc = block
             out[i] = PowerSeries(acc)
     return out[0] if isinstance(outer, PowerSeries) else tuple(out)
 

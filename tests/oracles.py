@@ -96,6 +96,72 @@ def bd0_both_branches(x, m):
     return d
 
 
+def cellwise_merge_axis(acc, axis, b, c, stir):
+    """`lattice._merge_axis` as it formed every term from its own pair of
+    deviances, one window cell at a time, before the merge went by blocks.
+
+    Coefficient n is sum_k C(n, k) b^k c^(n-k) axis_k acc_(n-k) over even k.
+    axis and acc are probabilities, so term k is at most Binomial(n, b)(k).
+    Only the window of k whose Chernoff bound on the rest, per side, is at
+    most _TAIL_TOL of one kept term, the one at k ~ n b, is summed, so the
+    dropped mass is below 2 _TAIL_TOL of the kept sum.  All even n go in one
+    array pass: rows grouped by window width, in chunks of at most _CELLS
+    cells, so every temporary has a fixed size."""
+    order = acc.size - 1
+    out = np.zeros(order + 1)
+    out[0] = 1.0
+    # Loader's form of C(n, k) b^k c^(n-k) for 0 < k < n is exp(stirlerr(n) -
+    # stirlerr(k) - stirlerr(n-k) - bd0(k, nb) - bd0(n-k, nc)) sqrt(n / (2 pi
+    # k (n-k))).  The stirlerr terms are O(1/k) and the deviances
+    # nonnegative, so the exponent does not cancel.  The factors of k and of
+    # n - k go into the two laws once, lk_k = axis_k e^-stirlerr(k) / sqrt(k)
+    # and lj_j = acc_j e^-stirlerr(j) / sqrt(j), so term k is
+    # row_n e^-(bd0 + bd0) lk_k lj_(n-k)
+    j = np.arange(1, order + 1)
+    lk = np.zeros(order + 1)
+    lj = np.zeros(order + 1)
+    lk[1:] = axis[1:] * np.exp(-stir[1:]) / np.sqrt(j)
+    lj[1:] = acc[1:] * np.exp(-stir[1:]) / np.sqrt(j)
+    n = np.arange(2, order + 1, 2)
+    row_n = np.exp(stir[n]) * np.sqrt(n / (2.0 * math.pi))
+
+    def inner(nn, k):  # term k / row_n for 2 <= k <= n - 2
+        rest = nn - k
+        dev = lattice._bd0(k.astype(float), nn * b)
+        dev += lattice._bd0(rest.astype(float), nn * c)
+        return np.exp(-dev) * lk[k] * lj[rest]
+
+    # a kept term bounds the kept sum from below; n = 2 keeps both its ends
+    mid = np.clip(2 * np.round(n * b / 2).astype(np.int64), 2, np.maximum(n - 2, 2))
+    kept = np.zeros(n.size)
+    kept[1:] = row_n[1:] * inner(n[1:], mid[1:])
+    with np.errstate(divide="ignore"):
+        target = -np.log(kept) - math.log(lattice._TAIL_TOL)
+    nf = n.astype(float)
+    # every dropped k lies at least a n beyond the window's edge on its side
+    lo, hi = lattice._chernoff_window(nf, target, b) * nf
+    lo = np.floor(lo + 1.0).astype(np.int64)
+    hi = np.ceil(hi - 1.0).astype(np.int64)
+    hi = np.minimum(n, np.maximum(hi + hi % 2, mid))
+    lo = np.maximum(0, np.minimum(lo - lo % 2, mid))
+    # the ends k = 0 and k = n are exact powers
+    out[n] = np.where(lo == 0, c**n * acc[n], 0.0) + np.where(hi == n, b**n * axis[n], 0.0)
+    lo, hi = np.maximum(lo, 2), np.minimum(hi, n - 2)
+    # a row sums its window padded to a multiple of 16 cells, so its sum, and
+    # so coefficient n, does not depend on which rows share its chunk
+    cols = -(-((hi - lo) // 2 + 1) // 16) * 16
+    for width in sorted(set(cols[1:].tolist())):
+        rows = 1 + np.flatnonzero(cols[1:] == width)
+        step = max(1, lattice._CELLS // width)
+        for first in range(0, rows.size, step):
+            chunk = rows[first : first + step]
+            nn, top = n[chunk, None], hi[chunk, None]
+            k = lo[chunk, None] + 2 * np.arange(width)
+            terms = inner(nn, np.minimum(k, top))
+            out[n[chunk]] += row_n[chunk] * np.where(k <= top, terms, 0.0).sum(axis=1)
+    return out
+
+
 def in_order_return_series(beta, p, order: int, exact_b: bool = True) -> np.ndarray:
     """The lattice return law merged axis by axis in the order given, each
     law built afresh.  With `exact_b` each merge takes b and 1 - b as exact

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -363,12 +364,11 @@ def test_simulate_cuts_exact_column_to_budget(tmp_path, capsys):
     assert f"n = {cut}," in out.err
 
 
-@pytest.mark.parametrize("walks, walked_on_ball", [(40_000, True), (100, False)])
+@pytest.mark.parametrize("walks, walked_on_ball", [(40_000, True), (100, True)])
 def test_simulate_builds_one_ball(tmp_path, capsys, monkeypatch, walks, walked_on_ball):
-    # at --steps 14 the ball of Z2*C3 (26,739 words) fits the budget; 40,000
-    # walks pay for building it, and the exact column reads the same cached
-    # ball, while 100 walks run on letter stacks and only the exact column
-    # builds the ball
+    # at --steps 14 the ball of Z2*C3 (26,739 words) fits the budget; the
+    # exact column builds it first, and the walks run on that cached ball,
+    # even 100 walks, which alone would not pay for building it
     builds = []
     build = mc._build_ball
     monkeypatch.setattr(mc, "_build_ball", lambda *args: builds.append(args) or build(*args))
@@ -383,11 +383,37 @@ def test_simulate_builds_one_ball(tmp_path, capsys, monkeypatch, walks, walked_o
     assert bool(walked) is walked_on_ball
 
 
+def test_simulate_walks_on_the_exact_columns_ball(tmp_path, capsys, monkeypatch):
+    # 20,000 walks alone do not pay for the order-14 ball of Z2*C3 (the cost
+    # model charges 33 ms of build against 23 ms of walk saved), but the
+    # exact column builds it anyway, so the walks run on it; the output is
+    # that of the letter-stack walk, byte for byte (its sha256 before the
+    # exact column came first)
+    config = {"factors": [{"type": "lattice", "dim": 2}, C3], "weights": [0.5, 0.5]}
+    (tmp_path / "spec.json").write_text(json.dumps(config))
+    spec, _ = cli.load_config(str(tmp_path / "spec.json"))
+    pairs = mc.word_count_bound(spec, 14) * mc.support_size(spec)
+    assert not mc._ball_pays(pairs, 14, 20_000)
+    builds, walked = [], []
+    build, ball_block = mc._build_ball, mc._ball_block
+    monkeypatch.setattr(mc, "_build_ball", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(mc, "_ball_block", lambda *args: walked.append(args) or ball_block(*args))
+    monkeypatch.setattr(mc, "_simulate_block", None)  # the stack walk is not called
+    mc._last_ball.clear()
+    code, out = run(tmp_path, capsys, config, "simulate", "--steps", "14", "--walks", "20000")
+    assert code == 0 and out.err == ""
+    assert [order for _, order in builds] == [14]
+    assert len(walked) == -(-20_000 // mc._SIM_BLOCK)
+    digest = "a431f5170a02213382f693be9d97c3351af4fc6d67cfe042a3901a5b6ec6db47"
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
 def test_simulate_on_a_ball_past_the_exact_column_within_budget(tmp_path, capsys, monkeypatch):
-    # --steps 17 on Z2*C3, walked on the ball of order 17 (forced: 64 walks
-    # do not pay for it), then the exact column on the ball of order 14: the
-    # peak stays within the larger ball's bound, plus one block's walk arrays
-    # (as in tests/test_mc.py's bound for simulate on the ball)
+    # --steps 17 on Z2*C3: the exact column on the ball of order 14, then
+    # the walks on the ball of order 17 (forced: 64 walks do not pay for it),
+    # built once the first is dropped: the peak stays within the larger
+    # ball's bound, plus one block's walk arrays (as in tests/test_mc.py's
+    # bound for simulate on the ball)
     monkeypatch.setattr(mc, "_ball_pays", lambda *args: True)
     config = {"factors": [{"type": "lattice", "dim": 2}, C3], "weights": [0.5, 0.5]}
     (tmp_path / "spec.json").write_text(json.dumps(config))
@@ -402,7 +428,7 @@ def test_simulate_on_a_ball_past_the_exact_column_within_budget(tmp_path, capsys
     finally:
         tracemalloc.stop()
     assert code == 0 and out.err == ""
-    assert list(mc._last_ball) == [(spec, 14)]
+    assert list(mc._last_ball) == [(spec, 17)]
     assert peak <= bound
 
 

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -468,26 +469,44 @@ def test_exact_reference_matches_multinomial_sum():
         assert w == direct
 
 
-@pytest.mark.parametrize(
-    "beta,p",
-    [
-        simple(5),
-        ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5)),
-        (tuned_lattice(7, 0.3).beta, (0.5,) * 7),
-        (tuned_lattice(8, 0.3).beta, (0.5,) * 8),
-    ],
-    ids=["Z5", "biased-Z5", "tuned-Z7", "tuned-Z8"],
-)
-def test_matches_exact_rationals_at_order_200(beta, p):
-    # measured: 4.6 eps on Z5, 5.7 eps on biased-Z5, 9.0 on tuned-Z7 and 5.0
-    # on tuned-Z8.  With b from a running float sum of the weights, tuned-Z7
-    # was 15.8 eps off and tuned-Z8 28.3: an error in b + c of a few ulps
-    # grows like n
-    got = lattice.return_series(beta, p, 200).coeffs
-    want = exact_return_series(beta, p, 200)
+EXACT_CASES = {
+    "Z5": simple(5),
+    "biased-Z5": ((0.7, 0.1, 0.1, 0.05, 0.05), (0.5, 0.6, 0.5, 0.45, 0.5)),
+    "tuned-Z7": (tuned_lattice(7, 0.3).beta, (0.5,) * 7),
+    "tuned-Z8": (tuned_lattice(8, 0.3).beta, (0.5,) * 8),
+}
+
+
+@lru_cache(maxsize=None)
+def exact_even_coefficients(case):
+    """The even coefficients of EXACT_CASES[case] through n = 400, exact; a
+    lower order's are their prefix."""
+    return exact_return_series(*EXACT_CASES[case], 400)
+
+
+def assert_exact_through(case, order):
+    beta, p = EXACT_CASES[case]
+    got = lattice.return_series(beta, p, order).coeffs
+    want = exact_even_coefficients(case)[: order // 2 + 1]
     assert np.all(got[1::2] == 0.0)
     err = [abs(float(Fraction(float(g)) / w - 1)) for g, w in zip(got[::2], want)]
     assert max(err) <= EXACT_EPS * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_matches_exact_rationals_at_order_200(case):
+    # measured: 4.0 eps on Z5, 7.2 eps on biased-Z5, 8.8 on tuned-Z7 and 5.0
+    # on tuned-Z8.  With b from a running float sum of the weights, tuned-Z7
+    # was 15.8 eps off and tuned-Z8 28.3: an error in b + c of a few ulps
+    # grows like n
+    assert_exact_through(case, 200)
+
+
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_matches_exact_rationals_at_order_400(case):
+    # from n = 100 on a merge block holds at least 8 rows; measured as at
+    # order 200, which the largest errors are below
+    assert_exact_through(case, 400)
 
 
 @pytest.mark.parametrize(
@@ -666,6 +685,55 @@ def test_window_matches_full_binomial_sum(d, small, rest, p, order):
     assert np.all((got == 0.0) == (full == 0.0))
     nz = full > 0.0
     assert np.all(np.abs(got[nz] - full[nz]) <= bound * full[nz])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4),
+    p=st.lists(st.floats(0.3, 0.7), min_size=4, max_size=4),
+    order=st.integers(2, 1500),
+)
+def test_block_merge_matches_the_cellwise_merge(weights, p, order):
+    # each merge against the form that took each term's own pair of
+    # deviances, on the same laws.  The cell-wise form rounds n b per row,
+    # and on a biased law the summand's weight sits off k = n b, so its
+    # terms move by about eps/2 per unit of that offset (measured: at most
+    # 17.0 eps over 400 random draws of these inputs; 55 eps with p in
+    # [0.2, 0.8], 3.0 eps with p = 1/2)
+    stir = lattice._stirlerr(order)
+    axes = sorted(zip(map(Fraction, weights), p), key=lambda a: -a[0])
+    acc = lattice._axis_return_probs(axes[0][1], order, stir)
+    total = axes[0][0]
+    for w, pj in axes[1:]:
+        b, c = float(w / (total + w)), float(total / (total + w))
+        total += w
+        axis = lattice._axis_return_probs(pj, order, stir)
+        got = lattice._merge_axis(acc, axis, b, c, stir)
+        want = oracles.cellwise_merge_axis(acc, axis, b, c, stir)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        nz = want > 0.0
+        assert np.max(np.abs(got[nz] / want[nz] - 1.0), initial=0.0) <= 32 * np.finfo(float).eps
+        acc = want
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.3), (3.0, 1.0), (1.0, 0.05), (0.7, 0.2), (1.0, 0.01)])
+def test_block_merge_keeps_the_binomial_mass(weights):
+    # with both laws 1 at every n, row n sums Loader's weights over even k:
+    # ((b + c)^n + (c - b)^n) / 2 times e^(-n (b + c - 1)), which Loader's
+    # pair of deviances carries (measured: at most 4.0 eps through n = 1500,
+    # against 9 to 10 eps with the (b + c - 1)(n - a) term left out, with
+    # the means a b and a c taken as rounded, or with each block anchored on
+    # the next block's middle row)
+    order = 1500
+    stir = lattice._stirlerr(order)
+    w0, w1 = map(Fraction, weights)
+    b, c = float(w1 / (w0 + w1)), float(w0 / (w0 + w1))
+    got = lattice._merge_axis(np.ones(order + 1), np.ones(order + 1), b, c, stir)
+    with mp.workprec(200):
+        bb, cc = mp.mpf(b), mp.mpf(c)
+        for n in range(2, order + 1, 2):
+            want = ((bb + cc) ** n + (cc - bb) ** n) / 2 * mp.exp(-n * (bb + cc - 1))
+            assert abs(mp.mpf(got[n]) / want - 1) <= 6 * np.finfo(float).eps, n
 
 
 def test_stirlerr_table_against_mpmath():

@@ -313,6 +313,7 @@ class TestExactColumn:
     )
     def test_ball_built_only_where_it_pays(self, monkeypatch, name, steps, walks, ball):
         spec = COLUMN_SPECS[name]
+        mc._last_ball.clear()  # no ball already built
         pairs = mc.word_count_bound(spec, steps) * mc.support_size(spec)
         assert mc._ball_pays(pairs, steps, walks) is ball
         walkers = []

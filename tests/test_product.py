@@ -620,13 +620,13 @@ def all_brent_kung(monkeypatch):
 class TestFiniteKernel:
     @pytest.mark.parametrize(
         "group,period,below,above",
-        [(C3, 1, 190, 230), (S3, 1, 1300, 1450), (K4, 1, 380, 420), (C4_PERIOD_2, 2, 80, 100)],
+        [(C3, 1, 150, 200), (S3, 1, 3500, 3800), (K4, 1, 520, 570), (C4_PERIOD_2, 2, 20, 40)],
         ids=["C3", "S3", "Klein", "C4-decimated"],
     )
     def test_elimination_matches_brent_kung(self, group, period, below, above):
-        # the rule routes each group to Brent-Kung below its crossover (C3 209,
-        # S3 1369, Klein 400, period-2 C4 90) and to elimination above it;
-        # both routes give the same coefficients
+        # the rule routes each group to Brent-Kung below its crossover (C3 173,
+        # S3 3660, Klein 544, period-2 C4 28 to 35) and to elimination above
+        # it; both routes give the same coefficients
         form = group.first_return_form(period)
         assert not product._eliminates(form, below) and product._eliminates(form, above)
         for order in (below, above):
