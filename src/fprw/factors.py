@@ -13,7 +13,8 @@ which the product's first-visit solve uses), its Green function and
 derivatives (`green`), and the limit of Psi at the radius where G diverges
 there (`recurrent_psi_limit`).  A finite group also gives its
 first-return kernel in closed rational form (`first_return_form`), which
-the product's solve evaluates by elimination at high orders.  Each fact has
+the product's solve evaluates by elimination at high orders, and a tree
+its branch z G(z) = t, with Phi and Psi there, in closed form (`branch`).  Each fact has
 one source: analyze_factor asks the factor once and caches the result per
 factor.  The validity of a singular term (q, k) is `darboux_map`, which
 both the explicit factor's construction and `SingularityDescriptor` read.
@@ -24,7 +25,9 @@ construction.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
@@ -40,13 +43,15 @@ from .errors import (
     RootNotBracketed,
 )
 from .roots import brent
-from .series import PowerSeries, horner, serial_dot, series_reciprocal
+from .series import PowerSeries, horner, serial_dot, series_reciprocal, two_product
 
 DEFAULT_ORDER = 512
 
-# relative tolerances: root solves, at-the-radius snapping for Psi (the
-# continuous limit replaces near-divergent quadrature inside the band)
-_ROOT_RTOL = 1e-13
+# w inversions: relative and absolute stopping tolerances (`invert_w`);
+# at-the-radius snapping for Psi (the continuous limit replaces
+# near-divergent quadrature inside the band)
+_ROOT_RTOL = 4 * sys.float_info.epsilon
+_ROOT_XTOL = 1e-300
 _EDGE_RTOL = 1e-8
 
 # Green values kept per factor evaluator, keyed on (z, deriv), and analysed
@@ -263,13 +268,19 @@ class FiniteGroup:
         off = sorted(reach - {self.id})
         return float(A[self.id, self.id]), A[self.id, off], A[np.ix_(off, off)], A[off, self.id]
 
+    @cached_property
+    def _green_arrays(self):
+        """(P, the identity matrix, the unit vector of the identity element),
+        built once for `green`."""
+        e = np.zeros(self.order)
+        e[self.id] = 1.0
+        return self.matrix(), np.eye(self.order), e
+
     def green(self, z: float, deriv: int) -> float:
         if z >= 1.0 - 1e-13:
             return math.inf
-        P = self.matrix()
-        e = np.zeros(self.order)
-        e[self.id] = 1.0
-        M = np.eye(self.order) - z * P
+        P, eye, e = self._green_arrays
+        M = eye - z * P
         u = np.linalg.solve(M, e)
         if deriv == 0:
             return float(u[self.id])
@@ -345,6 +356,31 @@ class HomTree:
     def green(self, z: float, deriv: int) -> float:
         return _tree_green_closed(self.q, z, deriv)
 
+    def branch(self, t: float):
+        """(z, Phi(t) - 1, Psi(t)) with z G(z) = t and Phi(t) = G(z), for 0 <
+        t < theta, in closed form.  The walk is C2^{*q}, each copy of Z/2Z
+        at weight 1/q with Phi_C2(s) = (1 + sqrt(1 + 4 s^2)) / 2, so with h =
+        q/2 and r = sqrt(h^2 + t^2), Phi(t) = 1 - h + r (Woess 2000, ch. 9);
+        z = t / Phi(t); and Psi(t) = Phi - t Phi' = 1 - h + h^2 / r = 1 - h
+        (r - h) / r.  Psi needs no snapping at the radius, where Psi from G
+        and G' does (`psi_at`).
+
+        The excess r - h is taken to within about an ulp: t^2 = a + a_e and
+        h^2 + a = s + s_e exactly (Dekker's two-product, Knuth's two-sum),
+        and one Newton step on r0 = sqrt(s), r = r0 + (s + s_e - r0^2) /
+        (2 r0) with r0^2 exact, leaves r0 - h (exact where r0 <= 2 h) and a
+        correction of relative size eps."""
+        half = 0.5 * self.q
+        h2 = half * half  # exact
+        a, a_e = two_product(t, t)
+        s = h2 + a
+        b = s - h2
+        s_e = (h2 - (s - b)) + (a - b) + a_e  # h2 + t^2 = s + s_e
+        r0 = math.sqrt(s)
+        p, p_e = two_product(r0, r0)
+        excess = (r0 - half) + ((s - p) - p_e + s_e) / (2.0 * r0)
+        return t / (1.0 + excess), excess, 1.0 - half * excess / r0
+
     def recurrent_psi_limit(self) -> float:
         return 0.0  # null-recurrent (q = 2 is Z^1)
 
@@ -405,10 +441,22 @@ class ExplicitSeries:
     def radius_series(self, order: int):
         return self.radius, self.series(order).scale_arg(self.radius)
 
+    @cached_property
+    def _derivative_lists(self):
+        """The coefficient lists of the series and of its first two
+        derivatives, as `_poly_value` forms them; None for one that is
+        identically zero."""
+        out, coeffs = [], np.array(self.coeffs)
+        for _ in range(3):
+            out.append(None if coeffs is None else coeffs.tolist())
+            coeffs = None if coeffs is None else _derivative(coeffs)
+        return tuple(out)
+
     def green(self, z: float, deriv: int) -> float:
         if z >= self.radius * (1.0 - 1e-13):
             return (self.g_at_r, self.gprime_at_r, math.inf)[deriv]
-        return _poly_value(np.array(self.coeffs), z, deriv)
+        coeffs = self._derivative_lists[deriv]
+        return 0.0 if coeffs is None else horner(coeffs, z)
 
     def recurrent_psi_limit(self) -> float:
         # approximate the limit from the truncated sums to DEFAULT_ORDER
@@ -422,10 +470,16 @@ def _poly_value(coeffs: np.ndarray, z: float, deriv: int) -> float:
     sums stay bounded where z^n alone overflows.  Each derivative scales
     coefficient n by n once, as numpy's `polyder` does."""
     for _ in range(deriv):
-        if coeffs.size <= 1:
+        coeffs = _derivative(coeffs)
+        if coeffs is None:
             return 0.0
-        coeffs = np.arange(1, coeffs.size) * coeffs[1:]
     return horner(coeffs, z)
+
+
+def _derivative(coeffs: np.ndarray):
+    """The coefficients of a polynomial's derivative, None where it is
+    identically zero."""
+    return np.arange(1, coeffs.size) * coeffs[1:] if coeffs.size > 1 else None
 
 
 FactorSpec = Union[LatticeNN, FiniteGroup, HomTree, ExplicitSeries]
@@ -484,6 +538,7 @@ class GreenAnalytics:
     sing: Optional[SingularityDescriptor]
     psi_at_radius: float
     _green: Callable = field(repr=False)
+    _branch: Optional[Callable] = field(default=None, repr=False)  # closed-form branch, if any
 
     def green(self, z: float, deriv: int = 0) -> float:
         """G^(deriv)(z) on [0, radius]; +inf where divergent."""
@@ -492,10 +547,6 @@ class GreenAnalytics:
         if z < 0.0 or z > self.radius * (1.0 + 1e-12):
             raise OutOfDomain(f"z={z} outside [0, {self.radius}]")
         return self._green(min(z, self.radius), deriv)
-
-    def w(self, z: float) -> float:
-        """The strictly increasing map w(z) = z G(z)."""
-        return z * self.green(z)
 
 
 def _tree_radius(q: int) -> float:
@@ -557,6 +608,7 @@ def analyze_factor(spec: FactorSpec) -> GreenAnalytics:
         sing=sing,
         psi_at_radius=psi_r,
         _green=ev,
+        _branch=getattr(spec, "branch", None),
     )
 
 
@@ -608,41 +660,112 @@ def phi_at(an: GreenAnalytics, z: float, deriv: int = 0) -> float:
     return (g * gpp - 2.0 * gp * gp) / (g + z * gp) ** 3
 
 
-def invert_w(an: GreenAnalytics, t: float) -> float:
-    """The unique z in [0, radius] with z G(z) = t, for 0 <= t < theta."""
+def invert_w(an: GreenAnalytics, t: float, kept: Optional[dict] = None) -> float:
+    """The unique z in [0, radius] with z G(z) = t, for 0 <= t < theta.
+
+    A tree's z is closed-form (`HomTree.branch`).  Otherwise Brent's method
+    stops at rtol = 4 eps with xtol = 1e-300, so z is within a few ulps of
+    a sign change of the computed w(z) - t; Phi_i built on it is within a
+    fraction of an ulp (`phi_parts`), and the product radius within a few
+    (`product._solve_branch`).  Where w is unbounded, the bracket walks
+    towards the radius and stops 2e-13 short of it: if w is still below t
+    there, that capped point is returned, and it is no root.
+
+    `kept` holds the solved pairs of one outer root search, a dict from
+    id(an) to the sorted lists (ts, zs); without it every inversion starts
+    from the full bracket [0, radius] or the walk.  With it a repeated t
+    returns its kept z, and a new t starts from its nearest kept
+    neighbours: w is increasing, so their z bracket the root.  A neighbour
+    becomes an end only where w - t has the end's sign (its value is in
+    the evaluator's cache); otherwise the search steps outward to the next
+    kept z, and finally to 0 and the radius or the walk.  A root that did
+    not bracket (the capped walk, or the jump of an explicit factor's G at
+    its radius) thus never becomes a wrong end, and a capped point is not
+    kept.  The search's own sequence of t decides every bracket, so its
+    results do not depend on what ran before it in the process.
+    """
+    return _solve(an, t, kept)[0]
+
+
+def _solve(an: GreenAnalytics, t: float, kept: Optional[dict]):
+    """(z, root) for `invert_w`'s z; root is True where z is a root strictly
+    inside (0, radius), False at t = 0, at t = theta and at the capped walk."""
     if t < 0.0:
         raise OutOfDomain("w arguments are nonnegative")
     if t == 0.0:
-        return 0.0
+        return 0.0, False
     if math.isfinite(an.theta):
         if t > an.theta * (1.0 + 1e-12):
             raise OutOfDomain(f"t={t} is not below theta={an.theta}")
         if t >= an.theta * (1.0 - 1e-12):
-            return an.radius
+            return an.radius, False
+    if an._branch is not None:
+        return an._branch(t)[0], True
+    ts, zs = ([], []) if kept is None else kept.setdefault(id(an), ([], []))
+    i = bisect.bisect_left(ts, t)
+    if i < len(ts) and ts[i] == t:
+        return zs[i], True
+    f = lambda z: z * an.green(z) - t
+    lo = next((z for z in reversed(zs[:i]) if f(z) <= 0.0), 0.0)
+    hi = next((z for z in zs[i:] if f(z) >= 0.0), None)
+    if hi is None and math.isfinite(an.theta):
         hi = an.radius
-    else:
+        if f(hi) < 0.0:
+            raise RootNotBracketed(f"w inversion bracket failed at t={t}")
+    elif hi is None:
         # w is unbounded: walk the bracket towards the radius, staying clear
         # of the evaluators' at-the-radius divergence band
         hi = an.radius * 0.5
-        while an.w(hi) < t:
+        while f(hi) < 0.0:
             gap = an.radius - hi
             if gap <= an.radius * 2e-13:
-                return hi
+                return hi, False
             hi = an.radius - 0.5 * gap
-    f = lambda z: z * an.green(z) - t
-    if f(hi) < 0.0:
-        raise RootNotBracketed(f"w inversion bracket failed at t={t}")
-    return brent(f, 0.0, hi, xtol=1e-15, rtol=_ROOT_RTOL, maxiter=200)
+    z = brent(f, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200)
+    if not 0.0 < z < an.radius:
+        return z, False
+    ts.insert(i, t)
+    zs.insert(i, z)
+    return z, True
 
 
-def psi_at_argument(an: GreenAnalytics, t: float) -> float:
+def phi_parts(an: GreenAnalytics, t: float, kept: Optional[dict] = None):
+    """(hi, lo) with Phi_i(t) = hi + lo for t in [0, theta_i], through
+    `invert_w` (`kept` is its store of solved pairs); lo carries what one
+    double cannot, so a sum of parts is accurate to below an ulp of each
+    Phi_i.
+
+    At a root z strictly inside (0, radius), Phi_i(t) has two estimates.
+    t / z carries z's relative error e (Brent's stop and z's own rounding,
+    a few ulps), while G(z) carries it times k = z G'(z) / G(z), which
+    diverges at the radius, where near-critical products put z.  Their mean
+    weighted 1 : k, G + G' (t - z G) / (G + z G'), is a Newton step from z:
+    it cancels e to first order and keeps G's own rounding divided by 1 +
+    k.  The residual t - z G is exact by Dekker's two-product, and the
+    step is lo.  G'(z) is in the evaluator's cache wherever Psi was taken
+    at z.  A tree's parts are 1 and its closed-form excess
+    (`HomTree.branch`).  Elsewhere (t = 0, t at theta, the capped walk) the
+    parts are G(z) and 0.
+    """
+    z, root = _solve(an, t, kept)
+    if not root:
+        return phi_at(an, z), 0.0
+    if an._branch is not None:
+        return 1.0, an._branch(t)[1]
+    g, gp = an.green(z), an.green(z, 1)
+    p, e = two_product(z, g)
+    return g, gp * ((t - p) - e) / (g + z * gp)
+
+
+def psi_at_argument(an: GreenAnalytics, t: float, kept: Optional[dict] = None) -> float:
     """Psi_i(t) for t in [0, theta_i], including the endpoint limit (which
-    covers t = theta_i = inf)."""
+    covers t = theta_i = inf); `kept` as in `invert_w`."""
     if t == 0.0:
         return 1.0
     if t >= an.theta * (1.0 - 1e-12):
         if t > an.theta * (1.0 + 1e-12):
             raise OutOfDomain(f"t={t} exceeds theta={an.theta}")
         return an.psi_at_radius
-    z = invert_w(an, t)
-    return psi_at(an, z)
+    if an._branch is not None:
+        return an._branch(t)[2]
+    return psi_at(an, invert_w(an, t, kept))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -61,12 +62,15 @@ def critical_weight(theta1: float, theta2: float) -> Optional[float]:
     return theta1 / (theta1 + theta2)
 
 
-def upsilon_of(an1: GreenAnalytics, an2: GreenAnalytics, alpha1: float) -> float:
-    """Psi(theta-bar) of the product at weights (alpha_1, 1 - alpha_1)."""
+def upsilon_of(an1: GreenAnalytics, an2: GreenAnalytics, alpha1: float, kept=None) -> float:
+    """Psi(theta-bar) of the product at weights (alpha_1, 1 - alpha_1).
+    Without `kept`, a root search's store of solved pairs
+    (`factors.invert_w`), every inversion starts from the full bracket,
+    as in `fprw analyze`'s psi_bar."""
     if not 0.0 < alpha1 < 1.0:
         raise OutOfDomain("alpha_1 must lie strictly between 0 and 1")
     ans, weights = (an1, an2), (alpha1, 1.0 - alpha1)
-    return psi_of(ans, weights, theta_bar_of(ans, weights)[0])
+    return psi_of(ans, weights, theta_bar_of(ans, weights)[0], kept)
 
 
 def upsilon(spec: FreeProductSpec, alpha1: float) -> float:
@@ -91,21 +95,23 @@ def _limits(an1: GreenAnalytics, an2: GreenAnalytics):
 
 def phase_roots(spec: FreeProductSpec):
     """(alpha_low, alpha_high): zeros of Upsilon on its two monotone pieces,
-    each of which falls or rises to Upsilon(alpha_c)."""
+    each of which falls or rises to Upsilon(alpha_c).  Each piece's search
+    keeps its own solved pairs, from which its inversions start
+    (`factors.invert_w`)."""
     an1, an2 = _two_analytics(spec)
     ac = critical_weight(an1.theta, an2.theta)
     if ac is None:
         return None, None  # Upsilon is constant
     at0, bottom, at1 = _limits(an1, an2)
-    f = lambda a: upsilon_of(an1, an2, a)
+    piece = lambda a, b: brent(
+        partial(upsilon_of, an1, an2, kept={}), a, b, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200
+    )
     lo_eps = 1e-9
     alpha_low = alpha_high = None
     if ac > 0.0 and at0 > _SIGN_TOL and bottom < -_SIGN_TOL:
-        right_end = min(ac, 1.0 - lo_eps)
-        alpha_low = brent(f, lo_eps, right_end, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200)
+        alpha_low = piece(lo_eps, min(ac, 1.0 - lo_eps))
     if ac < 1.0 and bottom < -_SIGN_TOL and at1 > _SIGN_TOL:
-        left_end = max(ac, lo_eps)
-        alpha_high = brent(f, left_end, 1.0 - lo_eps, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200)
+        alpha_high = piece(max(ac, lo_eps), 1.0 - lo_eps)
     return alpha_low, alpha_high
 
 

@@ -11,8 +11,9 @@ the one source of every product fact; `phase` reads `psi_of` alone.
 The first-visit system is solved in y = (z/R)^d, where d is the period of
 the product walk: every return coefficient off multiples of d is an exact
 zero, so the solve runs at a d-th of the order.  It makes the same
-cancellation-free Newton passes over the nonzero coefficients alone, and its
-relative error stays near roundoff (`normalized_green_series`).  Each pass
+cancellation-free Newton passes over the nonzero coefficients alone, from
+leading coefficients solved in extended precision (`_leading_terms`), and
+its relative error stays near roundoff (`normalized_green_series`).  Each pass
 forms its Jacobian at half the pass's order (`_zeta_series`).  A factor's
 kernel is composed with the unknowns by Brent-Kung, or for a finite group
 at high orders evaluated from its closed rational form by the same
@@ -40,6 +41,7 @@ from .factors import (
     analyze_factor,
     invert_w,
     phi_at,
+    phi_parts,
     psi_at_argument,
 )
 from .roots import brent
@@ -50,6 +52,7 @@ from .series import (
     series_derivative,
     series_mul,
     series_reciprocal,
+    two_product,
 )
 
 _CRIT_TOL = 1e-8  # |Psi(theta-bar)| below this counts as exactly critical
@@ -108,35 +111,75 @@ def theta_bar_of(ans, weights):
     return tbar, argmin
 
 
-def psi_of(ans, weights, t: float) -> float:
+def psi_of(ans, weights, t: float, kept=None) -> float:
     """Psi(t) = 1 + sum_i (Psi_i(alpha_i t) - 1) over analysed factors,
-    totalized at infinity."""
-    return 1.0 + sum(psi_at_argument(an, a * t) - 1.0 for an, a in zip(ans, weights))
+    totalized at infinity; `kept` is the search's store of solved pairs
+    (`factors.invert_w`)."""
+    return 1.0 + sum(psi_at_argument(an, a * t, kept) - 1.0 for an, a in zip(ans, weights))
 
 
-def phi_of(ans, weights, t: float, deriv: int = 0) -> float:
+def phi_of(ans, weights, t: float, deriv: int = 0, kept=None) -> float:
     """Phi^(deriv)(t) for Phi(t) = sum_i Phi_i(alpha_i t) - (m - 1), with
     Phi_i(w(z)) = G_i(z): deriv 1 and 2 sum alpha_i Phi_i' and alpha_i^2
-    Phi_i''.  NeedsDerivative propagates."""
-    total = 1.0 - len(ans) if deriv == 0 else 0.0
-    for an, a in zip(ans, weights):
-        total += (1.0, a, a * a)[deriv] * phi_at(an, invert_w(an, a * t), deriv)
-    return total
+    Phi_i''.  NeedsDerivative propagates.  `kept` as in `psi_of`.
+
+    Phi itself is the correctly rounded sum of every factor's two parts
+    (`factors.phi_parts`), each Phi_i within a fraction of an ulp
+    (`_phi_sum`)."""
+    if deriv == 0:
+        return _phi_sum(ans, weights, t, kept)[0]
+    return sum((a, a * a)[deriv - 1] * phi_at(an, invert_w(an, a * t, kept), deriv) for an, a in zip(ans, weights))
 
 
-def _solve_branch(ans, weights):
-    """(theta-bar, argmin set, Psi(theta-bar), theta, Phi(theta)) of a product
-    that is not (Z/2Z)*(Z/2Z).
+def _phi_sum(ans, weights, t: float, kept):
+    """(hi, lo): hi is Phi(t) correctly rounded from the factors' parts, and
+    hi + lo their sum to a relative eps^2.  A running sum from 1 - m would
+    round at the magnitude of m, and m copies of one factor at one weight
+    would repeat one rounding m times: it put the radius of the C2^(*10)
+    that is T4 * T6 at 0.11 / 0.89 3.3 ulps off, against 1.3 with fsum."""
+    parts = [1.0 - len(ans), *(x for an, a in zip(ans, weights) for x in phi_parts(an, a * t, kept))]
+    hi = math.fsum(parts)
+    return hi, math.fsum([*parts, -hi])
+
+
+def _quotient(x: float, hi: float, lo: float) -> float:
+    """x / (hi + lo) rounded once: q = x / hi and one correction with the
+    remainder x - q hi, exact by Dekker's two-product."""
+    q = x / hi
+    p, e = two_product(q, hi)
+    return q + (((x - p) - e) - q * lo) / hi
+
+
+def _solve_branch(ans, weights, kept: dict):
+    """(theta-bar, argmin set, Psi(theta-bar), theta, Phi(theta), R) of a
+    product that is not (Z/2Z)*(Z/2Z).
 
     Psi(theta-bar) >= 0: theta = theta-bar.  Psi(theta-bar) < 0: theta is the
     root theta* of Psi on (0, theta-bar), where the branch point sits.  The
     radius is theta / Phi(theta), and Phi(theta) is G there.
+
+    Error of the radius.  At the branch point Psi = Phi - t Phi' = 0, so t /
+    Phi(t) is stationary in t and theta's own error (rtol 1e-13) moves R by
+    its square only.  R's error is that of Phi(theta) (`phi_of`) and of one
+    rounding of the quotient (`_quotient`).  Against Woess's formula for
+    free products of copies of Z/2Z (`tests/oracles.py`), free products of
+    two or three trees measured within 1.3 ulps, and the same walks with a
+    tree written as q copies of Z/2Z within 4 (the copies share one root,
+    so their Green values' roundings add up q times); the golden Z^3 * C3
+    is the double nearest its 30-digit mpmath branch solve.
+
+    Psi(theta-bar) is an inversion from the full bracket per factor, so it
+    is bit for bit `phase.upsilon_of` at these weights.  The search for
+    theta and the Phi evaluations after it keep their solved pairs in
+    `kept`, which the caller passes empty and may pass on to further
+    evaluations at theta-bar (`_sqrt_coefficient`): each inversion starts
+    from the nearest kept roots of its factor (`factors.invert_w`).
     """
     tbar, argmin = theta_bar_of(ans, weights)
     pb = psi_of(ans, weights, tbar)
     theta = tbar
     if pb < -_CRIT_TOL:
-        f = lambda t: psi_of(ans, weights, t)
+        f = lambda t: psi_of(ans, weights, t, kept)
         if math.isfinite(tbar):
             hi = tbar
         else:
@@ -151,7 +194,8 @@ def _solve_branch(ans, weights):
             if lo < 1e-300:
                 raise RootNotBracketed("Psi is nonpositive arbitrarily close to 0")
         theta = brent(f, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=200)
-    return tbar, argmin, pb, theta, phi_of(ans, weights, theta)
+    phi, lo = _phi_sum(ans, weights, theta, kept)
+    return tbar, argmin, pb, theta, phi, _quotient(theta, phi, lo)
 
 
 def _visit_kernel(g: PowerSeries) -> PowerSeries:
@@ -174,8 +218,8 @@ def _pass_orders(order: int):
 
 
 def _zeta_series(kernels, consts, period: int, order: int):
-    """The first-visit series V_1..V_m of the product in y = u^d, d =
-    `period`, solved by Newton.
+    """The return series 1 / (1 - sum_j V_j) of the product in y = u^d, d
+    = `period`, from its first-visit series V_1..V_m, solved by Newton.
 
     In u, zeta_i (1 - P_i) = s_i u with P_i = sum_{j != i} V_j and V_j =
     s_j u T_j(zeta_j) (Woess, Random Walks on Infinite Graphs and Groups,
@@ -212,14 +256,16 @@ def _zeta_series(kernels, consts, period: int, order: int):
     reaches `order` is the last: its correction
     D is O(y^lo), y D^2 lies past the order, and V takes D as the
     first-order update V - W D, exact through `order`, instead of a fresh
-    composition.
+    composition.  Every pass keeps the leading coefficients of Z, V and P
+    and of the result from `_leading_terms`, with a zero residual there.
     """
     m = len(kernels)
+    lead_z, lead_v, lead_p, lead_g = _leading_terms(kernels, consts, period, min(_LEADING, order + 1))
     zs = [PowerSeries([s]) for s in consts]  # correct through y^0
     lo = 1
     for cur in _pass_orders(order):  # at least one pass, so that orders 0 and 1 get V and W too
         h = max(cur - lo, 0)
-        zs = [z.truncate(cur) for z in zs]
+        zs = [_pinned(z.truncate(cur), lz) for z, lz in zip(zs, lead_z)]
         v, w = [], []
         for kernel, s, z in zip(kernels, consts, zs):
             pw = [None, z]  # pw[e] = Z^e; None is Z^0 = 1, never multiplied
@@ -234,15 +280,75 @@ def _zeta_series(kernels, consts, period: int, order: int):
                 slope = _times((period - 1) * kz.truncate(h) + period * series_mul(inner, kpz), pw[period - 2])
             w.append(slope.shift() * s)
         # J d = f with J_ii = 1 - p[i] and J_ij = -b[i][j], J through y^h
-        p = [sum(v[j] for j in range(m) if j != i) for i in range(m)]
-        f = [series_mul(z, 1.0 - pi) - s for z, pi, s in zip(zs, p, consts)]
+        v = [_pinned(vj, lv) for vj, lv in zip(v, lead_v)]
+        p = [_pinned(sum(v[j] for j in range(m) if j != i), lp) for i, lp in enumerate(lead_p)]
+        f = [_pinned(series_mul(z, 1.0 - pi) - s, 0.0 * lead_g) for z, pi, s in zip(zs, p, consts)]
         b = [[series_mul(zs[i], w[j]) if j != i else None for j in range(m)] for i in range(m)]
         d = _solve(*_factor([pi.truncate(h) for pi in p], b), b, f)
         if cur == order:
             break
         zs = [z - di for z, di in zip(zs, d)]
         lo = cur + 1
-    return [vj - _mul(wj, dj) for vj, wj, dj in zip(v, w, d)]
+    v = [vj - _mul(wj, dj) for vj, wj, dj in zip(v, w, d)]
+    return _pinned(series_reciprocal(1.0 - sum(v)), lead_g)
+
+
+_LEADING = 8  # leading coefficients of the unknowns solved in extended precision
+
+
+def _leading_terms(kernels, consts, period: int, count: int):
+    """(Z, V, P, G) through y^(count - 1) for `_zeta_series`: each unknown
+    Z_i, each V_j, each P_i = sum_{j != i} V_j and the return series G = 1
+    / (1 - sum_j V_j), solved in np.longdouble from the same float kernels
+    and constants and rounded once.
+
+    The float passes keep these coefficients, and their residual is zero
+    there.  A rounding in the leading coefficients of the unknowns or of P
+    acts on every later coefficient as a change of the walk would: it moves
+    the solve's branch point, so coefficient n drifts by n times its size.
+    Solved by the float passes alone, the leading coefficients carry a few
+    eps of arithmetic error, and C2^(*q) at equal weights drifts by up to
+    0.42 eps per coefficient (0.20 eps rms over 40 radii around R for q =
+    4), 1.4e-13 relative at n = 1500; with the first 8 rounded once it
+    drifts by at most 0.11 eps (0.04 rms), with the first 32 by 0.03.  A kernel composed with the
+    unknowns keeps the roundings of its own low orders, so trees gain less.
+    On x86-64 np.longdouble carries 64 bits; where it is double, the terms
+    are float and the gain is lost.  Each sweep of the fixed point Z_i = s_i
+    + Z_i P_i gains one order."""
+    ld = np.longdouble
+    ks = [np.resize(np.asarray(k.series.coeffs[:count], dtype=ld), count) for k in kernels]
+    for k, kernel in zip(ks, kernels):
+        k[kernel.series.order + 1 :] = 0.0  # np.resize repeats a short series
+    s = [ld(c) for c in consts]
+    zs = [np.array([c]) for c in s]
+    for n in range(min(2, count), count + 1):  # Z through y^(n - 2) in, through y^(n - 1) out
+        mul = lambda a, b: np.convolve(a, b)[:n]
+        unit = np.zeros(n, dtype=ld)
+        unit[0] = 1.0
+        vs = []
+        for k, c, z in zip(ks, s, zs):
+            pw = unit
+            for _ in range(period - 1):
+                pw = mul(pw, z)
+            inner = np.concatenate([[ld(0.0)], mul(pw, z)[: n - 1]])
+            kz = np.zeros(n, dtype=ld)
+            for coeff in np.trim_zeros(k[:n], "b")[::-1]:
+                kz = mul(kz, inner)
+                kz[0] += coeff
+            vs.append(c * np.concatenate([[ld(0.0)], mul(kz, pw)[: n - 1]]))
+        ps = [sum(vs[:i] + vs[i + 1 :]) for i in range(len(vs))]
+        zs = [c * unit + mul(z, p) for c, z, p in zip(s, zs, ps)]  # Z = s + Z P
+    g = unit
+    for _ in range(count - 1):  # G = 1 + G sum_j V_j
+        g = unit + mul(g, sum(vs))
+    return [[x.astype(float) for x in xs] for xs in (zs, vs, ps)] + [g.astype(float)]
+
+
+def _pinned(series: PowerSeries, lead) -> PowerSeries:
+    """`series` with its leading coefficients replaced by `lead`, as far as
+    both reach."""
+    n = min(len(lead), series.order + 1)
+    return PowerSeries(np.concatenate([lead[:n], series.coeffs[n:]]))
 
 
 def _mul(a, b):
@@ -439,14 +545,6 @@ def product_green_series(spec: FreeProductSpec, order: int) -> PowerSeries:
     return PowerSeries(ghat.coeffs * half * half)
 
 
-def _split(a: np.ndarray):
-    """Veltkamp's split a = hi + lo, each half of at most 26 significant
-    bits, so that a product of two halves is exact."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 def _rounding(ratios, near: float):
     """(the largest relative rounding error of the constants q_i R~, the
     constants), in exact rational arithmetic."""
@@ -478,9 +576,7 @@ def _near_radius(ratios, radius: float):
     nears = radius + steps * math.ulp(radius)
     q_hi = np.array([float(q) for q in ratios])
     q_lo = np.array([float(q - Fraction(h)) for q, h in zip(ratios, q_hi.tolist())])
-    p = np.multiply.outer(nears, q_hi)
-    (xh, xl), (qh, ql) = _split(nears[:, None]), _split(q_hi)
-    e = ((xh * qh - p) + xh * ql + xl * qh) + xl * ql
+    p, e = two_product(nears[:, None], q_hi)
     t = e + nears[:, None] * q_lo
     est = (np.abs((p - (p + t)) + t) / p).max(axis=1)
     if np.all((p > 2.0**-900) & (p < 2.0**900) & (q_hi > 2.0**-900) & (q_hi < 2.0**900)):
@@ -525,11 +621,10 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     the factor kernels; a lattice factor's return series is within a few
     eps of exact at every n (`lattice.return_series`).  That holds for the
     series in u = z / R.  The printed mu_n R^n also carries R's own error:
-    a relative error d in R moves coefficient n by about n d.  R is off by
-    71 to about 21,000 ulps on the products checked against 30-digit
-    references (ROADMAP item 13): on T4*T6, with R off by 4.9e-13, the
-    normalized column differed from that of the same walk written as
-    C2^(*10), whose R is within 7e-16, by 2.0e-9 at n = 4000.
+    a relative error d in R moves coefficient n by about n d.  R is within
+    a few ulps (`_solve_branch`): T4*T6 at 0.11 / 0.89 and the same walk
+    written as C2^(*10) differ by 2.7e-14 through n = 200 and 5.7e-13
+    through n = 4000.
 
     A relative error e in a constant s_i or in the weights' sum acts like a
     change e of the walk's mass: it moves the radius by about e and
@@ -551,7 +646,8 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     built = {}
     for f in dict.fromkeys(spec.factors):  # each distinct factor once
         form = f.first_return_form(period) if isinstance(f, FiniteGroup) else None
-        top = max((c for c in passes if not _eliminates(form, c)), default=0)
+        # the series reaches every pass composed with it, and the leading terms
+        top = max(max((c for c in passes if not _eliminates(form, c)), default=0), min(_LEADING - 1, reduced))
         # G~ through y^(top + 1), so that its kernel reaches y^top
         rho, g = f.radius_series(period * (top + 1))
         built[f] = rho, _Kernel(_visit_kernel(PowerSeries(g.coeffs[::period])), form)
@@ -560,16 +656,17 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     radius = analyze_product(spec).radius
     near, consts = _near_radius(ratios, radius)
     g = np.zeros(order + 1)
-    g[::period] = series_reciprocal(1.0 - sum(_zeta_series(kernels, consts, period, reduced))).coeffs
+    g[::period] = _zeta_series(kernels, consts, period, reduced).coeffs
     # G(R u) = G(R~ (R / R~) u): coefficient n picks up (R / R~)^n; R - R~ is exact
     shift = math.log1p((radius - near) / near)
     return radius, PowerSeries(g * np.exp(shift * np.arange(order + 1)))
 
 
-def _sqrt_coefficient(ans, weights, tbar: float, g0: float):
+def _sqrt_coefficient(ans, weights, tbar: float, g0: float, kept: dict):
     """(g0, g1) of G(z) = g0 + g1 sqrt(R - z) + ... at Psi(theta-bar) = 0,
-    given g0 = Phi(theta-bar) = G(R): g1 = -sqrt(2 g0 / (R^3 Phi''(theta-bar)))."""
-    phi2 = phi_of(ans, weights, tbar, 2)
+    given g0 = Phi(theta-bar) = G(R): g1 = -sqrt(2 g0 / (R^3 Phi''(theta-bar))).
+    `kept` is `_solve_branch`'s store of solved pairs."""
+    phi2 = phi_of(ans, weights, tbar, 2, kept)
     if not phi2 > 0.0:
         raise RootNotBracketed(f"Phi''(theta-bar) = {phi2} fails the positivity guarantee")
     rho = tbar / g0
@@ -607,18 +704,19 @@ def analyze_product(spec: FreeProductSpec) -> ProductAnalytics:
             degenerate=True,
         )
     ans = factor_analytics(spec)
-    tbar, argmin, pb, theta, g_rho = _solve_branch(ans, spec.weights)
+    kept = {}  # the solved pairs of this branch solve alone
+    tbar, argmin, pb, theta, g_rho, radius = _solve_branch(ans, spec.weights, kept)
     coeff = None
     if abs(pb) <= _CRIT_TOL:
         try:
-            coeff = _sqrt_coefficient(ans, spec.weights, tbar, g_rho)
+            coeff = _sqrt_coefficient(ans, spec.weights, tbar, g_rho, kept)
         except FprwError:  # a numeric failure leaves the coefficient unreported
             pass
     return ProductAnalytics(
         theta_bar=tbar,
         argmin_set=argmin,
         psi_bar=pb,
-        radius=theta / g_rho,
+        radius=radius,
         g_at_radius=g_rho,
         period=product_period(spec),
         sqrt_coeff=coeff,

@@ -33,14 +33,33 @@ import numpy as np
 from .errors import NonzeroInnerConstant, ZeroConstantTerm
 
 
-def horner(coeffs: np.ndarray, z: float) -> float:
+def horner(coeffs, z: float) -> float:
     """sum_n coeffs[n] z^n by Horner's rule, in the order of operations of
-    numpy's `polyval`, so it gives the same value."""
-    c = coeffs.tolist()
+    numpy's `polyval`, so it gives the same value.  `coeffs` is an array or
+    a list of floats; a caller that evaluates one polynomial many times
+    keeps the list."""
+    c = coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
     acc = c[-1] + z * 0.0
     for a in reversed(c[:-1]):
         acc = a + acc * z
     return float(acc)
+
+
+def two_product(a, b):
+    """(p, e) with p = a b rounded and p + e = a b exactly: Dekker's
+    two-product on Veltkamp's split, each half of at most 26 significant
+    bits so that a product of two halves is exact.  a and b are floats or
+    arrays, with |a|, |b| and |a b| in 2^-900 .. 2^900, where the split
+    and the products stay exact."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 # terms per np.dot in serial_dot: below OpenBLAS's 10,000-term threshold for

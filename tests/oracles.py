@@ -4,14 +4,17 @@ doubling on the series kernels of `fprw.series`; the paper's induction over
 the factors (`fold_classify`) and the zeta fixed-point iteration (`zeta_at`),
 against which the m-factor classification and the series solve are checked;
 the tuple word algebra that `fprw.mc`'s coded letters are tested
-against; and the lattice return law's deviance with both of its branches
+against; the lattice return law's deviance with both of its branches
 evaluated in every cell, and its axes merged in the order given with no
-kept prefix laws."""
+kept prefix laws; and 30-digit spectral radii, Woess's formula for free
+products of copies of Z/2Z and an mpmath branch solve of the golden
+Z3*C3."""
 
 import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from fprw import lattice
@@ -352,3 +355,31 @@ def word_is_normal(factors, word: tuple) -> bool:
 def word_erase_cost(factors, word: tuple) -> int:
     """Lower bound on the steps needed to walk the word back to the identity."""
     return sum(dist_to_identity(factors[i], g) for i, g in word)
+
+
+# R of the golden Z3*C3 (Z^3 and C3 with steps 0.1, 0.5, 0.4, at weights
+# 1/2 each), from an mpmath branch solve: G of Z^3 by quadrature, C3's by a
+# matrix inverse, Newton for each w inversion and a secant root of Psi
+Z3_C3_RADIUS = "1.2301125450461342391"
+
+
+def c2_product_radius(weights, dps: int = 30):
+    """R of the free product of copies of Z/2Z, the i-th flipped with
+    probability p_i = weights[i] (summing to 1), to `dps` digits: 1 / R =
+    min over t >= 0 of sum_i sqrt(t^2 + p_i^2) - (m - 2) t (Woess, Random
+    Walks on Infinite Graphs and Groups, 2000, ch. 9).  The minimum is where
+    sum_i t / sqrt(t^2 + p_i^2) = m - 2, found by bisection; m = 2 has it at
+    t = 0, where R = 1.  The q-regular tree is q copies at 1/q each, with R
+    = q / (2 sqrt(q - 1))."""
+    with mp.workdps(dps + 10):
+        ps = [mp.mpf(p) for p in weights]
+        m = len(ps)
+        slope = lambda t: mp.fsum(t / mp.sqrt(t * t + p * p) for p in ps) - (m - 2)
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        while m > 2 and slope(hi) < 0:
+            hi *= 2
+        for _ in range(int(3.5 * (dps + 10)) if m > 2 else 0):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+        t = (lo + hi) / 2 if m > 2 else mp.mpf(0)
+        return 1 / (mp.fsum(mp.sqrt(t * t + p * p) for p in ps) - (m - 2) * t)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -8,20 +9,25 @@ import numpy as np
 import pytest
 
 import fprw
-from fprw.errors import ConfigError, NeedsDerivative, OutOfDomain
+from fprw import cli, roots
+from fprw.errors import ConfigError, NeedsDerivative, OutOfDomain, RootNotBracketed
 from fprw.factors import (
     ExplicitSeries,
     FiniteGroup,
     HomTree,
     LatticeNN,
+    _poly_value,
     analyze_factor,
     cyclic_group,
     flip_group,
     invert_w,
     phi_at,
+    phi_parts,
     psi_at,
     psi_at_argument,
 )
+
+GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs.json"
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +289,63 @@ class TestInvertW:
         z = invert_w(an, 50.0)
         assert z * an.green(z) == pytest.approx(50.0, rel=1e-9)
         assert psi_at_argument(an, 1e9) == pytest.approx(0.5, abs=1e-4)
+
+    def test_kept_roots_start_the_bracket(self, z5):
+        kept = {}
+        ts = [z5.theta * x for x in (0.3, 0.9, 0.6, 0.6, 0.61)]
+        zs = [invert_w(z5, t, kept) for t in ts]
+        assert kept[id(z5)][0] == sorted(set(ts))
+        assert zs[3] == zs[2]  # a repeated argument returns its kept root
+        for t, z in zip(ts, zs):
+            assert z == pytest.approx(invert_w(z5, t), rel=1e-15)
+
+    def test_kept_root_that_does_not_bracket_falls_back(self):
+        # the explicit 3-regular tree of the golden X3*Z6 jumps from its
+        # truncated series to the asserted G(R) at z = R (1 - 1e-13), so a
+        # root kept in the jump has w above every argument of the gap
+        config = json.loads(GOLDEN_CONFIGS.read_text())["X3xZ6"]["factors"][0]
+        an = analyze_factor(cli.parse_factor(config, 0))
+        jump = an.radius * (1.0 - 1e-13)
+        below = math.nextafter(jump, 0.0)
+        low, high = below * an.green(below), jump * an.green(jump)
+        kept = {}
+        kept_root = invert_w(an, low + 0.75 * (high - low), kept)
+        t = low + 0.9 * (high - low)
+        assert kept_root * an.green(kept_root) > t  # not a lower end for t
+        with pytest.raises(RootNotBracketed):
+            roots.brent(lambda z: z * an.green(z) - t, kept_root, an.radius, xtol=1e-300, rtol=1e-15, maxiter=200)
+        assert invert_w(an, t, kept) == invert_w(an, t)
+
+    def test_capped_walk_is_never_kept(self):
+        # w is unbounded; the walk stops 2e-13 short of the radius, where w
+        # is about 2.8e12, and returns that point, which is no root
+        an = analyze_factor(flip_group())
+        kept = {}
+        for t in (1e15, 2e15):
+            z = invert_w(an, t, kept)
+            assert z * an.green(z) < t
+            assert phi_parts(an, t, kept) == (an.green(z), 0.0)
+        assert kept.get(id(an), ([], []))[0] == []
+        assert invert_w(an, 1e12, kept) == invert_w(an, 1e12)
+
+
+def test_kept_evaluator_arrays_give_the_values_of_fresh_ones():
+    # FiniteGroup.green keeps P, the identity and the unit vector, and
+    # ExplicitSeries.green its coefficient lists; rebuilt per call, as
+    # before, they give the same floats
+    finite = cyclic_group(3, (0.1, 0.5, 0.4))
+    explicit = cli.parse_factor(json.loads(GOLDEN_CONFIGS.read_text())["X3xZ6"]["factors"][0], 0)
+    for z in np.linspace(0.01, 0.99, 25).tolist():
+        P = finite.matrix()
+        e = np.zeros(finite.order)
+        e[finite.id] = 1.0
+        M = np.eye(finite.order) - z * P
+        u, v = np.linalg.solve(M, e), np.linalg.solve(M.T, e)
+        pu = P @ u
+        fresh = (u[finite.id], v @ pu, 2.0 * (v @ (P @ np.linalg.solve(M, pu))))
+        assert [finite.green(z, d) for d in range(3)] == [float(x) for x in fresh]
+        y = z * explicit.radius
+        assert [explicit.green(y, d) for d in range(3)] == [_poly_value(np.array(explicit.coeffs), y, d) for d in range(3)]
 
 
 class TestExplicitSeries:

@@ -32,9 +32,9 @@ COMMANDS = {
 CASES = [(name, command) for name in CONFIGS for command in COMMANDS]
 
 
-def run_case(name: str, command: str, workdir: Path) -> str:
+def run_case(name: str, command: str, workdir: Path, config=None) -> str:
     path = workdir / f"{name}.json"
-    path.write_text(json.dumps(CONFIGS[name]))
+    path.write_text(json.dumps(config or CONFIGS[name]))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([*COMMANDS[command], "--config", str(path)])
@@ -45,6 +45,17 @@ def run_case(name: str, command: str, workdir: Path) -> str:
 def test_golden_output(tmp_path, name, command):
     want = (GOLDEN / f"{name}.{command}.txt").read_text()
     assert run_case(name, command, tmp_path) == want
+
+
+def test_analyze_and_phase_do_not_depend_on_what_ran_before(tmp_path):
+    # each root search keeps its own solved pairs (`factors.invert_w`), and
+    # every cache holds pure values: products over the same factors at
+    # other weights first, then the golden cases in reverse order, all in
+    # one process, print what the golden files hold
+    for name, config in CONFIGS.items():
+        run_case(f"{name}-other", "analyze", tmp_path, dict(config, weights=config["weights"][::-1]))
+    for name, command in reversed([case for case in CASES if case[1] in ("analyze", "phase")]):
+        assert run_case(name, command, tmp_path) == (GOLDEN / f"{name}.{command}.txt").read_text()
 
 
 if __name__ == "__main__":

@@ -428,6 +428,21 @@ def test_one_kernel_per_walk_in_a_bounded_cache():
     assert lattice._kernel.cache_info().currsize == info.maxsize
 
 
+def _exact_weights(beta, p):
+    """(a_j, t_j, F) of `exact_return_series`: beta_j = a_j / 2^E and t_j =
+    a_j^2 u_j with p_j (1 - p_j) = u_j / 2^F, all integers."""
+    beta = [Fraction(float(x)) for x in beta]
+    q = [Fraction(float(x)) * (1 - Fraction(float(x))) for x in p]
+    e = max(x.denominator for x in beta).bit_length() - 1
+    f = max(x.denominator for x in q).bit_length() - 1
+    a = [int(x * 2**e) for x in beta]
+    return a, [aj * aj * int(qj * 2**f) for aj, qj in zip(a, q)], f
+
+
+def _return_fractions(a, big_q, f, top):
+    return [Fraction(math.comb(2 * M, M) * big_q[M], 2 ** (f * M) * sum(a) ** (2 * M)) for M in range(top + 1)]
+
+
 def exact_return_series(beta, p, order):
     """Even coefficients of the return series in exact rationals.
 
@@ -436,22 +451,38 @@ def exact_return_series(beta, p, order):
     prod_j sum_m t_j^m x^m / (m!)^2 in x = (s / B)^2, t_j = a_j^2 u_j, B =
     sum_j a_j, so with Q_M = (M!)^2 2^(2EM + FM) [x^M], an integer,
     Q^(j)_M = sum_m C(M, m)^2 t_j^m Q^(j-1)_(M-m) and c_(2M) = C(2M, M) Q_M /
-    (2^(FM) B^(2M)).
+    (2^(FM) B^(2M)).  Each Q^(j)_M is taken by Horner's rule in t_j, so
+    every product has the small t_j or C(M, m)^2 as one factor, where the
+    direct sum (`direct_exact_return_series`) multiplies two big integers
+    per term; the integers, and so the fractions, are the same.
     """
-    beta = [Fraction(float(x)) for x in beta]
-    q = [Fraction(float(x)) * (1 - Fraction(float(x))) for x in p]
-    e = max(x.denominator for x in beta).bit_length() - 1
-    f = max(x.denominator for x in q).bit_length() - 1
-    a = [int(x * 2**e) for x in beta]
+    a, t, f = _exact_weights(beta, p)
+    top = order // 2
+    rows = [[math.comb(M, m) ** 2 for m in range(M + 1)] for M in range(top + 1)]
+    big_q = [t[0] ** M for M in range(top + 1)]
+    for tj in t[1:]:
+        new = []
+        for M, row in enumerate(rows):
+            acc = 0
+            for m in range(M, -1, -1):
+                acc = acc * tj + row[m] * big_q[M - m]
+            new.append(acc)
+        big_q = new
+    return _return_fractions(a, big_q, f, top)
+
+
+def direct_exact_return_series(beta, p, order):
+    """`exact_return_series` by its direct sum over m with powers of t_j."""
+    a, t, f = _exact_weights(beta, p)
     top = order // 2
     big_q = None
-    for aj, qj in zip(a, q):
-        powers = [(aj * aj * int(qj * 2**f)) ** m for m in range(top + 1)]
+    for tj in t:
+        powers = [tj**m for m in range(top + 1)]
         if big_q is None:
             big_q = powers
             continue
         big_q = [sum(math.comb(M, m) ** 2 * powers[m] * big_q[M - m] for m in range(M + 1)) for M in range(top + 1)]
-    return [Fraction(math.comb(2 * M, M) * big_q[M], 2 ** (f * M) * sum(a) ** (2 * M)) for M in range(top + 1)]
+    return _return_fractions(a, big_q, f, top)
 
 
 def test_exact_reference_matches_multinomial_sum():
@@ -475,6 +506,11 @@ EXACT_CASES = {
     "tuned-Z7": (tuned_lattice(7, 0.3).beta, (0.5,) * 7),
     "tuned-Z8": (tuned_lattice(8, 0.3).beta, (0.5,) * 8),
 }
+
+
+@pytest.mark.parametrize("case", ["biased-Z5", "tuned-Z8"])
+def test_horner_reference_is_the_direct_sum(case):
+    assert exact_return_series(*EXACT_CASES[case], 60) == direct_exact_return_series(*EXACT_CASES[case], 60)
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fprw import cli, mc, product
-from fprw.classify import estimate_radius
+from fprw.classify import classify_multi, estimate_radius
 from fprw.errors import ConfigError
-from fprw.factors import ExplicitSeries, FiniteGroup, HomTree, LatticeNN, cyclic_group, flip_group
+from fprw.factors import ExplicitSeries, FiniteGroup, HomTree, LatticeNN, analyze_factor, cyclic_group, flip_group
 from fprw.product import (
     FreeProductSpec,
     analyze_product,
@@ -27,7 +27,7 @@ from fprw.product import (
 )
 from fprw.series import PowerSeries
 
-from .oracles import monomial, zeta_at
+from .oracles import Z3_C3_RADIUS, c2_product_radius, monomial, zeta_at
 
 
 def spec_of(*pairs):
@@ -132,6 +132,127 @@ class TestRadius:
             series = product_green_series(s, 400)
             est = estimate_radius(series, 2 if s.factors[0] is Z5 else 1)
             assert abs(est / radius - 1.0) < 0.01
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the tree products of ROADMAP item 13: (degrees, weights)
+ITEM_13 = [((4, 6), (0.11, 0.89)), ((3, 8), (0.02, 0.98)), ((5, 3), (0.3, 0.7)), ((3, 3), (0.5, 0.5))]
+
+
+def golden_spec(name):
+    config = json.loads((GOLDEN / "configs.json").read_text())[name]
+    return FreeProductSpec(tuple(cli.parse_factor(f, i) for i, f in enumerate(config["factors"])), config["weights"])
+
+
+def flip_weights(s):
+    """The flip probabilities of `s` written as a free product of copies of
+    Z/2Z, exact: HomTree(q) at weight a is q copies at a / q."""
+    with mp.workdps(40):
+        return [mp.mpf(a) / getattr(f, "q", 1) for f, a in zip(s.factors, s.weights) for _ in range(getattr(f, "q", 1))]
+
+
+def c2_twin(s):
+    """`s` with every tree written as its copies of Z/2Z, in floats."""
+    factors, weights = [], []
+    for f, a in zip(s.factors, s.weights):
+        q = f.q if isinstance(f, HomTree) else 1
+        factors += [flip_group()] * q if isinstance(f, HomTree) else [f]
+        weights += [a / q] * q
+    return FreeProductSpec(tuple(factors), tuple(weights))
+
+
+def ulps_from(x, want):
+    return abs(float((mp.mpf(x) - want) / mp.mpf(math.ulp(float(want)))))
+
+
+class TestRadiusToAFewUlps:
+    """R against 30-digit references (ROADMAP item 13): at the parent of the
+    change that brought t / z and tighter inversions, T4*T6 was 3,296 ulps
+    off, T3*T8 about 21,000 and Z3*C3 71."""
+
+    @pytest.mark.parametrize("degrees,weights", ITEM_13, ids=["T4*T6", "T3*T8", "T5*T3", "T3*T3"])
+    def test_tree_product_and_its_c2_twin(self, degrees, weights):
+        # measured within 1.1 ulps (trees) and 2.5 (twins)
+        s = FreeProductSpec(tuple(map(HomTree, degrees)), weights)
+        for walk in (s, c2_twin(s)):
+            assert ulps_from(analyze_product(walk).radius, c2_product_radius(flip_weights(walk))) <= 4
+
+    def test_golden_z3_c3_is_the_nearest_double(self):
+        assert analyze_product(golden_spec("Z3xC3")).radius == float(Z3_C3_RADIUS)
+
+
+@st.composite
+def tree_products(draw):
+    """(q, further degrees, weights) of a product of two or three trees whose
+    first, HomTree(q), has a weight that q divides: weights in 4096ths that
+    sum to 1, so that its twin with q copies of Z/2Z at a / q is the same
+    walk in floats."""
+    q = draw(st.integers(3, 8))
+    others = tuple(draw(st.lists(st.integers(3, 8), min_size=1, max_size=2)))
+    share = draw(st.integers(1, (4096 - len(others)) // q))
+    rest = 4096 - q * share
+    cuts = [draw(st.integers(1, rest - 1))] if len(others) == 2 else []
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, rest])]
+    return q, others, tuple(x / 4096 for x in (q * share, *parts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=tree_products())
+@example(case=(4, (6,), (0.11, 0.89)))
+@example(case=(3, (8,), (0.02, 0.98)))
+def test_tree_equals_its_c2_twin(case):
+    # HomTree(q) at weight a and q copies of Z/2Z at a / q each are one walk.
+    # Radii measured within 4 ulps over 5,000 draws (the copies share one
+    # root, so their Green values' roundings add up q times).  R's 4 ulps
+    # move coefficient n of the normalized series by up to 4 n eps, and over
+    # 300 draws at order 200 the two solves differed by at most 106 eps more
+    q, others, weights = case
+    rest = tuple(map(HomTree, others))
+    s = FreeProductSpec((HomTree(q), *rest), weights)
+    twin = FreeProductSpec((flip_group(),) * q + rest, (s.weights[0] / q,) * q + s.weights[1:])
+    want, got = analyze_product(s), analyze_product(twin)
+    assert abs(got.radius - want.radius) <= 4 * math.ulp(want.radius)
+    law = lambda walk: (lambda a: (a.kind, a.lam, a.kappa, a.period))(classify_multi(walk))
+    assert law(twin) == law(s)
+    g, h = normalized_green_series(twin, 200)[1].coeffs, normalized_green_series(s, 200)[1].coeffs
+    nz = h != 0.0
+    assert np.array_equal(g != 0.0, nz)
+    n = np.arange(201)[nz]
+    assert np.all(np.abs(g[nz] / h[nz] - 1.0) <= (4 * n + 256) * np.finfo(float).eps)
+
+
+def test_analysis_does_not_depend_on_what_ran_before():
+    # every value of a root search comes from its own kept roots: each
+    # product analysed with fresh factors gives the same floats as after
+    # the same product at nearby weights, whose roots would make narrow
+    # brackets, and so do the phase roots of the two-factor ones
+    from fprw import phase
+
+    walks = [golden_spec(name) for name in json.loads((GOLDEN / "configs.json").read_text())]
+    walks += [FreeProductSpec(tuple(map(HomTree, d)), w) for d, w in ITEM_13]
+    for w in walks:
+        roots = lambda: phase.phase_roots(w) if w.m == 2 and not is_two_by_two(w) else None
+        analyze_factor.cache_clear()
+        fresh = analyze_product(w), roots()
+        analyze_factor.cache_clear()
+        for eps in (1e-7, 1e-4, 1e-2):
+            analyze_product(FreeProductSpec(w.factors, (w.weights[0] * (1.0 + eps), *w.weights[1:])))
+        assert (analyze_product(w), roots()) == fresh
+
+
+def test_branch_solves_take_few_green_evaluations():
+    # factor Green evaluations that miss each factor's cache, over the golden
+    # products and ROADMAP item 13's table: 1,023 before inversions started
+    # from kept roots and trees from their closed form, 293 after; the
+    # counts repeat exactly
+    walks = [golden_spec(name) for name in json.loads((GOLDEN / "configs.json").read_text())]
+    walks += [FreeProductSpec(tuple(map(HomTree, d)), w) for d, w in ITEM_13]
+    analyze_factor.cache_clear()
+    for walk in walks:
+        analyze_product(walk)
+    ans = {id(an): an for walk in walks for an in factor_analytics(walk)}
+    assert sum(an._green.cache_info().misses for an in ans.values()) <= 0.6 * 1023
 
 
 class TestGreenSeries:

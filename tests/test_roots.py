@@ -14,8 +14,8 @@ from fprw.errors import NanValue, NoConvergence, RootNotBracketed
 
 # (xtol, rtol, maxiter) of the five call sites
 SITE_TOLERANCES = [
-    (1e-15, factors._ROOT_RTOL, 200),  # factors.invert_w
-    (1e-300, 1e-13, 200),  # product._critical_theta
+    (factors._ROOT_XTOL, factors._ROOT_RTOL, 200),  # factors.invert_w
+    (1e-300, 1e-13, 200),  # product._solve_branch
     (phase._ROOT_XTOL, phase._ROOT_RTOL, 200),  # phase.phase_roots, both pieces
     (1e-12, phase._ROOT_RTOL, 100),  # phase.tune_axis_weights
 ]
