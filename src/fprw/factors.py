@@ -19,6 +19,12 @@ one source: analyze_factor asks the factor once and caches the result per
 factor.  The validity of a singular term (q, k) is `darboux_map`, which
 both the explicit factor's construction and `SingularityDescriptor` read.
 
+Each kind also answers the questions of mc's word algebra: its support size,
+without building the support (q on the tree, 2d on Z^d); its free factors and
+their step probabilities (the tree gives q copies of the flip C2); their sphere
+sizes in fwd + bwd; and their letter codes, `AdditiveCodes` on Z^d (its steps
++-R^j hold O(d^2 log R) bits in all) and `TableCodes` on a finite group.
+
 All evaluations are pure; a GreenAnalytics object is immutable after
 construction.
 """
@@ -91,15 +97,21 @@ class LatticeNN:
     def dim(self) -> int:
         return len(self.beta)
 
-    def step_support(self):
-        """[(step, probability)], each step an integer coordinate tuple."""
-        out = []
-        for j, (b, pj) in enumerate(zip(self.beta, self.p)):
-            up = tuple(1 if i == j else 0 for i in range(self.dim))
-            dn = tuple(-1 if i == j else 0 for i in range(self.dim))
-            out.append((up, b * pj))
-            out.append((dn, b * (1.0 - pj)))
-        return out
+    # the word algebra: one free factor of 2d steps, up then down along each axis
+    def support_size(self) -> int:
+        return 2 * self.dim
+
+    def free_factors(self) -> list:
+        return [(self, [q for b, pj in zip(self.beta, self.p) for q in (b * pj, b * (1.0 - pj))])]
+
+    def sphere_size(self, c: int) -> int:
+        """Points with fwd + bwd = c, twice the L1 norm: a point of norm k has
+        j nonzero axes, j signs and a composition of k into j positive parts."""
+        d, k = self.dim, c // 2
+        return 0 if c % 2 else sum(2**j * math.comb(d, j) * math.comb(k - 1, j - 1) for j in range(1, min(d, k) + 1))
+
+    def letter_codes(self, radix: int, base: int) -> "AdditiveCodes":
+        return AdditiveCodes(self.dim, radix)
 
     # analytics hooks, asked once per factor by analyze_factor
     def invariants(self):
@@ -161,36 +173,44 @@ class FiniteGroup:
         for row in P:
             if not all(v >= 0 for v in row) or not abs(sum(row) - 1.0) <= 1e-12:
                 raise ConfigError("P must be row-stochastic")
-        self._validate_group(n)
-        self._validate_invariance(n)
-        if len(self.forward_dist) != n:
-            raise ConfigError("support of the walk must generate the group")
+        self._validate_table(n)
+        self._validate_generated_group(n)
+        self._validate_invariance()
 
-    def _validate_group(self, n):
-        t = self.table
-        e = self.id
+    def _validate_table(self, n):
+        t, e, elements = self.table, self.id, list(range(n))
         if any(t[e][x] != x or t[x][e] != x for x in range(n)):
             raise ConfigError("identity row/column malformed in Cayley table")
-        for x in range(n):
-            if sorted(t[x]) != list(range(n)) or sorted(r[x] for r in t) != list(range(n)):
-                raise ConfigError("Cayley table rows/columns must be permutations")
-            if e not in t[x]:
-                raise ConfigError("element without inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if t[t[a][b]][c] != t[a][t[b][c]]:
-                        raise ConfigError("Cayley table is not associative")
+        if any(sorted(r) != elements for r in t) or any(sorted(c) != elements for c in zip(*t)):
+            raise ConfigError("Cayley table rows/columns must be permutations")
+        if any(e not in r for r in t):
+            raise ConfigError("element without inverse")
 
-    def _validate_invariance(self, n):
-        inv = [0] * n
-        for x in range(n):
-            inv[x] = self.table[x].index(self.id)
-        mu = self.P[self.id]
-        for x in range(n):
-            for y in range(n):
-                if abs(self.P[x][y] - mu[self.table[inv[x]][y]]) > 1e-12:
-                    raise ConfigError("P is not group-invariant for the given table")
+    def _validate_generated_group(self, n):
+        """That the support generates the table, then Light's test of associativity:
+        (xy)s = x(ys) for all x, y and each s of a part of the support.  If a and b
+        pass, so does ab, as (xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)).
+        The part takes a support element only where the products of those before it
+        miss it, so if the part passes, the support and all that it generates pass."""
+        t, mu = self.table, self.P[self.id]
+        gens, reached = [], {self.id}
+        for s in range(n):
+            if mu[s] > 0.0 and s not in reached:
+                gens.append(s)
+                frontier = list(reached)
+                while frontier:
+                    frontier = [t[x][g] for x in frontier for g in gens if t[x][g] not in reached]
+                    reached.update(frontier)
+        if len(reached) != n and len(self.forward_dist) != n:
+            raise ConfigError("support of the walk must generate the group")
+        columns = ([row[s] for row in t] for s in gens)  # on x's row r, c[xy] is (xy)s and r[ys] x(ys)
+        if any([c[xy] for r in t for xy in r] != [r[ys] for r in t for ys in c] for c in columns):
+            raise ConfigError("Cayley table is not associative")
+
+    def _validate_invariance(self):
+        mu, t = self.P[self.id], self.table  # x^-1 y is the y-th entry of the row of x^-1
+        if any(abs(p - mu[g]) > 1e-12 for row, P_row in zip(t, self.P) for p, g in zip(P_row, t[row.index(self.id)])):
+            raise ConfigError("P is not group-invariant for the given table")
 
     @property
     def order(self) -> int:
@@ -225,6 +245,27 @@ class FiniteGroup:
         """Steps from each element back to the identity: x s_1 ... s_k = e
         exactly when s_1 ... s_k = x^-1, so it is the forward distance of x^-1."""
         return tuple(self.forward_dist[row.index(self.id)] for row in self.table)
+
+    # the word algebra: one free factor, its steps the support's elements
+    def support_size(self) -> int:
+        return len(self.step_support())
+
+    def free_factors(self) -> list:
+        return [(self, [p for _, p in self.step_support()])]
+
+    @cached_property
+    def round_trip(self) -> np.ndarray:
+        """fwd + bwd of each element."""
+        return np.array(self.dist_table) + np.array([self.forward_dist[x] for x in range(self.order)])
+
+    @cached_property
+    def sphere_size(self):
+        """s(c), the elements with fwd + bwd = c, as a function of c."""
+        hist = np.bincount(self.round_trip).tolist()
+        return lambda c: hist[c] if c < len(hist) else 0
+
+    def letter_codes(self, radix: int, base: int) -> "TableCodes":
+        return TableCodes(self, base)
 
     def invariants(self):
         # gcd of (dist[x] + 1 - dist[y]) over support edges x -> y, the standard
@@ -319,9 +360,12 @@ class HomTree:
         if self.q < 2:
             raise ConfigError("tree degree must be at least 2")
 
-    def step_support(self):
-        """[(step, probability)], step g the one-letter reduced word (g,)."""
-        return [((g,), 1.0 / self.q) for g in range(self.q)]
+    # the word algebra: step g is the flip of the g-th of q free C2 factors
+    def support_size(self) -> int:
+        return self.q
+
+    def free_factors(self) -> list:
+        return [(flip_group(), [1.0 / self.q])] * self.q
 
     def invariants(self):
         _validate_tree_closed_form(self.q)
@@ -426,8 +470,10 @@ class ExplicitSeries:
                 f"multiple of the period {self.period}"
             )
 
-    def step_support(self):
+    def free_factors(self):
         raise ConfigError("explicit-series factors carry no group elements")
+
+    support_size = free_factors
 
     def invariants(self):
         sing = None
@@ -483,6 +529,66 @@ def _derivative(coeffs: np.ndarray):
 
 
 FactorSpec = Union[LatticeNN, FiniteGroup, HomTree, ExplicitSeries]
+
+
+# ---------------------------------------------------------------------------
+# letter codes of the word algebra
+
+
+class AdditiveCodes:
+    """Z^d's elements as integers x = sum_j x_j R^j, one to one on coordinates
+    within +-(R - 1) / 2: a letter times a step is the sum of their codes.
+    The steps +-R^j are formed one power at a time, with no coordinate tuple,
+    but still hold O(d^2 log R) bits in all; past R^d = 2^62 they are `wide`."""
+
+    identity, rows = 0, ()  # no merge table
+
+    def __init__(self, dim: int, radix: int):
+        self.steps, place = [], 1
+        for _ in range(dim):
+            self.steps += [place, -place]
+            place *= radix
+        self.wide = place > 2**62
+
+    def ball(self, order: int, dtype):
+        """(codes, costs) of the points with 0 < fwd + bwd <= order, sorted by code:
+        the L1 spheres of radius r <= order // 2, at cost 2r."""
+        steps = np.array(self.steps, dtype=dtype)
+        spheres = [np.zeros(1, dtype=dtype), _sorted_unique(steps)]
+        for _ in range(order // 2 - 1):  # sphere r - 1's neighbours lie on spheres r - 2 and r
+            near = _sorted_unique((spheres[-1][:, None] + steps[None, :]).ravel())
+            spheres.append(np.setdiff1d(near, spheres[-2], assume_unique=True))
+        spheres = spheres[: order // 2 + 1]  # the first, sphere 0, is the identity alone
+        codes = np.concatenate(spheres)[1:]
+        costs = np.repeat(np.arange(0, 2 * len(spheres), 2), [s.size for s in spheres])[1:]
+        by_code = np.argsort(codes)
+        return codes[by_code], costs[by_code]
+
+
+class TableCodes:
+    """A finite group's elements as integers base + x, so that no two finite
+    factors share a code: a letter times step k is rows[letter - base][k]."""
+
+    wide = False
+
+    def __init__(self, group: FiniteGroup, base: int):
+        steps = [g for g, _ in group.step_support()]
+        self.group, self.base = group, base
+        self.steps = [base + g for g in steps]
+        self.identity = base + group.id
+        self.rows = [[base + row[g] for g in steps] for row in group.table]
+
+    def ball(self, order: int, dtype):
+        """(codes, costs) of the elements with 0 < fwd + bwd <= order, sorted by code."""
+        cost = self.group.round_trip
+        inside = np.flatnonzero((cost > 0) & (cost <= order))
+        return (self.base + inside).astype(dtype), cost[inside]
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-d array, by one sort (np.unique would load numpy.ma)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,11 @@
 
 Words of the free product are in normal form: no identity letters and no two
 adjacent letters from the same factor.  Both oracles run on integer-coded
-letters, compiled once per product (`_Letters`):
-
-- a finite group's element is its index in the Cayley table, offset so that
-  the finite factors' codes do not overlap; a letter merges with a step by a
-  lookup in the table of (element, step) products;
-- a Z^d element x is the exact integer sum_j x_j R^j with R = 2 reach + 1,
-  where reach bounds every coordinate, so merging is addition; where R^d would
-  overflow int64 the codes are Python integers;
-- the q-regular tree is the free product of q copies of Z/2Z, so HomTree(q)
-  becomes q C2 factors, one per tree step.  The support order is kept, and so
-  are the draws.
+letters, compiled once per product (`_Letters`) from what each factor kind
+answers in factors.py: its support size, its free factors (the q-regular tree
+gives q copies of the flip C2, in support order, so the draws are kept), their
+sphere sizes in fwd + bwd and their letter codes (Z^d's, +-R^j on each axis,
+hold O(d^2 log R) bits in all).  No code here is per kind.
 
 simulate advances all walks of a block together, on one of two
 representations of their words:
@@ -31,12 +25,7 @@ The ball is taken where it fits EXACT_COLUMN_BYTES, by the budget test that
 bfs_convolution applies, and where it is already built (`fprw simulate`
 takes its exact column first) or building it costs less than the walk time
 it saves (_ball_pays); elsewhere the walks run on letter stacks.  Both
-give the same counts, walk for walk.  Walks are grouped in fixed-size
-blocks, each drawn from the Philox stream keyed (seed, block), so a walk's
-draws do not depend on how many walks run beside it.  A block's steps are
-all drawn up front by `_tally`, which gives Generator.choice's draws bit for
-bit but counts cdf entries by comparisons on a short support, where choice
-runs a binary search per draw.
+give the same counts, walk for walk, from the same draws (`simulate`).
 
 bfs_convolution propagates exact probability mass over words.  A walk that
 is back at the identity by step `order` only visits words w with
@@ -45,20 +34,18 @@ bwd(w) the steps needed to walk it back; both add up over the word's letters.
 Only that ball of words is enumerated (for a support closed under inverses
 fwd = bwd, and the ball is erase cost <= order // 2); mass crossing its
 boundary goes to an escape bucket, which keeps the per-step totals at exactly
-1.  The words form a trie (`_word_ball`, which keeps the last ball built for
-simulate and bfs_convolution to share, and drops it before building
-another): each is keyed by the state id of its prefix and its last letter,
-the ball's letters numbered densely, and the levels are enumerated with
-np.unique/searchsorted.  Mass moves over a dense table of each word's
-predecessor per support step: a step adds p_k times the mass of the k-th
-predecessors, in support order, so every sum starts from 0.0 and matches,
-bit for bit, a mat-vec whose rows list the predecessors in that order.  The
-mass that escapes per step is a dot over all words, summed on the calling
-thread by `series.serial_dot`: as one BLAS dot past 10,000 words it would
-wake OpenBLAS's thread pool.  The ball's words are counted level by level
-from the factors' sphere sizes in fwd + bwd (_level_sizes), and the count
-stops at the first level past the budget, so an order that does not fit is
-refused before anything is enumerated, and at once.
+1.  The words form a trie (`_word_ball`), each keyed by the state id of its
+prefix and its last letter, the ball's letters numbered densely, and the
+levels are enumerated with np.unique/searchsorted.  Mass moves over a dense
+table of each word's predecessor per support step: a step adds p_k times the
+mass of the k-th predecessors, in support order, so every sum starts from 0.0
+and matches, bit for bit, a mat-vec whose rows list the predecessors in that
+order.  The mass that escapes per step is a dot over all words, summed on the
+calling thread by `series.serial_dot`: as one BLAS dot past 10,000 words it
+would wake OpenBLAS's thread pool.  The ball's words are counted level by
+level from the factors' sphere sizes in fwd + bwd (_level_sizes), and the
+count stops at the first level past the budget, so an order that does not
+fit is refused before anything is enumerated, and at once.
 """
 
 from __future__ import annotations
@@ -71,7 +58,6 @@ import numpy as np
 import numpy.random  # for the Philox streams: numpy would load it lazily, inside the first simulate
 
 from .errors import ConfigError, StateExplosion
-from .factors import HomTree, LatticeNN, flip_group
 from .product import FreeProductSpec
 from .series import PowerSeries, serial_dot
 
@@ -97,52 +83,6 @@ _IDENTITY = -2  # the step cancels the letter
 # coded letters
 
 
-def _support(spec: FreeProductSpec):
-    out = []
-    for i, (f, a) in enumerate(zip(spec.factors, spec.weights)):
-        for g, p in f.step_support():
-            out.append((i, g, a * p))
-    return out
-
-
-_C2 = flip_group()
-
-
-def _free_factors(spec: FreeProductSpec):
-    """[(group, step elements)] of the word algebra, steps in _support order.
-
-    A tree step g is the flip of its own C2 factor.
-    """
-    out = []
-    for f in spec.factors:
-        if isinstance(f, HomTree):
-            out.extend((_C2, [1]) for _ in range(f.q))
-        else:
-            out.append((f, [g for g, _ in f.step_support()]))
-    return out
-
-
-def _round_trip(group) -> np.ndarray:
-    """fwd + bwd of each element of a finite group."""
-    fwd = [group.forward_dist[x] for x in range(group.order)]
-    return np.array(group.dist_table) + np.array(fwd)
-
-
-def _sphere_sizes(group):
-    """s(c), the number of elements with fwd + bwd = c, as a function of c >= 1.
-
-    On Z^d both are the L1 norm: a point of norm k has j nonzero axes, j
-    signs and a composition of k into j positive parts.
-    """
-    if isinstance(group, LatticeNN):
-        d = group.dim
-        return lambda c: 0 if c % 2 else sum(
-            2**j * math.comb(d, j) * math.comb(c // 2 - 1, j - 1) for j in range(1, min(d, c // 2) + 1)
-        )
-    hist = np.bincount(_round_trip(group)).tolist()
-    return lambda c: hist[c] if c < len(hist) else 0
-
-
 def _locate(ordered: np.ndarray, values: np.ndarray):
     """(position, found) of each value in a sorted array."""
     pos = np.searchsorted(ordered, values)
@@ -157,44 +97,27 @@ class _Letters:
     Per support step k: its free factor `factor[k]`, the code `code[k]` it
     pushes, whether it moves at all (`live[k]`; a finite group's identity step
     does not), and its column in the merge table.  `identity[i]` is the code
-    of factor i's identity and `base[i]` the code of a finite factor's
-    element 0.
+    of free factor i's identity, and `coders[i]` writes its letters.
     """
 
     def __init__(self, spec: FreeProductSpec, reach: int):
-        self.probs = np.array([p for _, _, p in _support(spec)])
+        free = [(g, [a * p for p in ps]) for f, a in zip(spec.factors, spec.weights) for g, ps in f.free_factors()]
+        self.probs = np.array([p for _, probs in free for p in probs])
         radix = 2 * max(reach, 1) + 1
-        self.groups, self.base = [], []
-        factor, code, live, column, identity, table = [], [], [], [], [], []
-        wide = False
-        for i, (group, steps) in enumerate(_free_factors(spec)):
-            self.groups.append(group)
-            factor += [i] * len(steps)
-            column += range(len(steps))
-            if isinstance(group, LatticeNN):
-                place = [radix**j for j in range(group.dim)]
-                wide = wide or radix**group.dim > 2**62
-                self.base.append(0)
-                identity.append(0)
-                code += [sum(x * r for x, r in zip(g, place)) for g in steps]
-                live += [True] * len(steps)
-            else:
-                base = len(table)  # one table row per finite element
-                self.base.append(base)
-                identity.append(base + group.id)
-                code += [base + g for g in steps]
-                live += [g != group.id for g in steps]
-                table += [[base + row[g] for g in steps] for row in group.table]
-        self.dtype = object if wide else np.int64
-        self.factor = np.array(factor, dtype=np.int32)
-        self.code = np.array(code, dtype=self.dtype)
-        self.live = np.array(live, dtype=bool)
-        self.column = np.array(column, dtype=np.int64)
-        self.identity = np.array(identity, dtype=self.dtype)
+        self.coders, table = [], []
+        for group, _ in free:
+            self.coders.append(group.letter_codes(radix, base=len(table)))  # one table row per finite element
+            table += self.coders[-1].rows
+        sizes = [len(c.steps) for c in self.coders]
+        self.dtype = object if any(c.wide for c in self.coders) else np.int64
+        self.factor = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        self.column = np.concatenate([np.arange(n) for n in sizes])
+        self.code = np.array([s for c in self.coders for s in c.steps], dtype=self.dtype)
+        self.identity = np.array([c.identity for c in self.coders], dtype=self.dtype)
+        self.live = np.asarray(self.code != self.identity[self.factor], dtype=bool)
         width = max((len(row) for row in table), default=0)
         self.table = np.array([row + [-1] * (width - len(row)) for row in table], dtype=np.int64)
-        # merging: finite steps look up the table, lattice steps add their code
-        self.looked_up = np.array([not isinstance(g, LatticeNN) for g in self.groups])[self.factor]
+        self.looked_up = np.array([bool(c.rows) for c in self.coders])[self.factor]  # else a step adds its code
         self.added = np.where(self.looked_up, 0, self.code)
 
     def advance(self, codes: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -225,27 +148,8 @@ class _Letters:
         `order`.  A last row, letter -1, stands for the empty word: factor -1,
         cost 0.
         """
-        ks = [np.flatnonzero(self.factor == i) for i in range(len(self.groups))]
-        codes, costs = [], []
-        for i, group in enumerate(self.groups):
-            if isinstance(group, LatticeNN):
-                # the L1 spheres: neighbours of sphere r - 1 lie on spheres r - 2 and r
-                spheres = [np.zeros(1, dtype=self.dtype), _sorted_unique(self.code[ks[i]])]
-                for _ in range(order // 2 - 1):
-                    near = _sorted_unique((spheres[-1][:, None] + self.code[ks[i]][None, :]).ravel())
-                    prev = spheres[-2]  # sorted: keep the neighbours not on it
-                    pos = np.minimum(np.searchsorted(prev, near), prev.size - 1)
-                    spheres.append(near[prev[pos] != near])
-                spheres = spheres[1 : order // 2 + 1]
-                codes.append(np.concatenate(spheres) if spheres else np.zeros(0, self.dtype))
-                costs.append(np.repeat(np.arange(2, 2 * len(spheres) + 1, 2), [s.size for s in spheres]))
-                by_code = np.argsort(codes[-1])
-                codes[-1], costs[-1] = codes[-1][by_code], costs[-1][by_code]
-            else:
-                cost = _round_trip(group)
-                inside = np.flatnonzero((cost > 0) & (cost <= order))
-                codes.append((self.base[i] + inside).astype(self.dtype))
-                costs.append(cost[inside])
+        ks = [np.flatnonzero(self.factor == i) for i in range(len(self.coders))]
+        codes, costs = zip(*(c.ball(order, self.dtype) for c in self.coders))
         first = np.cumsum([0] + [c.size for c in codes])
 
         def lookup(i, products):
@@ -276,7 +180,7 @@ def _level_sizes(spec: FreeProductSpec):
     sphere sizes; the sum runs over the k < c with s_i(k) > 0, so a level
     costs a few operations per sphere of each factor met so far.
     """
-    spheres = [_sphere_sizes(g) for g, _ in _free_factors(spec)]
+    spheres = [g.sphere_size for f in spec.factors for g, _ in f.free_factors()]
     met = [[] for _ in spheres]  # factor i's (k, s_i(k)) with s_i(k) > 0
     words = [[0] for _ in spheres]
     total = [1]
@@ -298,15 +202,11 @@ def word_count_bound(spec: FreeProductSpec, order: int) -> int:
 
 
 def support_size(spec: FreeProductSpec) -> int:
-    """Steps in the product's support, counted from the factors without
-    building it: q on the q-regular tree, 2d on Z^d.  A support of S steps
-    gives the empty word _STATE_BYTES + _PAIR_BYTES S bytes in
-    bfs_convolution, so one of more than MAX_SUPPORT steps fits no word of
-    the exact column and is refused."""
-    size = sum(
-        f.q if isinstance(f, HomTree) else 2 * f.dim if isinstance(f, LatticeNN) else len(f.step_support())
-        for f in spec.factors
-    )
+    """Steps in the product's support, counted by the factors without
+    building it.  A support of S steps gives the empty word _STATE_BYTES +
+    _PAIR_BYTES S bytes in bfs_convolution, so one of more than MAX_SUPPORT
+    steps fits no word of the exact column and is refused."""
+    size = sum(f.support_size() for f in spec.factors)
     if size > MAX_SUPPORT:
         raise ConfigError(
             f"the product's support has {size} steps, too many for one word in {EXACT_COLUMN_BYTES >> 20} MiB"
@@ -475,12 +375,6 @@ class SimulationResult:
 
     def frequencies(self) -> np.ndarray:
         return np.array(self.returns, dtype=float) / self.walks
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique(a) for a 1-d array, by one sort (np.unique would load numpy.ma)."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 # supports of at most this many steps are drawn by comparisons into a uint8

@@ -4,9 +4,10 @@ doubling on the series kernels of `fprw.series`; the paper's induction over
 the factors (`fold_classify`) and the zeta fixed-point iteration (`zeta_at`),
 against which the m-factor classification and the series solve are checked;
 the tuple word algebra that `fprw.mc`'s coded letters are tested
-against; the lattice return law's deviance with both of its branches
-evaluated in every cell, and its axes merged in the order given with no
-kept prefix laws; and 30-digit spectral radii, Woess's formula for free
+against, and the triple-loop associativity check that a finite group's
+construction is tested against; the lattice return law's deviance with
+both of its branches evaluated in every cell, and its axes merged in the
+order given with no kept prefix laws; and 30-digit spectral radii, Woess's formula for free
 products of copies of Z/2Z and an mpmath branch solve of the golden
 Z3*C3."""
 
@@ -305,6 +306,29 @@ def zeta_at(spec: FreeProductSpec, z: float, tol: float = 1e-13, max_iter: int =
 # finite group's element its index in the Cayley table.
 
 
+def tuple_steps(factor):
+    """[(step, probability)] of one factor in support order: a lattice step
+    is a unit coordinate tuple, built here from its dim, and tree step g
+    the one-flip word (g,)."""
+    if isinstance(factor, LatticeNN):
+        out = []
+        for j, (b, pj) in enumerate(zip(factor.beta, factor.p)):
+            up = tuple(1 if i == j else 0 for i in range(factor.dim))
+            dn = tuple(-1 if i == j else 0 for i in range(factor.dim))
+            out += [(up, b * pj), (dn, b * (1.0 - pj))]
+        return out
+    if isinstance(factor, HomTree):
+        return [((g,), 1.0 / factor.q) for g in range(factor.q)]
+    return factor.step_support()
+
+
+def tuple_support(spec: FreeProductSpec):
+    """[(factor index, step, probability)] of the product's support."""
+    return [
+        (i, g, a * p) for i, (f, a) in enumerate(zip(spec.factors, spec.weights)) for g, p in tuple_steps(f)
+    ]
+
+
 def identity_elem(factor):
     if isinstance(factor, LatticeNN):
         return (0,) * factor.dim
@@ -355,6 +379,14 @@ def word_is_normal(factors, word: tuple) -> bool:
 def word_erase_cost(factors, word: tuple) -> int:
     """Lower bound on the steps needed to walk the word back to the identity."""
     return sum(dist_to_identity(factors[i], g) for i, g in word)
+
+
+def is_associative(table) -> bool:
+    """(ab)c = a(bc) for every triple of elements, by the triple loop."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]] for a in range(n) for b in range(n) for c in range(n)
+    )
 
 
 # R of the golden Z3*C3 (Z^3 and C3 with steps 0.1, 0.5, 0.4, at weights

@@ -153,6 +153,24 @@ def test_simulate_refuses_a_support_too_large_for_one_word(tmp_path, capsys):
     assert elapsed < 1.0 and peak < 1 << 20
 
 
+def test_simulate_on_a_wide_lattice_builds_no_coordinate_tuples(tmp_path, capsys):
+    # Z^2000 * C2 walks on letter stacks: its 4,000 step codes +-29^j hold
+    # about 2.4 MB in all, where 4,000 coordinate tuples of length 2,000 took
+    # 64 MiB and 38 s under tracemalloc (0.3-0.4 s and 3.2 MiB now, on 2
+    # cores); the output is that of the tuples, byte for byte
+    config = {"factors": [{"type": "lattice", "dim": 2000}, C2], "weights": [0.5, 0.5]}
+    tracemalloc.start()
+    start = time.perf_counter()
+    code, out = run(tmp_path, capsys, config, "simulate", "--steps", "14", "--walks", "64")
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0 and out.err.startswith("warning: exact column stops at n = 1,")
+    digest = "75f433fb531e1deb2746f6be1db5e5e2de8ade771f7c02283a750e6b987e7e43"
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+    assert elapsed < 2.0 and peak < 16 << 20
+
+
 def test_integral_floats_are_integers(tmp_path, capsys):
     # a float with an integral value is the integer it names
     plain = {"factors": [{"type": "tree", "q": 3}, Z5], "weights": [0.5, 0.5], "options": {"order": 10}}

@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,8 @@ from fprw.factors import (
     psi_at_argument,
 )
 
+from .oracles import is_associative
+
 GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs.json"
 
 
@@ -38,6 +42,36 @@ def z5():
 @pytest.fixture(scope="module")
 def z3():
     return analyze_factor(LatticeNN.simple(3))
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0, ..., n - 1."""
+    square = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield tuple(tuple(row) for row in square)
+            return
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            yield from fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in square[i][:j] and all(square[k][j] != v for k in range(i)):
+                square[i][j] = v
+                yield from fill(cell + 1)
+        square[i][j] = None
+
+    return list(fill(0))
+
+
+def right_closure(table, steps):
+    """The elements that right products by `steps` reach from element 0."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [table[x][s] for x in frontier for s in steps if table[x][s] not in reached]
+        reached.update(frontier)
+    return reached
 
 
 class TestSpecValidation:
@@ -61,6 +95,57 @@ class TestSpecValidation:
         P = ((0.0, 1.0), (0.5, 0.5))
         with pytest.raises(ConfigError):
             FiniteGroup(P=P, id=0, table=table)
+
+    def test_associativity_verdict_is_the_triple_loops(self):
+        # Light's test on a generating part of the support, against the
+        # triple loop: every reduced Latin square of order 5 (56, of which the
+        # 6 tables of Z/5Z are associative) with every support, at uniform
+        # weights and with P built to be invariant.  A support that does not
+        # generate is refused as such, whether the table is associative or not
+        squares = reduced_latin_squares(5)
+        assert len(squares) == 56 and sum(map(is_associative, squares)) == 6
+        seen = set()
+        for table in squares:
+            inverse = [table[row.index(0)] for row in table]
+            for size in range(1, 6):
+                for support in itertools.combinations(range(5), size):
+                    mu = [1.0 / size if g in support else 0.0 for g in range(5)]
+                    P = [[mu[g] for g in row] for row in inverse]
+                    if len(right_closure(table, support)) < 5:
+                        want = "support of the walk must generate the group"
+                    else:
+                        want = None if is_associative(table) else "Cayley table is not associative"
+                    try:
+                        FiniteGroup(P=P, id=0, table=table)
+                        got = None
+                    except ConfigError as exc:
+                        got = str(exc)
+                    assert got == want, (table, support)
+                    seen.add(want)
+        assert len(seen) == 3
+
+    def test_associativity_is_checked_past_a_first_generator_that_passes(self):
+        # the direct product of each square with C2, element (x, a) at 2x + a:
+        # the flip (0, 1) is the first generator, and it passes Light's test
+        # on every such table, associative or not
+        for square in reduced_latin_squares(5):
+            table = [[2 * square[x // 2][y // 2] + (x + y) % 2 for y in range(10)] for x in range(10)]
+            mu = [0.2 if g in (1, 2, 4, 6, 8) else 0.0 for g in range(10)]
+            P = [[mu[g] for g in table[row.index(0)]] for row in table]
+            if is_associative(table):
+                FiniteGroup(P=P, id=0, table=table)
+            else:
+                with pytest.raises(ConfigError, match="not associative"):
+                    FiniteGroup(P=P, id=0, table=table)
+
+    def test_order_400_is_checked_in_well_under_a_second(self):
+        # the triple loop took 4.7-6.1 s; Light's test on the one generator
+        # takes 0.12-0.30 s for the whole construction (2 cores)
+        mu = [0.0] * 400
+        mu[1] = mu[-1] = 0.5
+        start = time.perf_counter()
+        cyclic_group(400, mu)
+        assert time.perf_counter() - start < 1.0
 
     def test_explicit_constraints(self):
         with pytest.raises(ConfigError):

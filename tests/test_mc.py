@@ -14,7 +14,7 @@ from fprw.errors import ConfigError, StateExplosion
 from fprw.factors import FiniteGroup, HomTree, LatticeNN, cyclic_group, flip_group
 from fprw.product import FreeProductSpec, product_green_series
 
-from .oracles import combine, word_erase_cost, word_is_normal, word_multiply
+from .oracles import combine, tuple_steps, tuple_support, word_erase_cost, word_is_normal, word_multiply
 
 C2 = flip_group()
 C3 = cyclic_group(3, (0.0, 0.5, 0.5))
@@ -49,7 +49,7 @@ def tuple_ball(spec, order):
     steps needed to reach it) plus its erase cost is at most `order`.
     """
     factors = spec.factors
-    support = mc._support(spec)
+    support = tuple_support(spec)
     states = [()]
     index = {(): 0}
     frontier = [()]
@@ -73,7 +73,7 @@ def tuple_ball(spec, order):
 
 def tuple_bfs(spec, order):
     """(mu^(n)(e) for n <= order, number of words) by tuple-word propagation."""
-    support = mc._support(spec)
+    support = tuple_support(spec)
     states, targets = tuple_ball(spec, order)
     mass = np.zeros(len(states))
     mass[0] = 1.0
@@ -97,7 +97,7 @@ def csr_propagation(spec, order):
     predecessor per word, the numbering of the words does not matter.
     """
     states, targets = tuple_ball(spec, order)
-    probs = np.array([p for _, _, p in mc._support(spec)])
+    probs = np.array([p for _, _, p in tuple_support(spec)])
     nwords = len(states)
     source = np.full((nwords, probs.size), -1)
     for k, target in enumerate(targets):
@@ -120,7 +120,7 @@ def csr_propagation(spec, order):
 
 def tuple_block(spec, seed, block, nwalks, steps):
     """Return counts of one block of walks, multiplied out on tuple words."""
-    support = mc._support(spec)
+    support = tuple_support(spec)
     rng = np.random.Generator(np.random.Philox(key=[seed, block]))
     probs = np.array([p for _, _, p in support])
     counts = np.zeros(steps + 1, dtype=np.int64)
@@ -207,6 +207,12 @@ class TestCodedAgainstTuples:
         got = mc.simulate(spec, steps=100, walks=300, seed=5)
         assert got.returns == tuple_simulate(spec, 100, 300, 5)
 
+    def test_bfs_on_wide_lattice_codes(self):
+        # radix 7 at order 4: 7**30 overflows int64, so the ball's codes are Python ints
+        spec = spec_of((LatticeNN.simple(30), 0.5), (C2, 0.5))
+        assert mc._Letters(spec, reach=3).dtype is object
+        assert mc.bfs_convolution(spec, 4).coeffs.tobytes() == csr_propagation(spec, 4).tobytes()
+
     @pytest.mark.parametrize("name", list(ORACLE_SPECS))
     def test_bfs_matches_tuple_propagation(self, name):
         spec = ORACLE_SPECS[name]
@@ -249,7 +255,7 @@ class TestExactColumn:
         spec = COLUMN_SPECS[name]
         order = mc.exact_column_order(spec, 14)
         words = mc.word_count_bound(spec, order)
-        pairs = words * len(mc._support(spec))
+        pairs = words * len(tuple_support(spec))
         mc._last_ball.clear()  # measure the build, not a cached ball
         tracemalloc.start()
         try:
@@ -269,7 +275,7 @@ class TestExactColumn:
         spec = COLUMN_SPECS[name]
         order = mc.exact_column_order(spec, 14)
         words = mc.word_count_bound(spec, order)
-        pairs = words * len(mc._support(spec))
+        pairs = words * len(tuple_support(spec))
         walk = mc._SIM_BLOCK * (10 * order + 24)
         mc._last_ball.clear()
         tracemalloc.start()
@@ -354,7 +360,7 @@ class TestExactColumn:
         ids=["Z1*T4", "C3*Z6", "S3*C2"],
     )
     def test_support_is_counted_as_built(self, spec):
-        assert mc.support_size(spec) == len(mc._support(spec))
+        assert mc.support_size(spec) == len(tuple_support(spec))
 
     def test_support_limit_is_one_word_of_the_column(self):
         # (64 MiB - 128) // 64 = 1,048,574 steps; C2 adds one, and the tree
@@ -450,7 +456,7 @@ class TestWordAlgebra:
     def test_normal_form_random_walk(self):
         facs = (Z1, C3, HomTree(3))
         rng = np.random.default_rng(7)
-        supports = [f.step_support() for f in facs]
+        supports = [tuple_steps(f) for f in facs]
         w = ()
         for _ in range(4000):
             i = int(rng.integers(0, 3))
