@@ -4,7 +4,8 @@ Input is a JSON description of the free product (factors, weights, options);
 outputs are JSON or CSV with floats printed to 12 significant digits and
 infinities rendered as the string "inf".  Exit codes: 2 for configuration
 errors, 3 for numeric failures, 4 when phase analysis is asked for a product
-with more than two factors.
+it is not defined for: one of more than two factors, or the recurrent
+(Z/2Z)*(Z/2Z).
 
 `simulate` prints an exact column from word convolution up to n = 14.  The
 number of words it enumerates grows geometrically with n (about 16-fold per
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import classify, mc, phase
-from .errors import ConfigError, FprwError
+from .errors import ConfigError, DegenerateProduct, FprwError
 from .factors import ExplicitSeries, FiniteGroup, HomTree, LatticeNN, cyclic_group
 from .product import (
     FreeProductSpec,
@@ -474,7 +475,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _PhaseArity as exc:
+    except (_PhaseArity, DegenerateProduct) as exc:  # no phase diagram for this product
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except FprwError as exc:

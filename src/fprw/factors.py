@@ -11,12 +11,14 @@ period and singularity descriptor (`invariants`), its return series
 (`series`), the same series in the variable x = z/rho (`radius_series`,
 which the product's first-visit solve uses), its Green function and
 derivatives (`green`), and the limit of Psi at the radius where G diverges
-there (`recurrent_psi_limit`).  A finite group also gives its
-first-return kernel in closed rational form (`first_return_form`), which
-the product's solve evaluates by elimination at high orders, and a tree
-its branch z G(z) = t, with Phi and Psi there, in closed form (`branch`).  Each fact has
-one source: analyze_factor asks the factor once and caches the result per
-factor.  The validity of a singular term (q, k) is `darboux_map`, which
+there (`recurrent_psi_limit`).  Three answers are None on all kinds but
+one (`FactorKind`): a finite group gives its number of elements (`order`)
+and its first-return kernel in closed rational form (`first_return_form`),
+which the product's solve evaluates by elimination at high orders, and a
+tree its branch z G(z) = t, with Phi and Psi there, in closed form
+(`branch`).  So no code that combines factors asks for a kind.  Each fact
+has one source: analyze_factor asks the factor once and caches the result
+per factor.  The validity of a singular term (q, k) is `darboux_map`, which
 both the explicit factor's construction and `SingularityDescriptor` read.
 
 Each kind also answers the questions of mc's word algebra: its support size,
@@ -36,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,8 +72,18 @@ _ANALYTICS_CACHE_SIZE = 256
 # factor descriptions
 
 
+class FactorKind:
+    """None for the answers that one kind alone gives: a finite group its
+    `order` and `first_return_form`, the tree its closed-form `branch`."""
+
+    order = branch = None
+
+    def first_return_form(self, period: int):
+        return None
+
+
 @dataclass(frozen=True)
-class LatticeNN:
+class LatticeNN(FactorKind):
     """Nearest-neighbour walk on Z^d: axis weights beta_j, up-probabilities p_j."""
 
     beta: tuple
@@ -143,7 +155,7 @@ class LatticeNN:
 
 
 @dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(FactorKind):
     """Group-invariant walk on a finite group given by its Cayley table.
 
     P[x][y] must equal mu(x^-1 y) where mu = P[id]; the table, identity and
@@ -351,7 +363,7 @@ def flip_group() -> FiniteGroup:
 
 
 @dataclass(frozen=True)
-class HomTree:
+class HomTree(FactorKind):
     """Uniform walk on the free product of q copies of Z/2Z (q-regular tree)."""
 
     q: int
@@ -368,7 +380,6 @@ class HomTree:
         return [(flip_group(), [1.0 / self.q])] * self.q
 
     def invariants(self):
-        _validate_tree_closed_form(self.q)
         sing = SingularityDescriptor.from_qk(0.5, 0) if self.q >= 3 else None
         return _tree_radius(self.q), 2, sing
 
@@ -430,7 +441,7 @@ class HomTree:
 
 
 @dataclass(frozen=True)
-class ExplicitSeries:
+class ExplicitSeries(FactorKind):
     """Explicit return-probability series with asserted radius metadata."""
 
     coeffs: tuple
@@ -526,9 +537,6 @@ def _derivative(coeffs: np.ndarray):
     """The coefficients of a polynomial's derivative, None where it is
     identically zero."""
     return np.arange(1, coeffs.size) * coeffs[1:] if coeffs.size > 1 else None
-
-
-FactorSpec = Union[LatticeNN, FiniteGroup, HomTree, ExplicitSeries]
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +643,7 @@ class SingularityDescriptor:
 class GreenAnalytics:
     """Computed invariants of one factor; evaluations go through .green()."""
 
-    spec: FactorSpec
+    spec: FactorKind
     radius: float
     g_at_r: float
     gprime_at_r: float
@@ -687,7 +695,7 @@ def _psi_from_values(z: float, g: float, gp: float) -> float:
 
 
 @lru_cache(maxsize=_ANALYTICS_CACHE_SIZE)
-def analyze_factor(spec: FactorSpec) -> GreenAnalytics:
+def analyze_factor(spec: FactorKind) -> GreenAnalytics:
     """Compute all invariants of one factor's walk, cached per factor.
 
     Psi's limit at the radius is finite or zero in every case: an honest
@@ -714,19 +722,8 @@ def analyze_factor(spec: FactorSpec) -> GreenAnalytics:
         sing=sing,
         psi_at_radius=psi_r,
         _green=ev,
-        _branch=getattr(spec, "branch", None),
+        _branch=spec.branch,
     )
-
-
-@lru_cache(maxsize=64)
-def _validate_tree_closed_form(q: int) -> None:
-    # the closed form is implementation-derived: cross-check it against the
-    # first-passage recurrence before first use
-    s = HomTree(q).series(48)
-    z = 0.4 * _tree_radius(q)
-    direct = s(z)
-    if abs(_tree_green_closed(q, z, 0) - direct) > 1e-10:
-        raise RootNotBracketed(f"tree Green closed form failed self-check for q={q}")
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ from .series import PowerSeries
 _STEP = 0.125
 _LOG_T = np.arange(-384, 721) * _STEP  # x = log t on [-48, 90], 1,105 nodes
 _NODES = np.exp(_LOG_T)
-_CHUNK = 64  # z values per pass: each temporary array is at most 64 x 1,105 floats
 _TINY = 1e-9  # z / rho at or below which G's first Taylor terms are exact to rounding
 _HEAD = 24.0  # nodes below t = z e^-24 are left out
 _UNDERFLOW = 750.0  # exp(-u) is exactly 0.0 past u = 745.2
@@ -196,18 +195,17 @@ class _Kernel:
             return math.inf
         if z <= self.rho * _TINY:
             return (1.0 + 0.5 * self.curvature * z * z, self.curvature * z, self.curvature)[deriv]
-        return float(self.quadrature(z, deriv))
+        return self.quadrature(z, deriv)
 
-    def quadrature(self, z, deriv: int):
-        """G^(deriv) by the trapezoidal sums, for a float z or a 1-d array of
-        z in (rho _TINY, rho]."""
+    def quadrature(self, z: float, deriv: int) -> float:
+        """G^(deriv) by the trapezoidal sums, for a float z in (rho _TINY,
+        rho]."""
         b = (self.rho - z) / self.rho / z  # the damping rate gap / z in t
-        zmin, bmin = (float(z.min()), float(b.min())) if isinstance(z, np.ndarray) else (z, b)
-        lo = max(0, math.floor((math.log(zmin) - _HEAD - _LOG_T[0]) / _STEP))
+        lo = max(0, math.floor((math.log(z) - _HEAD - _LOG_T[0]) / _STEP))
         hi = _NODES.size
-        if bmin > 0.0:
-            hi = min(hi, math.floor((math.log(_UNDERFLOW / bmin) - _LOG_T[0]) / _STEP) + 1)
-        s = np.exp(np.multiply.outer(-b, _NODES[lo:hi])) @ self.columns[deriv][lo:hi]
+        if b > 0.0:
+            hi = min(hi, math.floor((math.log(_UNDERFLOW / b) - _LOG_T[0]) / _STEP) + 1)
+        s = float(np.exp(-b * _NODES[lo:hi]) @ self.columns[deriv][lo:hi])
         if deriv == 0:
             return 1.0 + s
         return s / (z * z) if deriv == 1 else s / (z * z * z)
@@ -222,25 +220,11 @@ def _kernel(beta: tuple, p: tuple) -> _Kernel:
 def green(beta, p, z, deriv: int = 0):
     """G^(deriv)(z) for the lattice walk; math.inf where the integral diverges.
 
-    Valid for 0 <= z <= radius and deriv in {0, 1, 2}.  A scalar z gives a
-    float; an array of z gives an array of the same shape.
+    Valid for a scalar z with 0 <= z <= radius and deriv in {0, 1, 2}.
     """
     if deriv not in (0, 1, 2):
         raise OutOfDomain(f"deriv must be 0, 1 or 2, got {deriv}")
-    kern = _kernel(tuple(beta), tuple(p))
-    zs = np.asarray(z, dtype=float)
-    if zs.ndim == 0:
-        return kern.value(float(zs), deriv)
-    flat = zs.ravel()
-    out = np.empty(flat.shape)
-    inner = (flat > kern.rho * _TINY) & (flat < kern.rho * (1.0 - 1e-13))
-    for i in np.flatnonzero(~inner).tolist():
-        out[i] = kern.value(float(flat[i]), deriv)
-    todo = np.flatnonzero(inner)
-    for lo in range(0, todo.size, _CHUNK):
-        idx = todo[lo : lo + _CHUNK]
-        out[idx] = kern.quadrature(flat[idx], deriv)
-    return out.reshape(zs.shape)
+    return _kernel(tuple(beta), tuple(p)).value(float(z), deriv)
 
 
 # stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n) for n = 0..15, correctly

@@ -15,9 +15,11 @@ cancellation-free Newton passes over the nonzero coefficients alone, from
 leading coefficients solved in extended precision (`_leading_terms`), and
 its relative error stays near roundoff (`normalized_green_series`).  Each pass
 forms its Jacobian at half the pass's order (`_zeta_series`).  A factor's
-kernel is composed with the unknowns by Brent-Kung, or for a finite group
-at high orders evaluated from its closed rational form by the same
-cancellation-free elimination as the Jacobian (`_eliminated`).
+kernel is composed with the unknowns by Brent-Kung, or, where the factor
+has a closed rational form (a finite group) and the series kernels' cost
+estimates favour it (`_eliminates`), evaluated from that form by the same
+cancellation-free elimination as the Jacobian (`_eliminated`).  Every
+factor is read through the answers its kind gives, never by its kind.
 
 Conventions for infinite values follow the ratio rules c/(c+inf) = 0 and
 inf/(inf+c) = 1; Psi_i at an infinite argument uses the factor's stored limit
@@ -36,18 +38,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FprwError, RootNotBracketed
-from .factors import (
-    FiniteGroup,
-    analyze_factor,
-    invert_w,
-    phi_at,
-    phi_parts,
-    psi_at_argument,
-)
+from .factors import analyze_factor, invert_w, phi_at, phi_parts, psi_at_argument
 from .roots import brent
 from .series import (
-    _SPLIT_ORDER,
     PowerSeries,
+    _composition_us,
+    _product_us,
+    _reciprocal_us,
     series_compose,
     series_derivative,
     series_mul,
@@ -87,9 +84,7 @@ class FreeProductSpec:
 
 def is_two_by_two(spec: FreeProductSpec) -> bool:
     """True for (Z/2Z)*(Z/2Z), the single recurrent (degenerate) product."""
-    return spec.m == 2 and all(
-        isinstance(f, FiniteGroup) and f.order == 2 for f in spec.factors
-    )
+    return spec.m == 2 and all(f.order == 2 for f in spec.factors)
 
 
 def factor_analytics(spec: FreeProductSpec):
@@ -429,36 +424,18 @@ def _eliminated(form, inner: PowerSeries, h: int):
     return kz, kpz
 
 
-def _product_us(n: int) -> float:
-    """Estimated microseconds of a truncated product at order n, as
-    `series._trunc_mul` forms it: 1.5 per np.convolve call and 16,000
-    multiply-adds per microsecond, (n + 1)^2 of them below the split order,
-    the low halves' h^2 and two products at order n - h past it."""
-    if n < _SPLIT_ORDER:
-        return 1.5 + (n + 1) ** 2 / 16000.0
-    h = n // 2 + 1
-    return 1.5 + h * h / 16000.0 + 2.0 * _product_us(n - h)
-
-
-def _reciprocal_us(n: int) -> float:
-    """Estimated microseconds of a reciprocal at order n: its Newton steps
-    (`series_reciprocal`), the step to order t two truncated products, at
-    orders t and t - t // 2 - 1."""
-    tops = [n >> j for j in range(n.bit_length())]
-    return sum(_product_us(t) + _product_us(t - t // 2 - 1) for t in tops)
-
-
 def _eliminates(form, order: int) -> bool:
     """Whether a pass at `order` evaluates a finite group's kernel, given
     by its closed form `form` (None for other factors), by elimination
     rather than by composing its series.
 
-    An operation count weighted by unit costs decides.  With k = len(r),
+    An operation count weighted by unit costs decides, each kernel's
+    estimate taken beside the kernel in `series`.  With k = len(r),
     elimination takes k reciprocals (k - 1 when Q(0, 0) = 0, whose pivot
     stays the constant 1) and about (k^3 + 3 k^2) / 3 products at `order`,
     plus 20 k^2 us of small-series overhead; Brent-Kung takes its products
-    one by one, each at its own order (`_composition_us`).  Both routes were
-    timed at orders 62, 126, 254, 510, 1022, 2000 and 4000 (2 cores, Python
+    one by one, each at its own order.  Both routes were timed at orders
+    62, 126, 254, 510, 1022, 2000 and 4000 (2 cores, Python
     3.11.7, numpy 2.4.6, median of three runs) on C3 (steps +-1), C3 with
     Q(0, 0) > 0 (mu = 0.1, 0.5, 0.4), the Klein four-group (0.1, 0.3, 0.4,
     0.2), C5 (0, 0.3, 0.2, 0.2, 0.3), a lazy S3 (mu = 1/2 at the identity,
@@ -488,18 +465,6 @@ def _eliminates(form, order: int) -> bool:
         reciprocals * _reciprocal_us(order) + (k**3 + 3 * k * k) / 3 * _product_us(order) + 20.0 * k * k
     )
     return elimination < _composition_us(order)
-
-
-def _composition_us(n: int) -> float:
-    """Estimated microseconds of `series_compose` of a kernel at order n
-    and its slope at n // 2, as `_Kernel.at` runs them on an inner series
-    of valuation 1: the m products at order n of the table of powers, then
-    one Horner step per block of each outer, block j's a product at order t
-    - j m, plus 1.5 us per product for the rest of its step (the block's
-    einsum, slicing and sum)."""
-    m = math.isqrt(n // 3) + 4
-    steps = [t - j * m for t in (n, n // 2) for j in range(1, t // m + 1)]
-    return m * _product_us(n) + sum(map(_product_us, steps)) + 1.5 * (m + len(steps))
 
 
 class _Kernel:
@@ -645,7 +610,7 @@ def normalized_green_series(spec: FreeProductSpec, order: int):
     passes = _pass_orders(reduced)
     built = {}
     for f in dict.fromkeys(spec.factors):  # each distinct factor once
-        form = f.first_return_form(period) if isinstance(f, FiniteGroup) else None
+        form = f.first_return_form(period)
         # the series reaches every pass composed with it, and the leading terms
         top = max(max((c for c in passes if not _eliminates(form, c)), default=0), min(_LEADING - 1, reduced))
         # G~ through y^(top + 1), so that its kernel reaches y^top

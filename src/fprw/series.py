@@ -22,6 +22,13 @@ OpenBLAS's thread pool, whose split of the sum depends on the core count and
 whose helper thread then busy-waits for about 130 ms.  A dot that may be long
 goes through `serial_dot`, and block evaluation uses einsum (see
 `series_compose`).
+
+Each kernel has its cost estimate in microseconds beside it, which the
+product's solve weighs to route a finite group's kernel
+(`product._eliminates`): `_product_us` prices `_trunc_mul`,
+`_reciprocal_us` `series_reciprocal` and `_composition_us`
+`series_compose`.  Each reads its kernel's schedule through the helper the
+kernel uses (`_split_point`, `_newton_orders`, `_block_size`).
 """
 
 from __future__ import annotations
@@ -169,6 +176,11 @@ class PowerSeries:
 _SPLIT_ORDER = 512  # below this a truncated product is one np.convolve
 
 
+def _split_point(n: int):
+    """`_trunc_mul`'s low halves' length at order n, None below _SPLIT_ORDER."""
+    return None if n < _SPLIT_ORDER else n // 2 + 1
+
+
 def _trunc_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Coefficients 0..order of a*b, by direct convolution.
 
@@ -180,15 +192,26 @@ def _trunc_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """
 
     def low(a, b, n):
-        if n < _SPLIT_ORDER:
+        h = _split_point(n)
+        if h is None:
             return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
-        h = n // 2 + 1
         out = np.zeros(n + 1)
         out[: 2 * h - 1] = np.convolve(a[:h], b[:h])
         out[h:] += low(a, b[h:], n - h) + low(a[h:], b, n - h)
         return out
 
     return low(a, b, order)
+
+
+def _product_us(n: int) -> float:
+    """Estimated microseconds of `_trunc_mul` at order n: 1.5 per
+    np.convolve call and 16,000 multiply-adds per microsecond, (n + 1)^2 of
+    them for one np.convolve, past the split the low halves' h^2 and two
+    products at order n - h."""
+    h = _split_point(n)
+    if h is None:
+        return 1.5 + (n + 1) ** 2 / 16000.0
+    return 1.5 + h * h / 16000.0 + 2.0 * _product_us(n - h)
 
 
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -212,12 +235,23 @@ def series_reciprocal(a: PowerSeries) -> PowerSeries:
     n = a.order
     b = np.zeros(n + 1)
     b[0] = 1.0 / c[0]
-    for top in reversed([n >> j for j in range(n.bit_length())]):  # ..., n // 2, n
+    for top in reversed(_newton_orders(n)):
         h = top // 2 + 1  # b is correct through h - 1 and zero past it
         high = _trunc_mul(c, b, top)[h:]
         b[h : top + 1] = -_trunc_mul(b, high, top - h)
     b += 0.0  # -0.0 + 0.0 = +0.0: a zero coefficient carries no sign
     return PowerSeries(b)
+
+
+def _newton_orders(n: int) -> list:
+    """The orders n, n // 2, ..., 1 of `series_reciprocal`'s Newton steps."""
+    return [n >> j for j in range(n.bit_length())]
+
+
+def _reciprocal_us(n: int) -> float:
+    """Estimated microseconds of `series_reciprocal` at order n: the step
+    to order t two truncated products, at orders t and t - t // 2 - 1."""
+    return sum(_product_us(t) + _product_us(t - t // 2 - 1) for t in _newton_orders(n))
 
 
 def series_compose(outer, inner: PowerSeries):
@@ -265,7 +299,7 @@ def series_compose(outer, inner: PowerSeries):
         # needed only through n - j m v, and each step multiplies by inner^m
         # with its m v leading zeros stripped
         top = max(orders[i] for i in long)
-        m = math.isqrt(top // 3) + 4
+        m = _block_size(top)
         pows = np.zeros((m, top + 1))
         pows[0, 0] = 1.0
         for i in range(1, m):
@@ -290,6 +324,23 @@ def series_compose(outer, inner: PowerSeries):
                 acc = block
             out[i] = PowerSeries(acc)
     return out[0] if isinstance(outer, PowerSeries) else tuple(out)
+
+
+def _block_size(n: int) -> int:
+    """The block size of `series_compose`'s Brent-Kung route at order n."""
+    return math.isqrt(n // 3) + 4
+
+
+def _composition_us(n: int) -> float:
+    """Estimated microseconds of `series_compose` of a kernel at order n
+    and its slope at n // 2, as `product._Kernel.at` runs them on an inner
+    series of valuation 1: the m products at order n of the table of powers,
+    then one Horner step per block of each outer, block j's a product at
+    order t - j m, plus 1.5 us per product for the rest of its step (the
+    block's einsum, slicing and sum)."""
+    m = _block_size(n)
+    steps = [t - j * m for t in (n, n // 2) for j in range(1, t // m + 1)]
+    return m * _product_us(n) + sum(map(_product_us, steps)) + 1.5 * (m + len(steps))
 
 
 def series_derivative(a: PowerSeries) -> PowerSeries:

@@ -283,6 +283,15 @@ def test_phase_grid_zero_exits_2(tmp_path, capsys):
     assert out.out == ""
 
 
+def test_phase_on_the_recurrent_product_exits_4(tmp_path, capsys):
+    # the phase diagram is not defined for (Z/2Z)*(Z/2Z), as for m != 2: no
+    # numeric step failed, so it is no exit 3
+    code, out = run(tmp_path, capsys, {"factors": [C2, C2], "weights": [0.5, 0.5]}, "phase", "--grid", "16")
+    assert code == 4
+    assert out.err == "error: (Z/2Z)*(Z/2Z) is recurrent; its phase diagram is degenerate\n"
+    assert out.out == ""
+
+
 def test_analyze_reuses_factor_analytics_across_weights(tmp_path, capsys):
     factors.analyze_factor.cache_clear()
     for a in (0.5, 0.4, 0.3):

@@ -284,22 +284,6 @@ class TestNearRadius:
             assert got > 0.0
             assert rel_err(got, mp_laplace_green(c, 0.0, deriv)) <= 1e-13
 
-    def test_array_argument_matches_scalar_calls(self):
-        # the same terms summed as a matrix product: equal up to summation order
-        rtol = 1e-14
-        beta, p = np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.4, 0.7])
-        rho = lattice.convergence_radius(beta, p)
-        z = rho * np.array([[0.0, 0.3, 0.9], [0.999, 1.0 - 1e-12, 1.0]])
-        for deriv in (0, 1, 2):
-            got = lattice.green(beta, p, z, deriv)
-            assert got.shape == z.shape
-            want = [lattice.green(beta, p, float(v), deriv) for v in z.ravel()]
-            np.testing.assert_allclose(got.ravel(), want, rtol=rtol)
-        # more points than one evaluation pass holds
-        many = np.linspace(0.0, rho, 150)
-        want = [lattice.green(beta, p, float(v)) for v in many]
-        np.testing.assert_allclose(lattice.green(beta, p, many), want, rtol=rtol)
-
 
 # ---------------------------------------------------------------------------
 # the t-form kernel against its oracles
@@ -419,7 +403,7 @@ def test_small_z_rule_meets_the_quadrature(walk):
 def test_one_kernel_per_walk_in_a_bounded_cache():
     lattice._kernel.cache_clear()
     beta, p = simple(5)
-    for z in (0.1, 0.5, np.array([0.2, 0.9])):
+    for z in (0.1, 0.5, 0.9):
         lattice.green(beta, p, z, 1)
     info = lattice._kernel.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
